@@ -168,8 +168,17 @@ def solve_qp(H, b, tolerance: float = DEFAULT_TOLERANCE) -> QPSolution:
             return QPSolution("unbounded", -np.inf, None, d, np.nan,
                               eig_min, eig_max, tolerance)
 
-    inv = np.where(null, 0.0, np.divide(1.0, evals, where=~null))
-    v = -0.5 * (evecs @ (inv * (evecs.T @ b)))
+    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=~null)
+
+    def half_pinv(r):
+        return 0.5 * (evecs @ (inv * (evecs.T @ r)))
+
+    v = -half_pinv(b)
+    # Two steps of residual refinement on the same factors shrink the
+    # normal-equation residual 2Hv + b that the one-shot solve leaves on an
+    # ill-conditioned H.
+    for _ in range(2):
+        v = v - half_pinv(2.0 * (H @ v) + b)
     value = qp_objective(H, b, v)
     residual = float(np.linalg.norm(2.0 * H @ v + b)) / max(1.0, float(np.linalg.norm(b)))
     return QPSolution("minimum", value, v, None, residual, eig_min, eig_max, tolerance)

@@ -48,6 +48,14 @@ class GramBlockMatrix:
         return self.blocks.shape[0]
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Reject NaN or infinite input here, before an eigensolver meets it."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"non-finite value {float(a[idx])} in {what} at index {idx}")
+
+
 def assemble_gram(kernel: MatrixKernel, points) -> GramBlockMatrix:
     """Evaluate the block Gram matrix of a kernel over a point list."""
     if kernel.unbounded_diagonal:
@@ -56,6 +64,7 @@ def assemble_gram(kernel: MatrixKernel, points) -> GramBlockMatrix:
             "its Gram matrix contains infinite entries"
         )
     P = kernel._check_points(points)
+    _require_finite(P, "points")
     return GramBlockMatrix(P, kernel.output_dim, gram_blocks(kernel, P))
 
 
@@ -112,6 +121,7 @@ def _as_gram(gram) -> GramBlockMatrix:
     M = np.asarray(gram, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a GramBlockMatrix or a square matrix")
+    _require_finite(M, "matrix")
     return GramBlockMatrix(np.arange(M.shape[0], dtype=float).reshape(-1, 1), 1,
                            M.reshape(M.shape[0], M.shape[0], 1, 1))
 

@@ -43,11 +43,13 @@ def _apply_thread_cap() -> None:
         return
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+        # numpy has already loaded its BLAS, so setting OPENBLAS_NUM_THREADS
+        # and friends now would change nothing; say so instead.
+        print(f"mkernel: MKERNEL_THREADS={cap} ignored: threadpoolctl is not "
+              "installed, no BLAS thread cap applied", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(n)
 
 
 def _load_config(path: str) -> dict:

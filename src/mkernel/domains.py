@@ -33,6 +33,12 @@ def as_point(x) -> np.ndarray:
     return p
 
 
+def _as_point_or_rows(x) -> np.ndarray:
+    """One point as a 1-D array, or an (n, d) array of points kept as rows."""
+    p = np.asarray(x, dtype=float)
+    return p if p.ndim == 2 else as_point(p)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box [lower_1, upper_1] x ... x [lower_d, upper_d]."""
@@ -75,7 +81,8 @@ class Box:
         )
 
     def project(self, x) -> np.ndarray:
-        return np.clip(as_point(x), self.lower, self.upper)
+        """Nearest point of the box to one point, or to each row of an (n, d) array."""
+        return np.clip(_as_point_or_rows(x), self.lower, self.upper)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(n, self.dimension))
@@ -121,11 +128,15 @@ class Circle:
         return abs(np.linalg.norm(p) - self.radius) <= 1e-9 * max(1.0, self.radius)
 
     def project(self, x) -> np.ndarray:
-        p = as_point(x)
-        nrm = np.linalg.norm(p)
-        if nrm == 0.0:
-            return np.array([self.radius, 0.0])
-        return p * (self.radius / nrm)
+        """Radial projection of one point, or of each row of an (n, 2) array.
+
+        The origin, which has no nearest point, goes to (radius, 0).
+        """
+        p = _as_point_or_rows(x)
+        nrm = np.linalg.norm(p, axis=-1, keepdims=True)
+        zero = nrm == 0.0
+        scaled = p * (self.radius / np.where(zero, 1.0, nrm))
+        return np.where(zero, [self.radius, 0.0], scaled)
 
     def point_at(self, angle) -> np.ndarray:
         return self.radius * np.array([np.cos(angle), np.sin(angle)])

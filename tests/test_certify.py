@@ -157,3 +157,18 @@ def test_direct_quadform_blockwise():
     blocks[0, 1, 0, 0] = blocks[1, 0, 0, 0] = 1.0
     C = np.array([[1.0], [-1.0]])
     assert direct_quadform(blocks, C) == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    pts = np.array([[0.1], [0.4], [bad], [0.9]])
+    with pytest.raises(ValueError, match=r"non-finite value .* in points at index \(2, 0\)"):
+        assemble_gram(build_kernel(Gaussian(1.0)), pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(bad):
+    M = np.eye(3)
+    M[1, 2] = M[2, 1] = bad
+    with pytest.raises(ValueError, match=r"non-finite value .* in matrix at index \(1, 2\)"):
+        certify_psd(M)

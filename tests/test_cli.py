@@ -269,3 +269,19 @@ def test_module_entrypoint_runs(tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["result"]["verdict"] == "certified_psd"
+
+
+def test_thread_cap_without_threadpoolctl_says_so(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX, "seed": 2})
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+    monkeypatch.delenv("MKERNEL_THREADS", raising=False)
+    assert main(["certify", "--config", cfg]) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setenv("MKERNEL_THREADS", "1")
+    assert main(["certify", "--config", cfg]) == 0
+    capped = capsys.readouterr()
+    assert plain.err == ""
+    assert capped.err.count("\n") == 1
+    assert "no BLAS thread cap applied" in capped.err
+    mask = lambda text: text.replace(json.loads(text)["timestamp"], "T")
+    assert mask(capped.out) == mask(plain.out)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -160,3 +162,13 @@ def test_report_json_none_for_unbounded():
     doc = rep.to_json()
     assert doc["values"] == [None, None]
     assert doc["statuses"] == ["unbounded", "unbounded"]
+
+
+def test_singular_psd_solve_emits_no_warning():
+    # H = 1 1^T is singular and b lies in its range: min (s^2 + s) = -1/4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_qp(np.ones((2, 2)), np.ones(2))
+    assert sol.status == "minimum"
+    assert sol.value == pytest.approx(-0.25, abs=1e-14)
+    assert_allclose(sol.v, [-0.25, -0.25], atol=1e-14)

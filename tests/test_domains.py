@@ -108,6 +108,18 @@ def test_projection():
     assert_allclose(np.linalg.norm(circ.project([0.0, 0.0])), 2.0)
 
 
+def test_rowwise_projection_matches_per_point():
+    rng = np.random.default_rng(4)
+    box = make_box_domain([0.0, -1.0], [1.0, 2.0])
+    X = rng.normal(scale=2.0, size=(20, 2))
+    assert np.array_equal(box.project(X), np.stack([box.project(p) for p in X]))
+    circ = make_circle_domain(2.0)
+    X[5] = 0.0
+    rows = circ.project(X)
+    assert np.array_equal(rows, np.stack([circ.project(p) for p in X]))
+    assert np.array_equal(rows[5], [2.0, 0.0])
+
+
 def test_sampling_stays_inside():
     rng = np.random.default_rng(1)
     dom = make_box_domain([-1.0, 0.0], [1.0, 3.0])

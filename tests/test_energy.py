@@ -1,15 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mkernel.applications.energy import (
+    _energy_gradient,
     capacity_estimate,
     discrete_energy,
     make_configuration,
     minimize_energy,
 )
 from mkernel.domains import make_box_domain, make_circle_domain
-from mkernel.kernels import Gaussian, Lift, Riesz, build_kernel
+from mkernel.kernels import (
+    Gaussian,
+    Lift,
+    MatrixKernel,
+    Riesz,
+    build_kernel,
+    kernel_from_callable,
+)
 
 
 def _riesz():
@@ -125,3 +135,80 @@ def test_gaussian_energy_minimization_spreads_points():
     assert res.trace[-1] < res.trace[0]
     spread = np.ptp(res.configuration.points[:, 0])
     assert spread > 0.9
+
+
+def _reference_gradient(kernel, P, h):
+    """Central differences of the full energy, one coordinate at a time."""
+    g = np.empty_like(P)
+    for i in range(P.shape[0]):
+        for k in range(P.shape[1]):
+            Pp, Pm = P.copy(), P.copy()
+            Pp[i, k] += h
+            Pm[i, k] -= h
+            g[i, k] = (discrete_energy(kernel, Pp) - discrete_energy(kernel, Pm)) / (2 * h)
+    return g
+
+
+def _skewed_kernel():
+    # scalar and deliberately not symmetric: K(x, y) != K(y, x)
+    def func(x, y):
+        return np.exp(-((x - y) @ (x - y))) * (1.0 + 0.5 * x[0] - 0.2 * y[0])
+
+    return kernel_from_callable(func, 1, name="skewed", input_dim=1)
+
+
+@pytest.mark.parametrize("case", ["riesz-circle", "gaussian-box", "skewed-box"])
+def test_local_gradient_matches_full_energy_differences(case):
+    rng = np.random.default_rng(3)
+    if case == "riesz-circle":
+        kernel, dom = _riesz(), make_circle_domain(1.0)
+    elif case == "gaussian-box":
+        kernel, dom = build_kernel(Gaussian(2.0)), make_box_domain([0.0], [1.0])
+    else:
+        kernel, dom = _skewed_kernel(), make_box_domain([0.0], [1.0])
+    n = 5
+    P = dom.project(dom.sample(rng, n))
+    h = 1e-6 * dom.diameter
+    g = _energy_gradient(kernel, P, h)
+    ref = _reference_gradient(kernel, P, h)
+    # Rounding of the reference: each full energy sums n(n-1) terms, so the
+    # difference of two carries up to about 2 n^2 eps * (mean |K|), over 2h.
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    absolute = np.abs(kernel.eval_pairs(P[i], P[j])).sum() / n**2
+    bound = n**2 * np.finfo(float).eps * absolute / h
+    assert g.shape == P.shape
+    assert np.max(np.abs(g - ref)) <= bound
+    assert np.max(np.abs(ref)) > 1e3 * bound
+
+
+def test_gradient_makes_two_kernel_calls_for_any_n(monkeypatch):
+    calls = []
+    original = MatrixKernel.eval_pairs
+
+    def spy(self, X, Y):
+        calls.append(len(X))
+        return original(self, X, Y)
+
+    monkeypatch.setattr(MatrixKernel, "eval_pairs", spy)
+    dom = make_circle_domain(1.0)
+    per_n = {}
+    for n in (3, 12):
+        calls.clear()
+        P = dom.sample(np.random.default_rng(n), n)
+        _energy_gradient(_riesz(), P, 1e-6)
+        per_n[n] = list(calls)
+    # one call per argument order, each carrying all 2 N d (N - 1) pairs
+    assert per_n[3] == [2 * 3 * 2 * 2] * 2
+    assert per_n[12] == [2 * 12 * 2 * 11] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimizer_reaches_equally_spaced_optimum_n24(seed):
+    n = 24
+    optimum = math.fsum(1.0 / (2.0 * math.sin(math.pi * k / n)) for k in range(1, n)) / n
+    res = minimize_energy(_riesz(), make_circle_domain(1.0), n, iterations=100, seed=seed)
+    E = res.configuration.energy
+    assert np.all(np.diff(res.trace) <= 0)
+    assert res.trace[-1] == E
+    assert E == discrete_energy(_riesz(), res.configuration.points)
+    assert abs(E - optimum) <= 1e-5 * optimum
