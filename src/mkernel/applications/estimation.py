@@ -14,6 +14,7 @@ past coordinates.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,10 +166,10 @@ def save_dataset_csv(path, dataset: EstimationDataset) -> None:
 
 def load_dataset_csv(path) -> EstimationDataset:
     """Read samples written as alternating u-row / y-row pairs."""
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    if not rows or len(rows) % 2:
+    with warnings.catch_warnings():
+        # an empty file is reported below, as an odd number of rows is
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not len(rows) or len(rows) % 2:
         raise ValueError(f"{path}: expected an even number of rows (u-row then y-row pairs)")
-    U = np.asarray(rows[0::2], dtype=float)
-    Y = np.asarray(rows[1::2], dtype=float)
-    return EstimationDataset(U, Y)
+    return EstimationDataset(rows[0::2], rows[1::2])

@@ -2,9 +2,10 @@
 
 A kernel is PD in the discrete sense when every block Gram matrix
 [K(x_i, x_j)]_{ij} is positive semidefinite as an (n N) x (n N) matrix. We
-certify that by full symmetric eigendecomposition and, on failure, return a
-witness: the points and coefficient vectors whose quadratic form is
-negative, reproducible by a direct double sum.
+decide that from the eigenvalues alone. Only a matrix that fails is solved
+again with eigenvectors; the verdict is then re-decided on that solve and,
+on failure, a witness is returned: the points and coefficient vectors whose
+quadratic form is negative, reproducible by a direct double sum.
 """
 
 from __future__ import annotations
@@ -126,26 +127,41 @@ def _as_gram(gram) -> GramBlockMatrix:
                            M.reshape(M.shape[0], M.shape[0], 1, 1))
 
 
+def _decide(evals: np.ndarray, tolerance: float) -> tuple[float, float, bool]:
+    lam_min, lam_max = float(evals[0]), float(evals[-1])
+    return lam_min, lam_max, lam_min >= -tolerance * max(1.0, lam_max)
+
+
 def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     """Certify a (block) Gram matrix PSD, or produce an eigen-witness.
 
     The matrix passes when its minimum eigenvalue is at least
-    -tolerance * max(1, lambda_max). On failure the witness coefficients are
-    the most negative eigenvector, reshaped to one coefficient vector per
-    point, and the witness value is recomputed by a direct double sum.
+    -tolerance * max(1, lambda_max), decided from an eigenvalues-only solve.
+    Only when that fails is the matrix solved again with eigenvectors, and
+    the verdict, both reported eigenvalues and the witness all come from
+    that second solve, so a report never contradicts itself. The witness
+    coefficients are the most negative eigenvector, reshaped to one
+    coefficient vector per point, and the witness value is recomputed by a
+    direct double sum.
     """
     g = _as_gram(gram)
-    sym_gap = np.max(np.abs(g.data - g.data.T)) if g.data.size else 0.0
-    M = 0.5 * (g.data + g.data.T)
-    evals, evecs = np.linalg.eigh(M)
-    lam_min, lam_max = float(evals[0]), float(evals[-1])
-    threshold = tolerance * max(1.0, lam_max)
+    d = g.data - g.data.T
+    np.abs(d, out=d)
+    sym_gap = np.max(d) if d.size else 0.0
+    del d
     warnings = []
     if g.has_duplicates:
         warnings.append("duplicate points: Gram matrix is singular by construction")
-    if sym_gap > 1e-12 * max(1.0, np.max(np.abs(g.data))):
-        warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
-    if lam_min >= -threshold:
+    M = g.data  # an exactly symmetric matrix is its own symmetrization, bit for bit
+    if sym_gap > 0:
+        M = 0.5 * (g.data + g.data.T)
+        if sym_gap > 1e-12 * max(1.0, np.max(np.abs(g.data))):
+            warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
+    lam_min, lam_max, ok = _decide(np.linalg.eigvalsh(M), tolerance)
+    if not ok:
+        evals, evecs = np.linalg.eigh(M)
+        lam_min, lam_max, ok = _decide(evals, tolerance)
+    if ok:
         return PDReport("certified_psd", lam_min, lam_max, tolerance, None, tuple(warnings))
     C = evecs[:, 0].reshape(g.n_points, g.block_dim)
     pts = g.points if isinstance(gram, GramBlockMatrix) else None

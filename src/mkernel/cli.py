@@ -80,6 +80,15 @@ def _build_measure(cfg: dict, domain):
     return measure, {"rule": rule, "resolution": resolution}
 
 
+def _require_in_domain(points: np.ndarray, domain) -> None:
+    """Reject the first given point outside the domain; 1-D lists are 1-D points."""
+    rows = points.reshape(-1, 1) if points.ndim == 1 else points
+    for i, p in enumerate(rows):
+        if not domain.contains(p):
+            raise ValueError(f"point {i} {p.tolist()} lies outside the domain "
+                             f"{json.dumps(domain.to_json())}")
+
+
 def _common(cfg: dict) -> tuple[float, int]:
     return float(cfg.get("tolerance", 1e-9)), int(cfg.get("seed", 0))
 
@@ -89,10 +98,10 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
     tolerance, seed = _common(cfg)
     kernel = _build_kernel(cfg)
     domain = _build_domain(cfg)
-    if args.points:
-        points = load_points_csv(args.points)
-    elif "points" in cfg:
-        points = np.asarray(cfg["points"], dtype=float)
+    if args.points or "points" in cfg:
+        points = (load_points_csv(args.points) if args.points
+                  else np.asarray(cfg["points"], dtype=float))
+        _require_in_domain(points, domain)
     else:
         points = domain.sample(np.random.default_rng(seed), int(cfg.get("n_points", 8)))
     report = certify_psd(assemble_gram(kernel, points), tolerance)

@@ -71,7 +71,8 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
 
     Keeps eigenvalues above drop_tolerance times the largest one; requires
     strictly positive quadrature weights (the square-root rescaling divides
-    by them).
+    by them). A Gram built here rather than passed in is freed before the
+    eigensolve, so its memory is not held beside the eigensolver's copies.
     """
     if np.any(measure.weights <= 0):
         raise ValueError("spectral decomposition needs strictly positive weights")
@@ -79,8 +80,11 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
         gram = measure_gram(kernel, measure)
     n, N = len(measure), kernel.output_dim
     sw = np.sqrt(np.repeat(measure.weights, N))
-    A = gram.flat * np.multiply.outer(sw, sw)
+    A = np.multiply.outer(sw, sw)
+    A *= gram.flat
+    del gram
     evals, evecs = np.linalg.eigh(A)
+    del A
     evals, evecs = evals[::-1], evecs[:, ::-1]
     sig_max = float(evals[0]) if evals.size else 0.0
     threshold = drop_tolerance * max(1.0, abs(sig_max))

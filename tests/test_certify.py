@@ -172,3 +172,88 @@ def test_non_finite_matrix_rejected(bad):
     M[1, 2] = M[2, 1] = bad
     with pytest.raises(ValueError, match=r"non-finite value .* in matrix at index \(1, 2\)"):
         certify_psd(M)
+
+
+def _reference_decision(gram, tolerance=1e-9):
+    """The decision as a full eigh with eigenvectors on the symmetrized matrix."""
+    M = 0.5 * (gram.data + gram.data.T)
+    evals, evecs = np.linalg.eigh(M)
+    lam_min, lam_max = float(evals[0]), float(evals[-1])
+    return lam_min >= -tolerance * max(1.0, lam_max), evals, evecs
+
+
+def _spy(monkeypatch, name):
+    real = getattr(np.linalg, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_certified_gram_solves_without_eigenvectors(monkeypatch):
+    k = build_kernel(Lift(Gaussian(0.5), ((2.0, 1.0), (1.0, 2.0))))
+    gram = assemble_gram(k, np.linspace(0.0, 1.0, 12).reshape(-1, 1))
+    eigh_calls, eigvalsh_calls = _spy(monkeypatch, "eigh"), _spy(monkeypatch, "eigvalsh")
+    assert certify_psd(gram).certified
+    assert (len(eigh_calls), len(eigvalsh_calls)) == (0, 1)
+
+
+def test_witness_gram_solves_with_eigenvectors_once(monkeypatch):
+    gram = assemble_gram(build_kernel(NegDistance()), np.linspace(0.0, 1.0, 6).reshape(-1, 1))
+    eigh_calls, eigvalsh_calls = _spy(monkeypatch, "eigh"), _spy(monkeypatch, "eigvalsh")
+    rep = certify_psd(gram)
+    assert rep.verdict == "witness_found"
+    assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 1)
+
+
+def test_verdict_matches_full_eigh_reference_on_zoo():
+    rng = np.random.default_rng(17)
+    for entry in kernel_zoo():
+        k = build_kernel(entry.spec)
+        N = k.output_dim
+        for n in sorted({1, 2, 3, *rng.integers(1, 64 // N + 1, size=4).tolist(), 64 // N}):
+            gram = assemble_gram(k, rng.uniform(0.0, 1.0, size=(n, 1)))
+            ok, evals, evecs = _reference_decision(gram)
+            rep = certify_psd(gram)
+            assert rep.certified == ok, (entry.name, n)
+            # two eigensolvers agree to a backward error of order eps * ||M||
+            bound = 1e-12 * max(1.0, evals[-1])
+            assert rep.max_eigenvalue == pytest.approx(evals[-1], abs=bound)
+            assert rep.min_eigenvalue == pytest.approx(evals[0], abs=bound)
+            if not ok:
+                # the witness comes from the same solve as the reference
+                C = evecs[:, 0].reshape(n, N)
+                assert np.array_equal(rep.witness.coefficients, C)
+                assert rep.min_eigenvalue == float(evals[0])
+
+
+def test_eigenvalue_disagreement_gives_consistent_report(monkeypatch):
+    M = np.diag([1.0, 2.0, 1e-12])
+    real = np.linalg.eigvalsh
+
+    def pushed_below_threshold(a, *args, **kwargs):
+        evals = real(a, *args, **kwargs)
+        evals[0] = -1.0000001e-9 * max(1.0, evals[-1])
+        return evals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", pushed_below_threshold)
+    eigh_calls = _spy(monkeypatch, "eigh")
+    rep = certify_psd(M, tolerance=1e-9)
+    evals = np.linalg.eigh(M)[0]
+    assert len(eigh_calls) == 2  # one from certify_psd, one above
+    assert rep.verdict == "certified_psd"
+    assert rep.witness is None
+    assert (rep.min_eigenvalue, rep.max_eigenvalue) == (float(evals[0]), float(evals[-1]))
+
+
+def test_asymmetric_input_is_symmetrized():
+    A = np.array([[2.0, 1.0], [1.0 + 1e-6, 2.0]])
+    rep = certify_psd(A)
+    expected = np.linalg.eigvalsh(0.5 * (A + A.T))
+    assert rep.certified
+    assert (rep.min_eigenvalue, rep.max_eigenvalue) == (float(expected[0]), float(expected[-1]))
+    assert any("asymmetric" in w for w in rep.warnings)

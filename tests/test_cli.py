@@ -66,6 +66,29 @@ def test_certify_points_csv_flag(tmp_path, capsys):
     assert rep["config"]["points"] == [[0.2], [0.8]]
 
 
+def test_certify_rejects_config_point_outside_domain(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {"kernel": {"gaussian": 1.0}, "domain": BOX, "points": [[0.1], [1.5], [-2.0]]},
+    )
+    assert main(["certify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "point 1 [1.5] lies outside the domain" in captured.err
+    assert '"upper": [1.0]' in captured.err
+
+
+def test_certify_rejects_csv_point_outside_domain(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("x1\n0.2\n0.8\n-0.5\n")
+    assert main(["certify", "--config", cfg, "--points", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "point 2 [-0.5] lies outside the domain" in captured.err
+
+
 def test_equivalence_pd_and_not(tmp_path, capsys):
     good = _write(tmp_path, "g.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
     code, rep = _run(capsys, ["equivalence", "--config", good, "--trials", "20"])

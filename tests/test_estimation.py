@@ -137,6 +137,21 @@ def test_csv_odd_rows_rejected(tmp_path):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("text", ["", "\n\n\n"])
+def test_csv_empty_rejected(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="pairs"):
+        load_dataset_csv(path)
+
+
+def test_csv_ragged_row_rejected(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("1.0,2.0\n3.0\n")
+    with pytest.raises(ValueError):
+        load_dataset_csv(path)
+
+
 def test_result_json_uses_lambda_key():
     ds = simulate_volterra_dataset(np.eye(3), 10, seed=1)
     doc = ridge_estimate(ds, 0.1).to_json()
