@@ -38,7 +38,6 @@ from .integral import (
     GapReport,
     HarnessReport,
     TestFunction,
-    UrysohnBump,
     ball_mass,
     constant_function,
     discretization_gap,
@@ -48,7 +47,6 @@ from .integral import (
     quadform,
     random_test_functions,
     truncation_study,
-    urysohn_bump,
 )
 from .kernels import (
     BlockDiag,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..certify import DEFAULT_TOLERANCE
-from ..kernels import MatrixKernel, gram_blocks
+from ..kernels import GramBlockMatrix, MatrixKernel, gram_blocks
 
 _GAUSS5_X, _GAUSS5_W = np.polynomial.legendre.leggauss(5)
 
@@ -91,9 +91,9 @@ def assemble_control_qp(kernel: MatrixKernel, breakpoints, linear_term) -> Contr
     mids = 0.5 * (bp[:-1] + bp[1:])
     widths = np.diff(bp)
     M, N = mids.size, kernel.output_dim
-    blocks = gram_blocks(kernel, mids.reshape(-1, 1))
-    blocks = blocks * np.multiply.outer(widths, widths)[:, :, None, None]
-    H = blocks.transpose(0, 2, 1, 3).reshape(M * N, M * N)
+    P = mids.reshape(-1, 1)
+    sw = np.repeat(widths, N)
+    H = GramBlockMatrix(P, N, gram_blocks(kernel, P)).data * np.multiply.outer(sw, sw)
     b = _cell_integrals(linear_term, bp, M, N)
     return ControlQP(bp, mids, widths, H, b, N)
 

@@ -5,48 +5,20 @@ A kernel is PD in the discrete sense when every block Gram matrix
 decide that from the eigenvalues alone. Only a matrix that fails is solved
 again with eigenvectors; the verdict is then re-decided on that solve and,
 on failure, a witness is returned: the points and coefficient vectors whose
-quadratic form is negative, reproducible by a direct double sum.
+quadratic form is negative, reproducible by a direct double sum. Every
+Gram matrix here is a `GramBlockMatrix`, the one block-Gram type that the
+integral and spectral sides also use for the Gram over measure nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import MatrixKernel, gram_blocks
+from .kernels import GramBlockMatrix, MatrixKernel, gram_blocks
 
 DEFAULT_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class GramBlockMatrix:
-    """Block Gram matrix of a kernel over a finite point list.
-
-    `blocks[i, j]` is K(x_i, x_j); `data` is the same content flattened to
-    an (n N) x (n N) symmetric matrix with N x N blocks in point order.
-    """
-
-    points: np.ndarray
-    block_dim: int
-    blocks: np.ndarray
-    data: np.ndarray = field(init=False)
-    has_duplicates: bool = field(init=False)
-
-    def __post_init__(self):
-        n, N = self.blocks.shape[0], self.block_dim
-        data = self.blocks.transpose(0, 2, 1, 3).reshape(n * N, n * N)
-        object.__setattr__(self, "data", data)
-        dup = False
-        if n > 1:
-            order = np.lexsort(self.points.T[::-1])
-            srt = self.points[order]
-            dup = bool(np.any(np.all(srt[1:] == srt[:-1], axis=1)))
-        object.__setattr__(self, "has_duplicates", dup)
-
-    @property
-    def n_points(self) -> int:
-        return self.blocks.shape[0]
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -123,8 +95,7 @@ def _as_gram(gram) -> GramBlockMatrix:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a GramBlockMatrix or a square matrix")
     _require_finite(M, "matrix")
-    return GramBlockMatrix(np.arange(M.shape[0], dtype=float).reshape(-1, 1), 1,
-                           M.reshape(M.shape[0], M.shape[0], 1, 1))
+    return GramBlockMatrix(None, 1, M.reshape(M.shape[0], M.shape[0], 1, 1))
 
 
 def _decide(evals: np.ndarray, tolerance: float) -> tuple[float, float, bool]:
@@ -164,8 +135,7 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     if ok:
         return PDReport("certified_psd", lam_min, lam_max, tolerance, None, tuple(warnings))
     C = evecs[:, 0].reshape(g.n_points, g.block_dim)
-    pts = g.points if isinstance(gram, GramBlockMatrix) else None
-    witness = Witness(pts, C, direct_quadform(g.blocks, C))
+    witness = Witness(g.points, C, direct_quadform(g.blocks, C))
     return PDReport("witness_found", lam_min, lam_max, tolerance, witness, tuple(warnings))
 
 

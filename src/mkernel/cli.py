@@ -80,10 +80,14 @@ def _build_measure(cfg: dict, domain):
     return measure, {"rule": rule, "resolution": resolution}
 
 
+def _point_rows(points: np.ndarray) -> np.ndarray:
+    """One point per row, as the library reads it: a 1-D list is n 1-D points."""
+    return points.reshape(-1, 1) if points.ndim == 1 else points
+
+
 def _require_in_domain(points: np.ndarray, domain) -> None:
-    """Reject the first given point outside the domain; 1-D lists are 1-D points."""
-    rows = points.reshape(-1, 1) if points.ndim == 1 else points
-    for i, p in enumerate(rows):
+    """Reject the first given point outside the domain."""
+    for i, p in enumerate(_point_rows(points)):
         if not domain.contains(p):
             raise ValueError(f"point {i} {p.tolist()} lies outside the domain "
                              f"{json.dumps(domain.to_json())}")
@@ -108,7 +112,7 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
     echo = {
         "kernel": cfg["kernel"],
         "domain": domain.to_json(),
-        "points": np.atleast_2d(points).tolist(),
+        "points": _point_rows(points).tolist(),
         "tolerance": tolerance,
         "seed": seed,
     }
@@ -154,7 +158,7 @@ def cmd_gap(args) -> tuple[dict, dict, int]:
         "kernel": cfg["kernel"],
         "domain": domain.to_json(),
         "measure": mecho,
-        "centers": np.atleast_2d(centers).tolist(),
+        "centers": _point_rows(centers).tolist(),
         "coefficients": np.atleast_2d(coefficients).tolist(),
         "delta": delta,
         "epsilon": epsilon,

@@ -11,7 +11,6 @@ in for a measure of full support.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,15 +340,6 @@ def domain_from_json(doc: dict) -> Domain:
     if kind == "circle":
         return Circle(doc["radius"])
     raise ValueError(f"unknown domain kind {kind!r}")
-
-
-def measure_from_json(doc: dict, domain: Domain, mesh: float = float("nan")) -> QuadratureMeasure:
-    return QuadratureMeasure(domain, np.asarray(doc["nodes"]), np.asarray(doc["weights"]), mesh)
-
-
-def save_domain(domain: Domain, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(domain.to_json(), fh)
 
 
 def load_points_csv(path) -> np.ndarray:

@@ -5,7 +5,10 @@ measure mu is
 
     B(f, f) = integral integral f(x)^T K(x, y) f(y) dmu(x) dmu(y),
 
-here evaluated over quadrature measures as a doubly weighted sum. The module
+here evaluated over quadrature measures as a doubly weighted sum: u^T G u,
+with G the block Gram matrix of the kernel over the measure nodes (the same
+`GramBlockMatrix` as on point sets) and u the weighted function values. The
+module
 provides random test functions, the Urysohn bump construction that converts
 a discrete witness into an integral one, a quantified comparison between
 the integral form of such a bump function and its discrete counterpart, a
@@ -15,42 +18,31 @@ positive definiteness agree, and a truncation study over nested regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import DEFAULT_TOLERANCE, SearchReport, random_search_witness
+from .certify import DEFAULT_TOLERANCE, SearchReport, direct_quadform, random_search_witness
 from .domains import BOUNDARY_TOL, Ball, QuadratureMeasure, region_mask
-from .kernels import MatrixKernel, gram_blocks
+from .kernels import GramBlockMatrix, MatrixKernel, gram_blocks
 
 
-@dataclass(frozen=True)
-class MeasureGram:
-    """Kernel blocks over all pairs of measure nodes, flattened for reuse.
-
-    Computing this once per (kernel, measure) makes every subsequent
-    quadratic form a single matrix-vector product.
-    """
-
-    blocks: np.ndarray
-    flat: np.ndarray = field(init=False)
-    sup_norm: float = field(init=False)
-
-    def __post_init__(self):
-        n, N = self.blocks.shape[0], self.blocks.shape[2]
-        flat = self.blocks.transpose(0, 2, 1, 3).reshape(n * N, n * N)
-        object.__setattr__(self, "flat", flat)
-        norms = np.linalg.norm(self.blocks, axis=(2, 3)) if n else np.zeros((0, 0))
-        object.__setattr__(self, "sup_norm", float(norms.max()) if n else 0.0)
-
-
-def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> MeasureGram:
+def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
+    """Block Gram matrix over the measure nodes, built once per (kernel,
+    measure) so every quadratic form is then one matrix-vector product."""
     if kernel.unbounded_diagonal:
         raise ValueError(
             f"kernel {kernel.name!r} is unbounded on the diagonal; "
             "integral quadratic forms against it diverge"
         )
-    return MeasureGram(gram_blocks(kernel, measure.nodes))
+    return GramBlockMatrix(measure.nodes, kernel.output_dim, gram_blocks(kernel, measure.nodes))
+
+
+def _weighted_form(G: np.ndarray, weights: np.ndarray, F: np.ndarray) -> float:
+    """u^T G u for u = weights * F flattened node-major: the quadrature
+    form of the function with values F against the Gram G of its nodes."""
+    u = (weights[:, None] * F).ravel()
+    return float(u @ (G @ u))
 
 
 @dataclass
@@ -84,53 +76,27 @@ def constant_function(vector) -> TestFunction:
     )
 
 
-def quadform(kernel: MatrixKernel, fn: TestFunction, measure: QuadratureMeasure,
-             gram: MeasureGram | None = None) -> float:
-    """Integral quadratic form B(f, f) of a kernel against a measure."""
-    if fn.output_dim != kernel.output_dim:
+def _require_components(n_components: int, kernel: MatrixKernel) -> None:
+    if n_components != kernel.output_dim:
         raise ValueError(
-            f"function has {fn.output_dim} components, kernel size is {kernel.output_dim}"
+            f"function has {n_components} components, kernel size is {kernel.output_dim}"
         )
-    if gram is None:
-        gram = measure_gram(kernel, measure)
-    F = fn.values_on(measure.nodes)
-    u = (measure.weights[:, None] * F).ravel()
-    val = float(u @ (gram.flat @ u))
+
+
+def quadform(kernel: MatrixKernel, fn: TestFunction, measure: QuadratureMeasure) -> float:
+    """Integral quadratic form B(f, f) of a kernel against a measure."""
+    _require_components(fn.output_dim, kernel)
+    val = _weighted_form(measure_gram(kernel, measure).data, measure.weights,
+                         fn.values_on(measure.nodes))
     if not np.isfinite(val):
         raise ValueError("quadratic form is not finite on this measure")
     return val
 
 
-@dataclass(frozen=True)
-class UrysohnBump:
-    """Continuous cutoff: 1 on the closed delta-ball around the center,
-    0 outside the (delta + epsilon)-ball, linear in the distance between."""
-
-    center: np.ndarray
-    delta: float
-    epsilon: float
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "center", c)
-        if not float(self.delta) >= 0:
-            raise ValueError("bump inner radius delta must be nonnegative")
-        if not float(self.epsilon) > 0:
-            raise ValueError("bump ramp width epsilon must be positive")
-
-    def values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        d = np.linalg.norm(X - self.center, axis=1)
-        return np.clip((self.delta + self.epsilon - d) / self.epsilon, 0.0, 1.0)
-
-    def __call__(self, x) -> float:
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1))[0])
-
-
-def urysohn_bump(center, delta: float, epsilon: float) -> UrysohnBump:
-    return UrysohnBump(center, float(delta), float(epsilon))
+def _ramp(dist: np.ndarray, delta: float, epsilon: float) -> np.ndarray:
+    """Urysohn bump profile: 1 within distance delta, 0 beyond delta +
+    epsilon, linear in the distance between."""
+    return np.clip((delta + epsilon - dist) / epsilon, 0.0, 1.0)
 
 
 def ball_mass(measure: QuadratureMeasure, center, radius: float) -> float:
@@ -184,8 +150,7 @@ def mercer_test_function(measure: QuadratureMeasure, centers, coefficients,
 
     def batch(X, X0=X0, Cn=Cn, delta=delta, epsilon=epsilon):
         d = np.linalg.norm(X[:, None, :] - X0[None, :, :], axis=2)
-        rho = np.clip((delta + epsilon - d) / epsilon, 0.0, 1.0)
-        return rho @ Cn
+        return _ramp(d, delta, epsilon) @ Cn
 
     return TestFunction(
         "mercer_bump",
@@ -241,18 +206,19 @@ class GapReport:
 
 
 def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
-                       centers, coefficients, delta: float, epsilon: float,
-                       gram: MeasureGram | None = None) -> GapReport:
+                       centers, coefficients, delta: float, epsilon: float) -> GapReport:
     """Quantify how far the bump function's integral form sits from the
     discrete quadratic form it mimics."""
     X0, C, masses = _prepare_bumps(measure, centers, coefficients, delta, epsilon)
-    if gram is None:
-        gram = measure_gram(kernel, measure)
+    _require_components(C.shape[1], kernel)
+    gram = measure_gram(kernel, measure)
     fn = mercer_test_function(measure, X0, C, delta, epsilon)
-    q = quadform(kernel, fn, measure, gram)
+    q = _weighted_form(gram.data, measure.weights, fn.values_on(measure.nodes))
+    if not np.isfinite(q):
+        raise ValueError("quadratic form is not finite on this measure")
 
     Kc = gram_blocks(kernel, X0)
-    discrete = float(np.einsum("ia,ijab,jb->", C, Kc, C))
+    discrete = direct_quadform(Kc, C)
 
     k = X0.shape[0]
     dists = np.linalg.norm(measure.nodes[:, None, :] - X0[None, :, :], axis=2)
@@ -264,7 +230,7 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
     wi = measure.weights[:, None] * inner
     half = np.einsum("ai,abMN->ibMN", wi, gram.blocks)
     avg = np.einsum("ibMN,bj->ijMN", half, wi) / np.multiply.outer(masses, masses)[:, :, None, None]
-    correction = float(np.einsum("ia,ijab,jb->", C, avg - Kc, C))
+    correction = direct_quadform(avg - Kc, C)
 
     gap = abs(q - discrete - correction)
 
@@ -337,8 +303,7 @@ def random_test_functions(domain, output_dim: int, count: int, seed: int) -> lis
 
             def batch(X, center=center, delta=delta, eps=eps, vec=vec):
                 dist = np.linalg.norm(X - center, axis=1)
-                rho = np.clip((delta + eps - dist) / eps, 0.0, 1.0)
-                return rho[:, None] * vec
+                return _ramp(dist, delta, eps)[:, None] * vec
 
             fns.append(TestFunction(
                 "bump",
@@ -445,8 +410,7 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
     min_q, min_norm, worst, violations = np.inf, np.inf, None, 0
     for fn in fns:
         F = fn.values_on(measure.nodes)
-        u = (w[:, None] * F).ravel()
-        q = float(u @ (gram.flat @ u))
+        q = _weighted_form(gram.data, w, F)
         l1 = float(w @ np.linalg.norm(F, axis=1))
         scale = max(1.0, l1 * l1 * gram.sup_norm)
         if q < -tolerance * scale:
@@ -496,15 +460,12 @@ def truncation_study(kernel: MatrixKernel, fn: TestFunction,
     for a, b in zip(masks, masks[1:]):
         if not np.all(b[a]):
             raise ValueError("truncation regions must be nested, smallest first")
-    gram = measure_gram(kernel, measure)
-    F = fn.values_on(measure.nodes)
-    u_full = (measure.weights[:, None] * F).ravel()
-    full = float(u_full @ (gram.flat @ u_full))
+    G = measure_gram(kernel, measure).data
+    w, F = measure.weights, fn.values_on(measure.nodes)
+    full = _weighted_form(G, w, F)
     values, masses = [], []
-    N = kernel.output_dim
     for mask in masks:
-        keep = np.repeat(mask, N)
-        u = u_full[keep]
-        values.append(float(u @ (gram.flat[np.ix_(keep, keep)] @ u)))
-        masses.append(float(measure.weights[mask].sum()))
+        keep = np.repeat(mask, kernel.output_dim)
+        values.append(_weighted_form(G[np.ix_(keep, keep)], w[mask], F[mask]))
+        masses.append(float(w[mask].sum()))
     return TruncationReport(values, masses, full, measure.total_mass)

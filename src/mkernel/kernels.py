@@ -13,7 +13,8 @@ fixed PSD matrix, `Conjugate` maps K to B K B^T, and `Sum` / `Scale` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -392,22 +393,77 @@ def kernel_from_callable(
     )
 
 
-def evaluate(kernel: MatrixKernel, x, y) -> np.ndarray:
-    """Functional form of kernel(x, y)."""
-    return kernel(x, y)
+def _blocks_view(data: np.ndarray, block_dim: int) -> np.ndarray:
+    """The (n, n, N, N) block view of an (n N) x (n N) matrix; block (i, j)
+    holds rows i N .. i N + N - 1 and columns j N .. j N + N - 1."""
+    n = data.shape[0] // block_dim
+    return data.reshape(n, block_dim, n, block_dim).transpose(0, 2, 1, 3)
+
+
+class GramBlockMatrix:
+    """Block Gram matrix [K(x_i, x_j)] of a kernel over n points, stored once.
+
+    `data` is the contiguous (n N) x (n N) matrix with N x N blocks in point
+    order; `blocks[i, j]` is K(x_i, x_j), read through a strided view of
+    `data`. The same type serves point sets (unweighted) and measure nodes
+    (weighted by the caller). `points` is None for a matrix given without
+    points.
+    """
+
+    def __init__(self, points, block_dim: int, blocks: np.ndarray):
+        n, N = blocks.shape[0], block_dim
+        self.points = points
+        self.block_dim = N
+        # A view when `blocks` is already a block view (as gram_blocks
+        # returns), a single copy otherwise.
+        self.data = blocks.transpose(0, 2, 1, 3).reshape(n * N, n * N)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return _blocks_view(self.data, self.block_dim)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Alias of `data`."""
+        return self.data
+
+    @property
+    def n_points(self) -> int:
+        return self.data.shape[0] // self.block_dim
+
+    @cached_property
+    def has_duplicates(self) -> bool:
+        P = self.points
+        if P is None or P.shape[0] < 2:
+            return False
+        srt = P[np.lexsort(P.T[::-1])]
+        return bool(np.any(np.all(srt[1:] == srt[:-1], axis=1)))
+
+    @cached_property
+    def sup_norm(self) -> float:
+        """Largest Frobenius norm of a block."""
+        if self.n_points == 0:
+            return 0.0
+        # Each norm sums its N^2 terms in one fixed order over contiguous
+        # blocks; over the strided view numpy may pick another order for
+        # N >= 3 and move the last bit.
+        blocks = np.ascontiguousarray(self.blocks)
+        return float(np.linalg.norm(blocks, axis=(2, 3)).max())
 
 
 def gram_blocks(kernel: MatrixKernel, points) -> np.ndarray:
     """All kernel blocks over a point list: (n, d) -> (n, n, N, N).
 
     Only the upper triangle is evaluated; the lower triangle is the mirrored
-    transpose, so the assembled Gram matrix is exactly symmetric.
+    transpose, so the assembled Gram matrix is exactly symmetric. The blocks
+    are written straight into an (n N) x (n N) matrix and returned as its
+    block view, so `GramBlockMatrix` takes them over without a copy.
     """
     P = kernel._check_points(points)
     n, N = P.shape[0], kernel.output_dim
     iu, ju = np.triu_indices(n)
     upper = kernel.eval_pairs(P[iu], P[ju])
-    G = np.empty((n, n, N, N))
+    G = _blocks_view(np.empty((n * N, n * N)), N)
     G[iu, ju] = upper
     G[ju, iu] = np.transpose(upper, (0, 2, 1))
     return G

@@ -7,7 +7,8 @@ weighted eigenproblem into an ordinary symmetric one:
 
     A = W^{1/2} G W^{1/2},   A v_k = sigma_k v_k,   phi_k = v_k / sqrt(w),
 
-where G is the block Gram matrix and W repeats each node weight once per
+where G is the block Gram matrix over the nodes (a `GramBlockMatrix`, as
+on point sets) and W repeats each node weight once per
 output component. The eigenfunctions phi_k are orthonormal in L^2(mu) by
 construction, and sum_k sigma_k equals the weighted trace of K on the
 diagonal. For a PD kernel the quadratic form of any f is the sum of the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import QuadratureMeasure
-from .integral import MeasureGram, TestFunction, measure_gram
+from .integral import TestFunction, measure_gram
 from .kernels import MatrixKernel
 
 DROP_TOLERANCE = 1e-12
@@ -65,24 +66,20 @@ class SpectralDecomposition:
 
 
 def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
-                      drop_tolerance: float = DROP_TOLERANCE,
-                      gram: MeasureGram | None = None) -> SpectralDecomposition:
+                      drop_tolerance: float = DROP_TOLERANCE) -> SpectralDecomposition:
     """Eigendecompose the kernel operator discretized on a measure.
 
     Keeps eigenvalues above drop_tolerance times the largest one; requires
     strictly positive quadrature weights (the square-root rescaling divides
-    by them). A Gram built here rather than passed in is freed before the
-    eigensolve, so its memory is not held beside the eigensolver's copies.
+    by them). The measure's `GramBlockMatrix` is freed once it is scaled,
+    so its memory is not held beside the eigensolver's copies.
     """
     if np.any(measure.weights <= 0):
         raise ValueError("spectral decomposition needs strictly positive weights")
-    if gram is None:
-        gram = measure_gram(kernel, measure)
     n, N = len(measure), kernel.output_dim
     sw = np.sqrt(np.repeat(measure.weights, N))
     A = np.multiply.outer(sw, sw)
-    A *= gram.flat
-    del gram
+    A *= measure_gram(kernel, measure).data
     evals, evecs = np.linalg.eigh(A)
     del A
     evals, evecs = evals[::-1], evecs[:, ::-1]

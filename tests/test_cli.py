@@ -57,6 +57,23 @@ def test_certify_explicit_points(tmp_path, capsys):
     assert rep["config"]["points"] == [[0.1], [0.9]]
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("certify", {"kernel": {"gaussian": 0.5}, "domain": BOX, "points": [0.1, 0.9]}),
+    ("gap", {"kernel": {"gaussian": 1.0}, "domain": BOX,
+             "measure": {"rule": "trapezoid", "resolution": 161},
+             "centers": [0.2, 0.5, 0.8], "coefficients": [[1.0], [-2.0], [1.0]],
+             "delta": 0.05, "epsilon": 0.05}),
+])
+def test_echoed_config_reproduces_the_run(tmp_path, capsys, command, cfg):
+    code, rep = _run(capsys, [command, "--config", _write(tmp_path, "a.json", cfg)])
+    assert code in (0, 2)
+    key = "points" if command == "certify" else "centers"
+    assert rep["config"][key] == [[v] for v in cfg[key]]
+    code2, rep2 = _run(capsys, [command, "--config", _write(tmp_path, "b.json", rep["config"])])
+    assert code2 == code
+    assert json.dumps(rep2["result"], sort_keys=True) == json.dumps(rep["result"], sort_keys=True)
+
+
 def test_certify_points_csv_flag(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
     csv_path = tmp_path / "pts.csv"

@@ -18,7 +18,6 @@ from mkernel.integral import (
     quadform,
     random_test_functions,
     truncation_study,
-    urysohn_bump,
 )
 from mkernel.kernels import Constant, Gaussian, Lift, NegDistance, build_kernel, kernel_zoo
 
@@ -51,21 +50,26 @@ def test_quadform_dim_mismatch(unit_box):
         quadform(k, constant_function(np.array([1.0])), mu)
 
 
-def test_bump_profile():
-    bump = urysohn_bump(np.array([0.5]), delta=0.1, epsilon=0.05)
+def test_bump_profile(unit_box):
+    mu = make_measure(unit_box, "trapezoid", 65)
+    # A coefficient equal to the inner-ball mass makes the function the bare
+    # profile: 1 on the inner ball, 0 outside, linear on the ramp.
+    mass = ball_mass(mu, np.array([0.5]), 0.1)
+    bump = mercer_test_function(mu, [[0.5]], [[mass]], delta=0.1, epsilon=0.05)
     pts = np.array([[0.5], [0.55], [0.6], [0.125], [0.625]])
-    vals = bump.values(pts)
+    vals = bump.values_on(pts)[:, 0]
     assert_allclose(vals[:4], [1.0, 1.0, 1.0, 0.0], rtol=0, atol=0)
     assert vals[4] == pytest.approx(0.5)
-    assert bump(np.array([0.65])) == pytest.approx(0.0)
-    assert bump(np.array([0.61])) == pytest.approx(0.8)
+    assert bump(np.array([0.65]))[0] == pytest.approx(0.0)
+    assert bump(np.array([0.61]))[0] == pytest.approx(0.8)
 
 
-def test_bump_validation():
-    with pytest.raises(ValueError):
-        urysohn_bump(np.array([0.0]), delta=-0.1, epsilon=0.1)
-    with pytest.raises(ValueError):
-        urysohn_bump(np.array([0.0]), delta=0.1, epsilon=0.0)
+def test_bump_validation(unit_box):
+    mu = make_measure(unit_box, "trapezoid", 65)
+    with pytest.raises(ValueError, match="delta"):
+        mercer_test_function(mu, [[0.5]], [[1.0]], delta=-0.1, epsilon=0.1)
+    with pytest.raises(ValueError, match="epsilon"):
+        mercer_test_function(mu, [[0.5]], [[1.0]], delta=0.1, epsilon=0.0)
 
 
 def test_ball_mass_value(unit_box):
