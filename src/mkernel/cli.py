@@ -60,26 +60,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _build_kernel(cfg: dict, allow_unbounded: bool = False):
-    if "kernel" not in cfg:
-        raise ValueError("config is missing the 'kernel' entry")
-    return build_kernel(spec_from_json(cfg["kernel"]), allow_unbounded=allow_unbounded)
-
-
-def _build_domain(cfg: dict):
-    if "domain" not in cfg:
-        raise ValueError("config is missing the 'domain' entry")
-    return domain_from_json(cfg["domain"])
-
-
-def _build_measure(cfg: dict, domain):
-    mcfg = cfg.get("measure", {})
-    rule = mcfg.get("rule", "trapezoid")
-    resolution = mcfg.get("resolution", 65)
-    measure = make_measure(domain, rule, resolution)
-    return measure, {"rule": rule, "resolution": resolution}
-
-
 def _point_rows(points: np.ndarray) -> np.ndarray:
     """One point per row, as the library reads it: a 1-D list is n 1-D points."""
     return points.reshape(-1, 1) if points.ndim == 1 else points
@@ -93,149 +73,77 @@ def _require_in_domain(points: np.ndarray, domain) -> None:
                              f"{json.dumps(domain.to_json())}")
 
 
-def _common(cfg: dict) -> tuple[float, int]:
-    return float(cfg.get("tolerance", 1e-9)), int(cfg.get("seed", 0))
-
-
-def cmd_certify(args) -> tuple[dict, dict, int]:
-    cfg = _load_config(args.config)
-    tolerance, seed = _common(cfg)
-    kernel = _build_kernel(cfg)
-    domain = _build_domain(cfg)
+def cmd_certify(args, cfg) -> tuple[dict, dict, int]:
     if args.points or "points" in cfg:
         points = (load_points_csv(args.points) if args.points
                   else np.asarray(cfg["points"], dtype=float))
-        _require_in_domain(points, domain)
+        _require_in_domain(points, args.domain)
     else:
-        points = domain.sample(np.random.default_rng(seed), int(cfg.get("n_points", 8)))
-    report = certify_psd(assemble_gram(kernel, points), tolerance)
-    echo = {
-        "kernel": cfg["kernel"],
-        "domain": domain.to_json(),
-        "points": _point_rows(points).tolist(),
-        "tolerance": tolerance,
-        "seed": seed,
-    }
+        points = args.domain.sample(np.random.default_rng(args.seed), int(cfg.get("n_points", 8)))
+    report = certify_psd(assemble_gram(args.kernel, points), args.tolerance)
+    echo = {"points": _point_rows(points).tolist()}
     return echo, report.to_json(), 0 if report.certified else 2
 
 
-def cmd_equivalence(args) -> tuple[dict, dict, int]:
-    cfg = _load_config(args.config)
-    tolerance, seed = _common(cfg)
-    if args.seed is not None:
-        seed = args.seed
+def cmd_equivalence(args, cfg) -> tuple[dict, dict, int]:
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 200))
-    kernel = _build_kernel(cfg)
-    domain = _build_domain(cfg)
-    measure, mecho = _build_measure(cfg, domain)
-    harness = equivalence_harness(kernel, measure, trials=trials, seed=seed,
-                                  tolerance=tolerance)
-    echo = {
-        "kernel": cfg["kernel"],
-        "domain": domain.to_json(),
-        "measure": mecho,
-        "trials": trials,
-        "tolerance": tolerance,
-        "seed": seed,
-    }
+    harness = equivalence_harness(args.kernel, args.measure, trials=trials, seed=args.seed,
+                                  tolerance=args.tolerance)
     found = ((harness.discrete is not None and harness.discrete.found)
              or (harness.integral is not None and harness.integral.violations > 0))
-    return echo, harness.to_json(), 2 if found else 0
+    return {"trials": trials}, harness.to_json(), 2 if found else 0
 
 
-def cmd_gap(args) -> tuple[dict, dict, int]:
-    cfg = _load_config(args.config)
-    tolerance, seed = _common(cfg)
+def cmd_gap(args, cfg) -> tuple[dict, dict, int]:
     delta = args.delta if args.delta is not None else float(cfg["delta"])
     epsilon = args.epsilon if args.epsilon is not None else float(cfg["epsilon"])
-    kernel = _build_kernel(cfg)
-    domain = _build_domain(cfg)
-    measure, mecho = _build_measure(cfg, domain)
     centers = np.asarray(cfg["centers"], dtype=float)
     coefficients = np.asarray(cfg["coefficients"], dtype=float)
-    report = discretization_gap(kernel, measure, centers, coefficients, delta, epsilon)
+    report = discretization_gap(args.kernel, args.measure, centers, coefficients, delta, epsilon)
     echo = {
-        "kernel": cfg["kernel"],
-        "domain": domain.to_json(),
-        "measure": mecho,
         "centers": _point_rows(centers).tolist(),
         "coefficients": np.atleast_2d(coefficients).tolist(),
         "delta": delta,
         "epsilon": epsilon,
-        "tolerance": tolerance,
-        "seed": seed,
     }
     return echo, report.to_json(), 0
 
 
-def cmd_spectrum(args) -> tuple[dict, dict, int]:
-    cfg = _load_config(args.config)
-    tolerance, seed = _common(cfg)
+def cmd_spectrum(args, cfg) -> tuple[dict, dict, int]:
     rank = args.rank if args.rank is not None else cfg.get("rank")
     drop = float(cfg.get("drop_tolerance", 1e-12))
-    kernel = _build_kernel(cfg)
-    domain = _build_domain(cfg)
-    measure, mecho = _build_measure(cfg, domain)
-    decomp = nystrom_decompose(kernel, measure, drop_tolerance=drop)
+    decomp = nystrom_decompose(args.kernel, args.measure, drop_tolerance=drop)
     result = decomp.to_json(max_rank=rank)
-    result["trace"] = trace_functional(kernel, measure)
-    echo = {
-        "kernel": cfg["kernel"],
-        "domain": domain.to_json(),
-        "measure": mecho,
-        "rank": rank,
-        "drop_tolerance": drop,
-        "tolerance": tolerance,
-        "seed": seed,
-    }
-    return echo, result, 2 if decomp.not_pd else 0
+    result["trace"] = trace_functional(args.kernel, args.measure)
+    return {"rank": rank, "drop_tolerance": drop}, result, 2 if decomp.not_pd else 0
 
 
-def cmd_energy(args) -> tuple[dict, dict, int]:
-    cfg = _load_config(args.config)
-    tolerance, seed = _common(cfg)
-    if args.seed is not None:
-        seed = args.seed
+def cmd_energy(args, cfg) -> tuple[dict, dict, int]:
     n = args.n if args.n is not None else int(cfg.get("n", 4))
     iters = args.iters if args.iters is not None else int(cfg.get("iterations", 500))
-    kernel = _build_kernel(cfg, allow_unbounded=True)
-    domain = _build_domain(cfg)
-    res = minimize_energy(kernel, domain, n, iterations=iters, seed=seed)
+    res = minimize_energy(args.kernel, args.domain, n, iterations=iters, seed=args.seed)
     result = res.to_json()
     e = res.configuration.energy
     result["capacity"] = 1.0 / e if e > 0 else None
-    echo = {
-        "kernel": cfg["kernel"],
-        "domain": domain.to_json(),
-        "n": n,
-        "iterations": iters,
-        "tolerance": tolerance,
-        "seed": seed,
-    }
-    return echo, result, 0
+    return {"n": n, "iterations": iters}, result, 0
 
 
-def cmd_control(args) -> tuple[dict, dict, int]:
-    cfg = _load_config(args.config)
-    tolerance, seed = _common(cfg)
+def cmd_control(args, cfg) -> tuple[dict, dict, int]:
     if args.partition:
         partition = [float(t) for t in args.partition.split(",")]
     else:
         partition = [float(t) for t in cfg["partition"]]
-    kernel = _build_kernel(cfg)
     if "linear_term" in cfg:
         linear = np.asarray(cfg["linear_term"], dtype=float)
         linear_echo = {"linear_term": linear.tolist()}
     else:
-        beta = cfg.get("beta", 0.0)
-        const = np.atleast_1d(np.asarray(beta, dtype=float))
-        if const.size == 1 and kernel.output_dim > 1:
-            const = np.full(kernel.output_dim, float(const[0]))
-        linear = const
-        linear_echo = {"beta": const.tolist()}
-    qp = assemble_control_qp(kernel, partition, linear)
-    hessian = certify_psd(qp.H, tolerance)
-    sol = solve_control_qp(qp, tolerance)
+        linear = np.atleast_1d(np.asarray(cfg.get("beta", 0.0), dtype=float))
+        if linear.size == 1 and args.kernel.output_dim > 1:
+            linear = np.full(args.kernel.output_dim, float(linear[0]))
+        linear_echo = {"beta": linear.tolist()}
+    qp = assemble_control_qp(args.kernel, partition, linear)
+    hessian = certify_psd(qp.H, args.tolerance)
+    sol = solve_control_qp(qp, args.tolerance)
     result = {
         "breakpoints": qp.breakpoints.tolist(),
         "midpoints": qp.midpoints.tolist(),
@@ -245,19 +153,10 @@ def cmd_control(args) -> tuple[dict, dict, int]:
         "hessian_eig_max": hessian.max_eigenvalue,
         "solution": sol.to_json(),
     }
-    echo = {
-        "kernel": cfg["kernel"],
-        "partition": partition,
-        **linear_echo,
-        "tolerance": tolerance,
-        "seed": seed,
-    }
-    return echo, result, 2 if sol.unbounded else 0
+    return {"partition": partition, **linear_echo}, result, 2 if sol.unbounded else 0
 
 
-def cmd_estimate(args) -> tuple[dict, dict, int]:
-    cfg = _load_config(args.config)
-    tolerance, seed = _common(cfg)
+def cmd_estimate(args, cfg) -> tuple[dict, dict, int]:
     data_path = args.data if args.data is not None else cfg.get("data")
     if not data_path:
         raise ValueError("estimate needs --data or a 'data' config entry")
@@ -273,21 +172,75 @@ def cmd_estimate(args) -> tuple[dict, dict, int]:
         "causal": causal,
         "n_samples": dataset.n_samples,
         "series_length": dataset.series_length,
-        "tolerance": tolerance,
-        "seed": seed,
     }
     return echo, res.to_json(), 0
 
 
-_HANDLERS = {
-    "certify": cmd_certify,
-    "equivalence": cmd_equivalence,
-    "gap": cmd_gap,
-    "spectrum": cmd_spectrum,
-    "energy": cmd_energy,
-    "control": cmd_control,
-    "estimate": cmd_estimate,
+# Each subcommand: its handler, the config entries main builds for it (onto
+# args, in this order), its help text and its own flags. A handler returns
+# (its echo entries, result, exit code).
+_COMMANDS = {
+    "certify": (cmd_certify, ("kernel", "domain"),
+                "certify a Gram matrix PSD or find a witness",
+                {"--points": {"help": "CSV point list (header x1..xd)"}}),
+    "equivalence": (cmd_equivalence, ("kernel", "domain", "measure"),
+                    "compare discrete and integral PD verdicts",
+                    {"--trials": {"type": int}, "--seed": {"type": int}}),
+    "gap": (cmd_gap, ("kernel", "domain", "measure"),
+            "bump-function discretization gap analysis",
+            {"--delta": {"type": float}, "--epsilon": {"type": float}}),
+    "spectrum": (cmd_spectrum, ("kernel", "domain", "measure"),
+                 "eigendecompose the kernel operator on a measure",
+                 {"--rank": {"type": int}}),
+    "energy": (cmd_energy, ("kernel", "domain"),
+               "minimize the discrete energy of a configuration",
+               {"--n": {"type": int}, "--iters": {"type": int}, "--seed": {"type": int}}),
+    "control": (cmd_control, ("kernel",),
+                "assemble and solve the control QP on a partition",
+                {"--partition": {"help": "comma-separated breakpoints, e.g. 0,0.5,1"}}),
+    "estimate": (cmd_estimate, (),
+                 "ridge-estimate a Volterra kernel from data",
+                 {"--data": {"help": "CSV of u-row/y-row sample pairs"},
+                  "--lambda": {"dest": "lam", "type": float},
+                  "--causal": {"action": "store_true"}}),
 }
+
+
+def _object_entry(cfg: dict, name: str, default=None) -> dict:
+    """A config entry that must be a JSON object; required unless a default is given."""
+    if name not in cfg and default is None:
+        raise ValueError(f"config is missing the {name!r} entry")
+    value = cfg.get(name, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"config entry {name!r} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _set_up(args, cfg: dict, needs: tuple) -> dict:
+    """Resolve tolerance and seed (a --seed flag wins) and build the entries a
+    command needs onto args; return their echo."""
+    args.tolerance = float(cfg.get("tolerance", 1e-9))
+    seed = int(cfg.get("seed", 0))
+    args.seed = seed if getattr(args, "seed", None) is None else args.seed
+    echo = {"tolerance": args.tolerance, "seed": args.seed}
+    if "kernel" in needs:
+        if "kernel" not in cfg:
+            raise ValueError("config is missing the 'kernel' entry")
+        # The energy sums over distinct points only, so it takes kernels
+        # that are unbounded on the diagonal.
+        spec = spec_from_json(cfg["kernel"])
+        args.kernel = build_kernel(spec, allow_unbounded=args.command == "energy")
+        echo["kernel"] = cfg["kernel"]
+    if "domain" in needs:
+        args.domain = domain_from_json(_object_entry(cfg, "domain"))
+        echo["domain"] = args.domain.to_json()
+    if "measure" in needs:
+        mcfg = _object_entry(cfg, "measure", {})
+        rule = mcfg.get("rule", "trapezoid")
+        resolution = mcfg.get("resolution", 65)
+        args.measure = make_measure(args.domain, rule, resolution)
+        echo["measure"] = {"rule": rule, "resolution": resolution}
+    return echo
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,40 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for matrix-valued kernels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, _, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        return p
-
-    p = add("certify", "certify a Gram matrix PSD or find a witness")
-    p.add_argument("--points", help="CSV point list (header x1..xd)")
-
-    p = add("equivalence", "compare discrete and integral PD verdicts")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("gap", "bump-function discretization gap analysis")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--epsilon", type=float)
-
-    p = add("spectrum", "eigendecompose the kernel operator on a measure")
-    p.add_argument("--rank", type=int)
-
-    p = add("energy", "minimize the discrete energy of a configuration")
-    p.add_argument("--n", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("control", "assemble and solve the control QP on a partition")
-    p.add_argument("--partition", help="comma-separated breakpoints, e.g. 0,0.5,1")
-
-    p = add("estimate", "ridge-estimate a Volterra kernel from data")
-    p.add_argument("--data", help="CSV of u-row/y-row sample pairs")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--causal", action="store_true")
-
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -342,15 +267,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the error code
         return 0 if exc.code == 0 else 1
+    handler, needs, _, _ = _COMMANDS[args.command]
     try:
-        echo, result, code = _HANDLERS[args.command](args)
+        cfg = _load_config(args.config)
+        echo = _set_up(args, cfg, needs)
+        own_echo, result, code = handler(args, cfg)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"mkernel {args.command}: error: {exc}", file=sys.stderr)
         return 1
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": echo,
+        "config": {**echo, **own_echo},
         "result": result,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

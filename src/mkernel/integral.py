@@ -456,6 +456,7 @@ def truncation_study(kernel: MatrixKernel, fn: TestFunction,
     one); the report records the truncated values and masses alongside the
     untruncated ones.
     """
+    _require_components(fn.output_dim, kernel)
     masks = [region_mask(measure.nodes, r) for r in regions]
     for a, b in zip(masks, masks[1:]):
         if not np.all(b[a]):

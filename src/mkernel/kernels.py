@@ -9,27 +9,78 @@ so the transpose symmetry holds bitwise, not just up to rounding.
 Scalar kernels are the N = 1 case; `Lift` tensors a scalar kernel with a
 fixed PSD matrix, `Conjugate` maps K to B K B^T, and `Sum` / `Scale` /
 `BlockDiag` combine kernels in the PD-preserving ways.
+
+A new kernel family is one `KernelSpec` dataclass with a JSON `key` and a
+`compile` method; its name and its JSON form follow from its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 PSD_LIFT_TOL = 1e-10
 
+# Field annotations beside float and KernelSpec; the JSON codec reads them
+# (as strings, under the annotations future import) to pick each field's form.
+Matrix = tuple  # rows of floats
+Specs = tuple  # kernel expressions
+
+
+class KernelSpec:
+    """A node of a kernel expression.
+
+    Each node is a frozen dataclass that declares its JSON `key` and owns
+    `compile(allow_unbounded)`, which validates the node and returns
+    (batch_fn, output_dim, input_dim, unbounded). Its `name` is the key
+    followed by the names of its sub-expressions in parentheses. Its JSON
+    form is {key: value}: the bare value of a node with one field, otherwise
+    an object of its fields ({} for none); matrices are lists of rows.
+    """
+
+    key: ClassVar[str]
+
+    def compile(self, allow_unbounded: bool):
+        raise NotImplementedError
+
+    @property
+    def name(self) -> str:
+        subs = [getattr(self, f.name) for f in fields(self) if f.type == "KernelSpec"]
+        subs += [s for f in fields(self) if f.type == "Specs" for s in getattr(self, f.name)]
+        return f"{self.key}({','.join(s.name for s in subs)})" if subs else self.key
+
+    def _param(self, field: str):
+        """A scalar or matrix parameter as float(s); NaN and infinities are rejected."""
+        a = np.asarray(getattr(self, field), dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{self.key} {field} must be finite")
+        return float(a) if a.ndim == 0 else a
+
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(KernelSpec):
     """exp(-gamma * |x - y|^2), scalar, positive definite for gamma > 0."""
 
+    key = "gaussian"
     gamma: float = 1.0
+
+    def compile(self, allow_unbounded):
+        g = self._param("gamma")
+        if not g > 0:
+            raise ValueError("gaussian rate gamma must be positive")
+
+        def f(X, Y, g=g):
+            d2 = ((X - Y) ** 2).sum(axis=1)
+            return np.exp(-g * d2)[:, None, None]
+
+        return f, 1, None, False
 
 
 @dataclass(frozen=True)
-class Riesz:
+class Riesz(KernelSpec):
     """1 / (|x - y| + eta)^s, scalar.
 
     Positive definite for every s > 0, eta > 0. With eta = 0 the kernel is
@@ -37,76 +88,200 @@ class Riesz:
     excluded (pass allow_unbounded=True to build_kernel).
     """
 
-    s: float = 1.0
+    key = "riesz"
+    s: float
     eta: float = 0.0
 
+    def compile(self, allow_unbounded):
+        s, eta = self._param("s"), self._param("eta")
+        if not s > 0:
+            raise ValueError("riesz exponent s must be positive")
+        if eta < 0:
+            raise ValueError("riesz regularizer eta must be nonnegative")
+        if eta == 0 and not allow_unbounded:
+            raise ValueError(
+                "riesz with eta = 0 is unbounded on the diagonal; "
+                "build with allow_unbounded=True and exclude the diagonal"
+            )
+
+        def f(X, Y, s=s, eta=eta):
+            r = np.linalg.norm(X - Y, axis=1)
+            with np.errstate(divide="ignore"):
+                v = (r + eta) ** (-s)
+            return v[:, None, None]
+
+        return f, 1, None, eta == 0
+
 
 @dataclass(frozen=True)
-class Brownian:
+class Brownian(KernelSpec):
     """min(x, y) on the half-line, scalar, one-dimensional inputs only."""
 
+    key = "brownian"
+
+    def compile(self, allow_unbounded):
+        def f(X, Y):
+            return np.minimum(X[:, 0], Y[:, 0])[:, None, None]
+
+        return f, 1, 1, False
+
 
 @dataclass(frozen=True)
-class NegDistance:
+class NegDistance(KernelSpec):
     """-|x - y|, scalar. The canonical non-PD example."""
 
+    key = "neg_distance"
+
+    def compile(self, allow_unbounded):
+        def f(X, Y):
+            return -np.linalg.norm(X - Y, axis=1)[:, None, None]
+
+        return f, 1, None, False
+
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(KernelSpec):
     """Constant scalar kernel K(x, y) = c."""
 
+    key = "constant"
     c: float = 1.0
 
+    def compile(self, allow_unbounded):
+        c = self._param("c")
+
+        def f(X, Y, c=c):
+            return np.full((X.shape[0], 1, 1), c)
+
+        return f, 1, None, False
+
 
 @dataclass(frozen=True)
-class Lift:
+class Lift(KernelSpec):
     """scalar_kernel(x, y) * A for a fixed symmetric PSD matrix A."""
 
-    scalar: "KernelSpec"
-    matrix: tuple
+    key = "lift"
+    scalar: KernelSpec
+    matrix: Matrix
+
+    def compile(self, allow_unbounded):
+        inner_f, inner_dim, in_dim, unb = self.scalar.compile(allow_unbounded)
+        if inner_dim != 1:
+            raise ValueError("lift expects a scalar kernel")
+        A = _as_matrix(self._param("matrix"))
+        if A.shape[0] != A.shape[1]:
+            raise ValueError("lift matrix must be square")
+        if np.max(np.abs(A - A.T)) > PSD_LIFT_TOL * max(1.0, np.max(np.abs(A))):
+            raise ValueError("lift matrix must be symmetric")
+        A = 0.5 * (A + A.T)
+        evals = np.linalg.eigvalsh(A)
+        if evals.min() < -PSD_LIFT_TOL * max(1.0, abs(evals.max())):
+            raise ValueError(
+                f"lift matrix must be positive semidefinite (min eigenvalue {evals.min():.3e})"
+            )
+
+        def f(X, Y, inner_f=inner_f, A=A):
+            return inner_f(X, Y) * A
+
+        return f, A.shape[0], in_dim, unb
 
 
 @dataclass(frozen=True)
-class Conjugate:
+class Conjugate(KernelSpec):
     """B K(x, y) B^T for a fixed matrix B with as many columns as K's size."""
 
-    inner: "KernelSpec"
-    matrix: tuple
+    key = "conjugate"
+    inner: KernelSpec
+    matrix: Matrix
+
+    def compile(self, allow_unbounded):
+        inner_f, inner_dim, in_dim, unb = self.inner.compile(allow_unbounded)
+        B = _as_matrix(self._param("matrix"))
+        if B.shape[1] != inner_dim:
+            raise ValueError(
+                f"conjugation matrix has {B.shape[1]} columns, inner kernel size is {inner_dim}"
+            )
+
+        def f(X, Y, inner_f=inner_f, B=B):
+            return np.einsum("pi,mij,qj->mpq", B, inner_f(X, Y), B, optimize=True)
+
+        return f, B.shape[0], in_dim, unb
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(KernelSpec):
     """Pointwise sum of kernels of equal output size."""
 
-    terms: tuple
+    key = "sum"
+    terms: Specs
+
+    def compile(self, allow_unbounded):
+        terms = [t.compile(allow_unbounded) for t in self.terms]
+        if not terms:
+            raise ValueError("sum needs at least one term")
+        dims = {t[1] for t in terms}
+        if len(dims) != 1:
+            raise ValueError(f"sum terms must share one output size, got {sorted(dims)}")
+        in_dims = {t[2] for t in terms if t[2] is not None}
+        if len(in_dims) > 1:
+            raise ValueError("sum terms disagree on input dimension")
+
+        def f(X, Y, fns=[t[0] for t in terms]):
+            out = fns[0](X, Y).copy()
+            for fn in fns[1:]:
+                out += fn(X, Y)
+            return out
+
+        return f, terms[0][1], (in_dims.pop() if in_dims else None), any(t[3] for t in terms)
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(KernelSpec):
     """alpha * K for alpha >= 0 (negative scales break positive definiteness)."""
 
+    key = "scale"
     factor: float
-    inner: "KernelSpec"
+    inner: KernelSpec
+
+    def compile(self, allow_unbounded):
+        a = self._param("factor")
+        if a < 0:
+            raise ValueError("scale factor must be nonnegative")
+        inner_f, inner_dim, in_dim, unb = self.inner.compile(allow_unbounded)
+
+        def f(X, Y, inner_f=inner_f, a=a):
+            return a * inner_f(X, Y)
+
+        return f, inner_dim, in_dim, unb
 
 
 @dataclass(frozen=True)
-class BlockDiag:
+class BlockDiag(KernelSpec):
     """Block-diagonal combination; output size is the sum of block sizes."""
 
-    blocks: tuple
+    key = "block_diag"
+    blocks: Specs
+
+    def compile(self, allow_unbounded):
+        blocks = [b.compile(allow_unbounded) for b in self.blocks]
+        if not blocks:
+            raise ValueError("block_diag needs at least one block")
+        in_dims = {b[2] for b in blocks if b[2] is not None}
+        if len(in_dims) > 1:
+            raise ValueError("block_diag blocks disagree on input dimension")
+        sizes = [b[1] for b in blocks]
+        total = sum(sizes)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+
+        def f(X, Y, fns=[b[0] for b in blocks], offsets=offsets, total=total):
+            out = np.zeros((X.shape[0], total, total))
+            for fn, lo, hi in zip(fns, offsets[:-1], offsets[1:]):
+                out[:, lo:hi, lo:hi] = fn(X, Y)
+            return out
+
+        return f, total, (in_dims.pop() if in_dims else None), any(b[3] for b in blocks)
 
 
-KernelSpec = (
-    Gaussian | Riesz | Brownian | NegDistance | Constant | Lift | Conjugate | Sum | Scale | BlockDiag
-)
-
-_LEAF_NAMES = {
-    Gaussian: "gaussian",
-    Riesz: "riesz",
-    Brownian: "brownian",
-    NegDistance: "neg_distance",
-    Constant: "constant",
-}
+_FAMILIES = {cls.key: cls for cls in KernelSpec.__subclasses__()}
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -195,175 +370,18 @@ class MatrixKernel:
         return self.eval_pairs(x.reshape(1, -1), y.reshape(1, -1))[0]
 
 
-def _compile(spec: KernelSpec, allow_unbounded: bool):
-    """Recursively compile a spec into (batch_fn, output_dim, input_dim, unbounded)."""
-    if isinstance(spec, Gaussian):
-        g = float(spec.gamma)
-        if not g > 0:
-            raise ValueError("gaussian rate gamma must be positive")
-
-        def f(X, Y, g=g):
-            d2 = ((X - Y) ** 2).sum(axis=1)
-            return np.exp(-g * d2)[:, None, None]
-
-        return f, 1, None, False
-
-    if isinstance(spec, Riesz):
-        s, eta = float(spec.s), float(spec.eta)
-        if not s > 0:
-            raise ValueError("riesz exponent s must be positive")
-        if eta < 0:
-            raise ValueError("riesz regularizer eta must be nonnegative")
-        if eta == 0 and not allow_unbounded:
-            raise ValueError(
-                "riesz with eta = 0 is unbounded on the diagonal; "
-                "build with allow_unbounded=True and exclude the diagonal"
-            )
-
-        def f(X, Y, s=s, eta=eta):
-            r = np.linalg.norm(X - Y, axis=1)
-            with np.errstate(divide="ignore"):
-                v = (r + eta) ** (-s)
-            return v[:, None, None]
-
-        return f, 1, None, eta == 0
-
-    if isinstance(spec, Brownian):
-
-        def f(X, Y):
-            return np.minimum(X[:, 0], Y[:, 0])[:, None, None]
-
-        return f, 1, 1, False
-
-    if isinstance(spec, NegDistance):
-
-        def f(X, Y):
-            return -np.linalg.norm(X - Y, axis=1)[:, None, None]
-
-        return f, 1, None, False
-
-    if isinstance(spec, Constant):
-        c = float(spec.c)
-
-        def f(X, Y, c=c):
-            return np.full((X.shape[0], 1, 1), c)
-
-        return f, 1, None, False
-
-    if isinstance(spec, Lift):
-        inner_f, inner_dim, in_dim, unb = _compile(spec.scalar, allow_unbounded)
-        if inner_dim != 1:
-            raise ValueError("lift expects a scalar kernel")
-        A = _as_matrix(spec.matrix)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("lift matrix must be square")
-        if np.max(np.abs(A - A.T)) > PSD_LIFT_TOL * max(1.0, np.max(np.abs(A))):
-            raise ValueError("lift matrix must be symmetric")
-        A = 0.5 * (A + A.T)
-        evals = np.linalg.eigvalsh(A)
-        if evals.min() < -PSD_LIFT_TOL * max(1.0, abs(evals.max())):
-            raise ValueError(
-                f"lift matrix must be positive semidefinite (min eigenvalue {evals.min():.3e})"
-            )
-
-        def f(X, Y, inner_f=inner_f, A=A):
-            return inner_f(X, Y) * A
-
-        return f, A.shape[0], in_dim, unb
-
-    if isinstance(spec, Conjugate):
-        inner_f, inner_dim, in_dim, unb = _compile(spec.inner, allow_unbounded)
-        B = _as_matrix(spec.matrix)
-        if B.shape[1] != inner_dim:
-            raise ValueError(
-                f"conjugation matrix has {B.shape[1]} columns, inner kernel size is {inner_dim}"
-            )
-
-        def f(X, Y, inner_f=inner_f, B=B):
-            return np.einsum("pi,mij,qj->mpq", B, inner_f(X, Y), B, optimize=True)
-
-        return f, B.shape[0], in_dim, unb
-
-    if isinstance(spec, Sum):
-        terms = [_compile(t, allow_unbounded) for t in spec.terms]
-        if not terms:
-            raise ValueError("sum needs at least one term")
-        dims = {t[1] for t in terms}
-        if len(dims) != 1:
-            raise ValueError(f"sum terms must share one output size, got {sorted(dims)}")
-        in_dims = {t[2] for t in terms if t[2] is not None}
-        if len(in_dims) > 1:
-            raise ValueError("sum terms disagree on input dimension")
-
-        def f(X, Y, fns=[t[0] for t in terms]):
-            out = fns[0](X, Y).copy()
-            for fn in fns[1:]:
-                out += fn(X, Y)
-            return out
-
-        return f, terms[0][1], (in_dims.pop() if in_dims else None), any(t[3] for t in terms)
-
-    if isinstance(spec, Scale):
-        a = float(spec.factor)
-        if a < 0:
-            raise ValueError("scale factor must be nonnegative")
-        inner_f, inner_dim, in_dim, unb = _compile(spec.inner, allow_unbounded)
-
-        def f(X, Y, inner_f=inner_f, a=a):
-            return a * inner_f(X, Y)
-
-        return f, inner_dim, in_dim, unb
-
-    if isinstance(spec, BlockDiag):
-        blocks = [_compile(b, allow_unbounded) for b in spec.blocks]
-        if not blocks:
-            raise ValueError("block_diag needs at least one block")
-        in_dims = {b[2] for b in blocks if b[2] is not None}
-        if len(in_dims) > 1:
-            raise ValueError("block_diag blocks disagree on input dimension")
-        sizes = [b[1] for b in blocks]
-        total = sum(sizes)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-        def f(X, Y, fns=[b[0] for b in blocks], offsets=offsets, total=total):
-            out = np.zeros((X.shape[0], total, total))
-            for fn, lo, hi in zip(fns, offsets[:-1], offsets[1:]):
-                out[:, lo:hi, lo:hi] = fn(X, Y)
-            return out
-
-        return f, total, (in_dims.pop() if in_dims else None), any(b[3] for b in blocks)
-
-    raise TypeError(f"unknown kernel spec node {type(spec).__name__}")
-
-
-def _spec_name(spec: KernelSpec) -> str:
-    if type(spec) in _LEAF_NAMES:
-        return _LEAF_NAMES[type(spec)]
-    if isinstance(spec, Lift):
-        return f"lift({_spec_name(spec.scalar)})"
-    if isinstance(spec, Conjugate):
-        return f"conjugate({_spec_name(spec.inner)})"
-    if isinstance(spec, Sum):
-        return "sum(" + ",".join(_spec_name(t) for t in spec.terms) + ")"
-    if isinstance(spec, Scale):
-        return f"scale({_spec_name(spec.inner)})"
-    if isinstance(spec, BlockDiag):
-        return "block_diag(" + ",".join(_spec_name(b) for b in spec.blocks) + ")"
-    return type(spec).__name__
-
-
 def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKernel:
     """Validate a kernel expression and compile it to a MatrixKernel.
 
-    Validation rejects non-PSD lift matrices, negative scale factors,
-    mismatched sizes, and (unless allow_unbounded is set) kernels that are
-    unbounded on the diagonal.
+    Validation rejects non-finite parameters, non-PSD lift matrices,
+    negative scale factors, mismatched sizes, and (unless allow_unbounded
+    is set) kernels that are unbounded on the diagonal.
     """
-    batch, out_dim, in_dim, unbounded = _compile(spec, allow_unbounded)
+    batch, out_dim, in_dim, unbounded = spec.compile(allow_unbounded)
     return MatrixKernel(
         output_dim=out_dim,
         _batch=batch,
-        name=_spec_name(spec),
+        name=spec.name,
         spec=spec,
         input_dim=in_dim,
         unbounded_diagonal=unbounded,
@@ -372,13 +390,11 @@ def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKerne
 
 def kernel_from_callable(
     func, output_dim: int, name: str = "custom", input_dim: int | None = None,
-    canonical: bool = False,
 ) -> MatrixKernel:
     """Wrap a user callable K(x, y) -> (N, N) array as a MatrixKernel.
 
-    The callable is trusted to be transpose symmetric; set canonical=True to
-    enforce that bitwise via argument reordering, or leave it off and use
-    `symmetry_check` to measure the residual.
+    The callable is trusted to be transpose symmetric and evaluated in the
+    argument order given; `symmetry_check` measures the residual.
     """
 
     def batch(X, Y):
@@ -389,7 +405,7 @@ def kernel_from_callable(
 
     return MatrixKernel(
         output_dim=output_dim, _batch=batch, name=name, spec=None,
-        input_dim=input_dim, canonical=canonical,
+        input_dim=input_dim, canonical=False,
     )
 
 
@@ -494,34 +510,18 @@ def bound_estimate(kernel: MatrixKernel, points, chunk: int = 1 << 18) -> float:
 
 
 def spec_to_json(spec: KernelSpec) -> dict:
-    """Serialize a kernel expression to its JSON form."""
-    if isinstance(spec, Gaussian):
-        return {"gaussian": spec.gamma}
-    if isinstance(spec, Riesz):
-        return {"riesz": {"s": spec.s, "eta": spec.eta}}
-    if isinstance(spec, Brownian):
-        return {"brownian": {}}
-    if isinstance(spec, NegDistance):
-        return {"neg_distance": {}}
-    if isinstance(spec, Constant):
-        return {"constant": spec.c}
-    if isinstance(spec, Lift):
-        return {"lift": {"scalar": spec_to_json(spec.scalar),
-                         "matrix": _as_matrix(spec.matrix).tolist()}}
-    if isinstance(spec, Conjugate):
-        return {"conjugate": {"inner": spec_to_json(spec.inner),
-                              "matrix": _as_matrix(spec.matrix).tolist()}}
-    if isinstance(spec, Sum):
-        return {"sum": [spec_to_json(t) for t in spec.terms]}
-    if isinstance(spec, Scale):
-        return {"scale": {"factor": spec.factor, "inner": spec_to_json(spec.inner)}}
-    if isinstance(spec, BlockDiag):
-        return {"block_diag": [spec_to_json(b) for b in spec.blocks]}
-    raise TypeError(f"unknown kernel spec node {type(spec).__name__}")
+    """Serialize a kernel expression to its JSON form (see `KernelSpec`)."""
+    fs = fields(spec)
+    values = {f.name: _field_to_json(f.type, getattr(spec, f.name)) for f in fs}
+    return {spec.key: values[fs[0].name] if len(fs) == 1 else values}
 
 
-def _matrix_tuple(m) -> tuple:
-    return tuple(tuple(float(v) for v in row) for row in _as_matrix(m))
+def _field_to_json(kind: str, value):
+    if kind == "KernelSpec":
+        return spec_to_json(value)
+    if kind == "Specs":
+        return [spec_to_json(v) for v in value]
+    return _as_matrix(value).tolist() if kind == "Matrix" else value
 
 
 def spec_from_json(doc: dict) -> KernelSpec:
@@ -529,27 +529,38 @@ def spec_from_json(doc: dict) -> KernelSpec:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError("a kernel expression must be an object with exactly one key")
     (key, val), = doc.items()
-    if key == "gaussian":
-        return Gaussian(float(val))
-    if key == "riesz":
-        return Riesz(float(val["s"]), float(val.get("eta", 0.0)))
-    if key == "brownian":
-        return Brownian()
-    if key == "neg_distance":
-        return NegDistance()
-    if key == "constant":
-        return Constant(float(val))
-    if key == "lift":
-        return Lift(spec_from_json(val["scalar"]), _matrix_tuple(val["matrix"]))
-    if key == "conjugate":
-        return Conjugate(spec_from_json(val["inner"]), _matrix_tuple(val["matrix"]))
-    if key == "sum":
-        return Sum(tuple(spec_from_json(t) for t in val))
-    if key == "scale":
-        return Scale(float(val["factor"]), spec_from_json(val["inner"]))
-    if key == "block_diag":
-        return BlockDiag(tuple(spec_from_json(b) for b in val))
-    raise ValueError(f"unknown kernel family {key!r}")
+    if key not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {key!r}")
+    cls = _FAMILIES[key]
+    fs = {f.name: f for f in fields(cls)}
+    if len(fs) == 1:
+        val = {next(iter(fs)): val}
+    elif not isinstance(val, dict):
+        form = f"fields {', '.join(fs)}" if fs else "no fields"
+        raise ValueError(f"{key} expects an object with {form}")
+    for name in val:
+        if name not in fs:
+            raise ValueError(f"{key} has no field {name!r}")
+    for name, f in fs.items():
+        if name not in val and f.default is MISSING:
+            raise ValueError(f"{key} is missing the field {name!r}")
+    return cls(**{name: _field_from_json(key, fs[name], v) for name, v in val.items()})
+
+
+def _field_from_json(key: str, f, value):
+    if f.type == "KernelSpec":
+        return spec_from_json(value)
+    if f.type == "Specs":
+        if not isinstance(value, list):
+            raise ValueError(f"{key} expects a list of kernel expressions")
+        return tuple(spec_from_json(v) for v in value)
+    try:
+        if f.type == "Matrix":
+            return tuple(tuple(float(v) for v in row) for row in _as_matrix(value))
+        return float(value)
+    except (TypeError, ValueError):
+        form = "a matrix (a list of rows)" if f.type == "Matrix" else "a number"
+        raise ValueError(f"{key} expects {form} for {f.name}") from None
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,27 @@ def test_missing_kernel_entry_exits_one(tmp_path, capsys):
     assert "kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,cfg,entry", [
+    ("certify", {"kernel": {"gaussian": 1.0}, "domain": [0, 1]}, "domain"),
+    ("equivalence", {"kernel": {"gaussian": 1.0}, "domain": [0, 1]}, "domain"),
+    ("equivalence", {"kernel": {"gaussian": 1.0}, "domain": BOX, "measure": [1]}, "measure"),
+])
+def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
+    assert main([command, "--config", _write(tmp_path, "n.json", cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mkernel {command}: error: config entry '{entry}' "
+                                   "must be a JSON object")
+
+
+def test_malformed_kernel_node_exits_one(tmp_path, capsys):
+    cfg = _write(tmp_path, "k.json", {"kernel": {"riesz": 1.0}, "domain": BOX})
+    assert main(["certify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mkernel certify: error: riesz expects an object with fields s, eta\n"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
@@ -325,3 +346,51 @@ def test_thread_cap_without_threadpoolctl_says_so(tmp_path, capsys, monkeypatch)
     assert "no BLAS thread cap applied" in capped.err
     mask = lambda text: text.replace(json.loads(text)["timestamp"], "T")
     assert mask(capped.out) == mask(plain.out)
+
+
+LIFT = {"lift": {"scalar": {"gaussian": 0.5}, "matrix": [[2, 1], [1, 2]]}}
+BOX_ECHO = {"kind": "box", "lower": [0.0], "upper": [1.0]}
+
+
+@pytest.mark.parametrize("command,cfg,flags,echo", [
+    ("certify", {"kernel": LIFT, "domain": BOX, "points": [0.1, 0.9], "tolerance": 1e-8, "seed": 3},
+     [], {"kernel": LIFT, "domain": BOX_ECHO, "points": [[0.1], [0.9]], "tolerance": 1e-8,
+          "seed": 3}),
+    ("equivalence", {"kernel": {"gaussian": 1}, "domain": BOX, "measure": {"resolution": 9},
+                     "trials": 7, "seed": 1},
+     ["--seed", "5"], {"kernel": {"gaussian": 1}, "domain": BOX_ECHO,
+                       "measure": {"rule": "trapezoid", "resolution": 9}, "trials": 7,
+                       "tolerance": 1e-9, "seed": 5}),
+    ("gap", {"kernel": {"gaussian": 1.0}, "domain": BOX,
+             "measure": {"rule": "trapezoid", "resolution": 41}, "centers": [0.25, 0.75],
+             "coefficients": [[1.0], [-1.0]], "delta": 0.05, "epsilon": 0.05},
+     ["--epsilon", "0.025"], {"kernel": {"gaussian": 1.0}, "domain": BOX_ECHO,
+                              "measure": {"rule": "trapezoid", "resolution": 41},
+                              "centers": [[0.25], [0.75]], "coefficients": [[1.0], [-1.0]],
+                              "delta": 0.05, "epsilon": 0.025, "tolerance": 1e-9, "seed": 0}),
+    ("spectrum", {"kernel": {"brownian": {}}, "domain": BOX,
+                  "measure": {"rule": "trapezoid", "resolution": 17}, "drop_tolerance": 1e-10},
+     ["--rank", "3"], {"kernel": {"brownian": {}}, "domain": BOX_ECHO,
+                       "measure": {"rule": "trapezoid", "resolution": 17}, "rank": 3,
+                       "drop_tolerance": 1e-10, "tolerance": 1e-9, "seed": 0}),
+    ("energy", {"kernel": {"riesz": {"s": 1.0}}, "domain": {"kind": "circle", "radius": 1.0},
+                "n": 3, "iterations": 20},
+     ["--seed", "2"], {"kernel": {"riesz": {"s": 1.0}}, "domain": {"kind": "circle", "radius": 1.0},
+                       "n": 3, "iterations": 20, "tolerance": 1e-9, "seed": 2}),
+    ("control", {"kernel": LIFT, "partition": [0, 0.5, 1], "beta": 1.5, "seed": 7},
+     [], {"kernel": LIFT, "partition": [0.0, 0.5, 1.0], "beta": [1.5, 1.5], "tolerance": 1e-9,
+          "seed": 7}),
+    ("estimate", {"lambda": 0.01, "seed": 4},
+     ["--causal"], {"lambda": 0.01, "causal": True, "n_samples": 40, "series_length": 4,
+                    "tolerance": 1e-9, "seed": 4}),
+])
+def test_echoed_config_pinned(tmp_path, capsys, command, cfg, flags, echo):
+    if command == "estimate":
+        data = tmp_path / "d.csv"
+        K = np.tril(np.random.default_rng(0).normal(size=(4, 4)))
+        save_dataset_csv(data, simulate_volterra_dataset(K, 40, noise_sigma=0.0, seed=0))
+        flags = [*flags, "--data", str(data)]
+        echo = {**echo, "data": str(data)}
+    code, rep = _run(capsys, [command, "--config", _write(tmp_path, "p.json", cfg), *flags])
+    assert code in (0, 2)
+    assert json.dumps(rep["config"], sort_keys=True) == json.dumps(echo, sort_keys=True)

@@ -226,6 +226,13 @@ def test_truncation_requires_nested(unit_box):
         truncation_study(k, f, mu, regions)
 
 
+def test_truncation_requires_matching_components(unit_box):
+    mu = make_measure(unit_box, "trapezoid", 9)
+    f = constant_function(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="function has 2 components, kernel size is 1"):
+        truncation_study(build_kernel(Gaussian(1.0)), f, mu, [Ball([0.5], 0.3)])
+
+
 def test_restrict_and_quadform_consistent(unit_box):
     mu = make_measure(unit_box, "trapezoid", 65)
     sub = restrict_measure(mu, Ball([0.5], 0.3))

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -194,6 +197,39 @@ def test_json_rejects_unknown():
         spec_from_json({"gaussian": 1.0, "constant": 2.0})
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"riesz": 1.0}, "riesz expects an object with fields s, eta"),
+    ({"lift": [1]}, "lift expects an object with fields scalar, matrix"),
+    ({"brownian": 1}, "brownian expects an object with no fields"),
+    ({"riesz": {"s": 1, "eat": 0.1}}, "riesz has no field 'eat'"),
+    ({"riesz": {"eta": 0.1}}, "riesz is missing the field 's'"),
+    ({"gaussian": [1.0]}, "gaussian expects a number for gamma"),
+    ({"lift": {"scalar": {"gaussian": 1}, "matrix": [1, 2]}}, "lift expects a matrix"),
+    ({"sum": {"gaussian": 1}}, "sum expects a list of kernel expressions"),
+])
+def test_json_rejects_malformed_node(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json(doc)
+
+
+@pytest.mark.parametrize("spec,message", [
+    (Constant(float("nan")), "constant c must be finite"),
+    (Gaussian(float("inf")), "gaussian gamma must be finite"),
+    (Riesz(float("inf"), 0.1), "riesz s must be finite"),
+    (Riesz(1.0, float("nan")), "riesz eta must be finite"),
+    (Scale(float("inf"), Gaussian(1.0)), "scale factor must be finite"),
+    (Lift(Gaussian(1.0), ((1.0, float("nan")), (float("nan"), 1.0))), "lift matrix must be finite"),
+    (Conjugate(Gaussian(1.0), ((float("inf"),),)), "conjugate matrix must be finite"),
+    (Sum((Gaussian(1.0), Constant(float("-inf")))), "constant c must be finite"),
+])
+def test_non_finite_parameters_rejected(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_kernel(spec, allow_unbounded=True)
+    with pytest.raises(ValueError, match=message):
+        build_kernel(spec_from_json(json.loads(json.dumps(spec_to_json(spec)))),
+                     allow_unbounded=True)
+
+
 def test_kernel_from_callable():
     k = kernel_from_callable(
         lambda x, y: np.array([[float(x[0] * y[0])]]), output_dim=1, name="xy"
@@ -212,3 +248,42 @@ def test_zoo_contents():
     names = [e.name for e in zoo]
     assert len(set(names)) == len(names)
     assert sum(not e.is_pd for e in zoo) == 1
+
+
+A_CONJ = ((1.0, 2.0), (0.0, 1.0), (1.0, -1.0))
+
+
+PINNED = [
+    (Gaussian(1), "gaussian", '{"gaussian": 1}'),
+    (Gaussian(0.5), "gaussian", '{"gaussian": 0.5}'),
+    (Riesz(1.0, 0.1), "riesz", '{"riesz": {"s": 1.0, "eta": 0.1}}'),
+    (spec_from_json({"riesz": {"s": 1.5}}), "riesz", '{"riesz": {"s": 1.5, "eta": 0.0}}'),
+    (Brownian(), "brownian", '{"brownian": {}}'),
+    (NegDistance(), "neg_distance", '{"neg_distance": {}}'),
+    (Constant(2.5), "constant", '{"constant": 2.5}'),
+    (Lift(Gaussian(1.0), ((2, 1), (1, 2))), "lift(gaussian)",
+     '{"lift": {"scalar": {"gaussian": 1.0}, "matrix": [[2.0, 1.0], [1.0, 2.0]]}}'),
+    (Conjugate(Lift(Gaussian(1.5), A_PSD), A_CONJ), "conjugate(lift(gaussian))",
+     '{"conjugate": {"inner": {"lift": {"scalar": {"gaussian": 1.5}, "matrix": [[2.0, 1.0], '
+     '[1.0, 2.0]]}}, "matrix": [[1.0, 2.0], [0.0, 1.0], [1.0, -1.0]]}}'),
+    (Sum((Gaussian(1.0), Constant(1.0))), "sum(gaussian,constant)",
+     '{"sum": [{"gaussian": 1.0}, {"constant": 1.0}]}'),
+    (Scale(2.0, Gaussian(1.0)), "scale(gaussian)",
+     '{"scale": {"factor": 2.0, "inner": {"gaussian": 1.0}}}'),
+    (BlockDiag((Gaussian(1.0), Brownian(), Constant(0.5))),
+     "block_diag(gaussian,brownian,constant)",
+     '{"block_diag": [{"gaussian": 1.0}, {"brownian": {}}, {"constant": 0.5}]}'),
+    (Sum((Scale(0.5, BlockDiag((Riesz(1.0, 0.2), Constant(1.0)))), Lift(Gaussian(2.0), A_PSD))),
+     "sum(scale(block_diag(riesz,constant)),lift(gaussian))",
+     '{"sum": [{"scale": {"factor": 0.5, "inner": {"block_diag": '
+     '[{"riesz": {"s": 1.0, "eta": 0.2}}, {"constant": 1.0}]}}}, '
+     '{"lift": {"scalar": {"gaussian": 2.0}, "matrix": [[2.0, 1.0], [1.0, 2.0]]}}]}'),
+]
+
+
+@pytest.mark.parametrize("spec,name,text", PINNED,
+                         ids=[f"{i}-{row[1]}" for i, row in enumerate(PINNED)])
+def test_spec_name_and_json_text_pinned(spec, name, text):
+    assert build_kernel(spec, allow_unbounded=True).name == name
+    assert json.dumps(spec_to_json(spec)) == text
+    assert spec_from_json(json.loads(text)) == spec
