@@ -98,9 +98,8 @@ def _as_gram(gram) -> GramBlockMatrix:
     return GramBlockMatrix(None, 1, M.reshape(M.shape[0], M.shape[0], 1, 1))
 
 
-def _decide(evals: np.ndarray, tolerance: float) -> tuple[float, float, bool]:
-    lam_min, lam_max = float(evals[0]), float(evals[-1])
-    return lam_min, lam_max, lam_min >= -tolerance * max(1.0, lam_max)
+def _decide(evals: np.ndarray, tolerance: float) -> bool:
+    return bool(evals[0] >= -tolerance * max(1.0, evals[-1]))
 
 
 def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
@@ -115,6 +114,11 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     coefficient vector per point, and the witness value is recomputed by a
     direct double sum.
     """
+    return _certify(gram, tolerance, vectors=False)[0]
+
+
+def _certify(gram, tolerance: float, vectors: bool):
+    """`certify_psd`'s body; also returns the matrix it solved and the last solve's eigenpairs."""
     g = _as_gram(gram)
     d = g.data - g.data.T
     np.abs(d, out=d)
@@ -128,15 +132,17 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
         M = 0.5 * (g.data + g.data.T)
         if sym_gap > 1e-12 * max(1.0, np.max(np.abs(g.data))):
             warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
-    lam_min, lam_max, ok = _decide(np.linalg.eigvalsh(M), tolerance)
-    if not ok:
+    evals, evecs = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
+    if evecs is None and not _decide(evals, tolerance):
         evals, evecs = np.linalg.eigh(M)
-        lam_min, lam_max, ok = _decide(evals, tolerance)
-    if ok:
-        return PDReport("certified_psd", lam_min, lam_max, tolerance, None, tuple(warnings))
-    C = evecs[:, 0].reshape(g.n_points, g.block_dim)
-    witness = Witness(g.points, C, direct_quadform(g.blocks, C))
-    return PDReport("witness_found", lam_min, lam_max, tolerance, witness, tuple(warnings))
+    ok = _decide(evals, tolerance)
+    witness = None
+    if not ok:
+        C = evecs[:, 0].reshape(g.n_points, g.block_dim)
+        witness = Witness(g.points, C, direct_quadform(g.blocks, C))
+    report = PDReport("certified_psd" if ok else "witness_found", float(evals[0]),
+                      float(evals[-1]), tolerance, witness, tuple(warnings))
+    return report, M, evals, evecs
 
 
 @dataclass(frozen=True)

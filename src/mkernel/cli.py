@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -27,29 +26,10 @@ from .applications.estimation import load_dataset_csv, ridge_estimate
 from .certify import assemble_gram, certify_psd
 from .domains import domain_from_json, load_points_csv, make_measure
 from .integral import discretization_gap, equivalence_harness
-from .kernels import build_kernel, spec_from_json
+from .kernels import build_kernel, json_number, spec_from_json
 from .spectral import nystrom_decompose, trace_functional
 
 SCHEMA_VERSION = "1"
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("MKERNEL_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        # numpy has already loaded its BLAS, so setting OPENBLAS_NUM_THREADS
-        # and friends now would change nothing; say so instead.
-        print(f"mkernel: MKERNEL_THREADS={cap} ignored: threadpoolctl is not "
-              "installed, no BLAS thread cap applied", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(n)
 
 
 def _load_config(path: str) -> dict:
@@ -79,14 +59,15 @@ def cmd_certify(args, cfg) -> tuple[dict, dict, int]:
                   else np.asarray(cfg["points"], dtype=float))
         _require_in_domain(points, args.domain)
     else:
-        points = args.domain.sample(np.random.default_rng(args.seed), int(cfg.get("n_points", 8)))
+        n_points = _number(cfg, "n_points", 8, True)
+        points = args.domain.sample(np.random.default_rng(args.seed), n_points)
     report = certify_psd(assemble_gram(args.kernel, points), args.tolerance)
     echo = {"points": _point_rows(points).tolist()}
     return echo, report.to_json(), 0 if report.certified else 2
 
 
 def cmd_equivalence(args, cfg) -> tuple[dict, dict, int]:
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 200))
+    trials = args.trials if args.trials is not None else _number(cfg, "trials", 200, True)
     harness = equivalence_harness(args.kernel, args.measure, trials=trials, seed=args.seed,
                                   tolerance=args.tolerance)
     found = ((harness.discrete is not None and harness.discrete.found)
@@ -95,8 +76,8 @@ def cmd_equivalence(args, cfg) -> tuple[dict, dict, int]:
 
 
 def cmd_gap(args, cfg) -> tuple[dict, dict, int]:
-    delta = args.delta if args.delta is not None else float(cfg["delta"])
-    epsilon = args.epsilon if args.epsilon is not None else float(cfg["epsilon"])
+    delta = args.delta if args.delta is not None else _number(cfg, "delta")
+    epsilon = args.epsilon if args.epsilon is not None else _number(cfg, "epsilon")
     centers = np.asarray(cfg["centers"], dtype=float)
     coefficients = np.asarray(cfg["coefficients"], dtype=float)
     report = discretization_gap(args.kernel, args.measure, centers, coefficients, delta, epsilon)
@@ -110,8 +91,8 @@ def cmd_gap(args, cfg) -> tuple[dict, dict, int]:
 
 
 def cmd_spectrum(args, cfg) -> tuple[dict, dict, int]:
-    rank = args.rank if args.rank is not None else cfg.get("rank")
-    drop = float(cfg.get("drop_tolerance", 1e-12))
+    rank = args.rank if args.rank is not None else _number(cfg, "rank", None, True)
+    drop = _number(cfg, "drop_tolerance", 1e-12)
     decomp = nystrom_decompose(args.kernel, args.measure, drop_tolerance=drop)
     result = decomp.to_json(max_rank=rank)
     result["trace"] = trace_functional(args.kernel, args.measure)
@@ -119,8 +100,8 @@ def cmd_spectrum(args, cfg) -> tuple[dict, dict, int]:
 
 
 def cmd_energy(args, cfg) -> tuple[dict, dict, int]:
-    n = args.n if args.n is not None else int(cfg.get("n", 4))
-    iters = args.iters if args.iters is not None else int(cfg.get("iterations", 500))
+    n = args.n if args.n is not None else _number(cfg, "n", 4, True)
+    iters = args.iters if args.iters is not None else _number(cfg, "iterations", 500, True)
     res = minimize_energy(args.kernel, args.domain, n, iterations=iters, seed=args.seed)
     result = res.to_json()
     e = res.configuration.energy
@@ -142,15 +123,14 @@ def cmd_control(args, cfg) -> tuple[dict, dict, int]:
             linear = np.full(args.kernel.output_dim, float(linear[0]))
         linear_echo = {"beta": linear.tolist()}
     qp = assemble_control_qp(args.kernel, partition, linear)
-    hessian = certify_psd(qp.H, args.tolerance)
     sol = solve_control_qp(qp, args.tolerance)
     result = {
         "breakpoints": qp.breakpoints.tolist(),
         "midpoints": qp.midpoints.tolist(),
         "widths": qp.widths.tolist(),
-        "hessian_verdict": hessian.verdict,
-        "hessian_eig_min": hessian.min_eigenvalue,
-        "hessian_eig_max": hessian.max_eigenvalue,
+        "hessian_verdict": sol.hessian.verdict,
+        "hessian_eig_min": sol.hessian.min_eigenvalue,
+        "hessian_eig_max": sol.hessian.max_eigenvalue,
         "solution": sol.to_json(),
     }
     return {"partition": partition, **linear_echo}, result, 2 if sol.unbounded else 0
@@ -160,15 +140,15 @@ def cmd_estimate(args, cfg) -> tuple[dict, dict, int]:
     data_path = args.data if args.data is not None else cfg.get("data")
     if not data_path:
         raise ValueError("estimate needs --data or a 'data' config entry")
-    lam = args.lam if args.lam is not None else cfg.get("lambda")
+    lam = args.lam if args.lam is not None else _number(cfg, "lambda", None)
     if lam is None:
         raise ValueError("estimate needs --lambda or a 'lambda' config entry")
     causal = bool(args.causal or cfg.get("causal", False))
     dataset = load_dataset_csv(data_path)
-    res = ridge_estimate(dataset, float(lam), causal=causal)
+    res = ridge_estimate(dataset, lam, causal=causal)
     echo = {
         "data": str(data_path),
-        "lambda": float(lam),
+        "lambda": lam,
         "causal": causal,
         "n_samples": dataset.n_samples,
         "series_length": dataset.series_length,
@@ -206,6 +186,12 @@ _COMMANDS = {
 }
 
 
+def _number(cfg: dict, name: str, default=..., integer: bool = False):
+    """A numeric config entry; without a default (which may be None) it is required."""
+    value = cfg[name] if default is ... else cfg.get(name, default)
+    return None if value is None else json_number(value, f"config entry {name!r}", integer)
+
+
 def _object_entry(cfg: dict, name: str, default=None) -> dict:
     """A config entry that must be a JSON object; required unless a default is given."""
     if name not in cfg and default is None:
@@ -219,16 +205,14 @@ def _object_entry(cfg: dict, name: str, default=None) -> dict:
 def _set_up(args, cfg: dict, needs: tuple) -> dict:
     """Resolve tolerance and seed (a --seed flag wins) and build the entries a
     command needs onto args; return their echo."""
-    args.tolerance = float(cfg.get("tolerance", 1e-9))
-    seed = int(cfg.get("seed", 0))
+    args.tolerance = _number(cfg, "tolerance", 1e-9)
+    seed = _number(cfg, "seed", 0, True)
     args.seed = seed if getattr(args, "seed", None) is None else args.seed
     echo = {"tolerance": args.tolerance, "seed": args.seed}
     if "kernel" in needs:
-        if "kernel" not in cfg:
-            raise ValueError("config is missing the 'kernel' entry")
         # The energy sums over distinct points only, so it takes kernels
         # that are unbounded on the diagonal.
-        spec = spec_from_json(cfg["kernel"])
+        spec = spec_from_json(_object_entry(cfg, "kernel"))
         args.kernel = build_kernel(spec, allow_unbounded=args.command == "energy")
         echo["kernel"] = cfg["kernel"]
     if "domain" in needs:
@@ -260,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

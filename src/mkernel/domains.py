@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import json_number
+
 # Closed-ball / membership slack at boundaries, to avoid floating-point
 # flapping for points generated exactly on a boundary.
 BOUNDARY_TOL = 1e-12
@@ -231,8 +233,8 @@ class QuadratureMeasure:
 
 def _resolutions(resolution, dim: int) -> list[int]:
     if np.isscalar(resolution):
-        return [int(resolution)] * dim
-    rs = [int(r) for r in resolution]
+        return [json_number(resolution, "resolution", integer=True)] * dim
+    rs = [json_number(r, "resolution", integer=True) for r in resolution]
     if len(rs) != dim:
         raise ValueError(f"need one resolution per dimension ({dim}), got {len(rs)}")
     return rs
@@ -292,7 +294,7 @@ def make_measure(domain: Domain, rule: str, resolution) -> QuadratureMeasure:
     if isinstance(domain, Circle):
         if rule != "uniform-nodes":
             raise ValueError(f"unsupported rule/domain combination: {rule!r} on a circle")
-        res = int(resolution if np.isscalar(resolution) else resolution[0])
+        res = _resolutions(resolution if np.isscalar(resolution) else resolution[0], 1)[0]
         if res < 1:
             raise ValueError("uniform-nodes rule needs resolution >= 1")
         theta = 2.0 * np.pi * np.arange(res) / res

@@ -16,6 +16,7 @@ A new kernel family is one `KernelSpec` dataclass with a JSON `key` and a
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import ClassVar
@@ -556,11 +557,20 @@ def _field_from_json(key: str, f, value):
         return tuple(spec_from_json(v) for v in value)
     try:
         if f.type == "Matrix":
-            return tuple(tuple(float(v) for v in row) for row in _as_matrix(value))
-        return float(value)
+            _as_matrix(value)
+            return tuple(tuple(json_number(v, f.name) for v in row) for row in value)
+        return json_number(value, f.name)
     except (TypeError, ValueError):
         form = "a matrix (a list of rows)" if f.type == "Matrix" else "a number"
         raise ValueError(f"{key} expects {form} for {f.name}") from None
+
+
+def json_number(value, name: str, integer: bool = False):
+    """A config number, as an int for a count; rejects bools, strings and non-integers."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)

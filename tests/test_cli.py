@@ -221,6 +221,54 @@ def test_control_unbounded_exits_two(tmp_path, capsys):
     assert rep["result"]["solution"]["value"] is None
 
 
+def _dyadic(cells):
+    return np.linspace(0.0, 1.0, cells + 1).tolist()
+
+
+NULL_LIFT = {"lift": {"scalar": {"gaussian": 1.0}, "matrix": [[1.0, 1.0], [1.0, 1.0]]}}
+# (kernel, cells, beta, hessian verdict, status)
+CONTROL_CASES = [
+    ({"gaussian": 1.0}, 2, -2.0, "certified_psd", "minimum"),
+    ({"gaussian": 1.0}, 8, -2.0, "certified_psd", "minimum"),
+    ({"gaussian": 1.0}, 16, -2.0, "certified_psd", "minimum"),
+    ({"gaussian": 1.0}, 32, 1.0, "certified_psd", "minimum"),
+    ({"lift": {"scalar": {"gaussian": 2.0}, "matrix": [[2.0, 1.0], [1.0, 2.0]]}}, 16, [1.0, -1.0],
+     "certified_psd", "minimum"),
+    ({"neg_distance": {}}, 4, 1.0, "witness_found", "unbounded"),
+    (NULL_LIFT, 8, [1.0, -1.0], "certified_psd", "unbounded"),
+]
+
+
+@pytest.mark.parametrize("kernel,cells,beta,verdict,status", CONTROL_CASES)
+def test_control_report_comes_from_one_solve(tmp_path, capsys, kernel, cells, beta, verdict,
+                                             status):
+    cfg = _write(tmp_path, "q.json", {"kernel": kernel, "partition": _dyadic(cells), "beta": beta})
+    code, rep = _run(capsys, ["control", "--config", cfg])
+    res = rep["result"]
+    assert (res["hessian_verdict"], res["solution"]["status"]) == (verdict, status)
+    assert code == (0 if status == "minimum" else 2)
+    # bit for bit: the verdict's eigenvalues are the solution's
+    assert res["hessian_eig_min"] == res["solution"]["eig_min"]
+    assert res["hessian_eig_max"] == res["solution"]["eig_max"]
+
+
+@pytest.mark.parametrize("kernel", [{"gaussian": 1.0}, {"neg_distance": {}}])
+def test_control_makes_one_eigensolve(tmp_path, capsys, monkeypatch, kernel):
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    cfg = _write(tmp_path, "q.json", {"kernel": kernel, "partition": _dyadic(4), "beta": 1.0})
+    assert main(["control", "--config", cfg]) in (0, 2)
+    assert calls == ["eigh"]
+
+
 def test_estimate_command(tmp_path, capsys):
     rng = np.random.default_rng(0)
     K = np.tril(rng.normal(size=(4, 4)))
@@ -277,6 +325,7 @@ def test_missing_kernel_entry_exits_one(tmp_path, capsys):
     ("certify", {"kernel": {"gaussian": 1.0}, "domain": [0, 1]}, "domain"),
     ("equivalence", {"kernel": {"gaussian": 1.0}, "domain": [0, 1]}, "domain"),
     ("equivalence", {"kernel": {"gaussian": 1.0}, "domain": BOX, "measure": [1]}, "measure"),
+    ("control", {"kernel": 1.0, "partition": [0, 1]}, "kernel"),
 ])
 def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     assert main([command, "--config", _write(tmp_path, "n.json", cfg)]) == 1
@@ -284,6 +333,33 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     assert captured.out == ""
     assert captured.err.startswith(f"mkernel {command}: error: config entry '{entry}' "
                                    "must be a JSON object")
+
+
+@pytest.mark.parametrize("command,entries,message", [
+    ("certify", {"kernel": {"gaussian": True}}, "gaussian expects a number for gamma"),
+    ("certify", {"kernel": {"gaussian": "0.5"}}, "gaussian expects a number for gamma"),
+    ("certify", {"kernel": {"lift": {"scalar": {"gaussian": 1}, "matrix": [[True, 0], [0, 1]]}}},
+     "lift expects a matrix (a list of rows) for matrix"),
+    ("certify", {"tolerance": "1e-3"}, "config entry 'tolerance' must be a number, got '1e-3'"),
+    ("certify", {"seed": 1.7}, "config entry 'seed' must be an integer, got 1.7"),
+    ("certify", {"n_points": True}, "config entry 'n_points' must be an integer, got True"),
+    ("equivalence", {"measure": {"resolution": 9.7}}, "resolution must be an integer, got 9.7"),
+    ("equivalence", {"measure": {"resolution": [9, True]}},
+     "resolution must be an integer, got True"),
+    ("equivalence", {"trials": 2.5}, "config entry 'trials' must be an integer, got 2.5"),
+    ("gap", {"delta": True, "epsilon": 0.1}, "config entry 'delta' must be a number, got True"),
+    ("spectrum", {"rank": 1.5}, "config entry 'rank' must be an integer, got 1.5"),
+    ("spectrum", {"drop_tolerance": "0"}, "config entry 'drop_tolerance' must be a number"),
+    ("energy", {"n": "4"}, "config entry 'n' must be an integer, got '4'"),
+    ("energy", {"iterations": 2.5}, "config entry 'iterations' must be an integer, got 2.5"),
+    ("estimate", {"lambda": "0.1", "data": "d.csv"}, "config entry 'lambda' must be a number"),
+])
+def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
+    cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX, "centers": [0.5], "coefficients": [[1.0]]}
+    assert main([command, "--config", _write(tmp_path, "t.json", {**cfg, **entries})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mkernel {command}: error: {message}")
 
 
 def test_malformed_kernel_node_exits_one(tmp_path, capsys):
@@ -330,22 +406,6 @@ def test_module_entrypoint_runs(tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["result"]["verdict"] == "certified_psd"
-
-
-def test_thread_cap_without_threadpoolctl_says_so(tmp_path, capsys, monkeypatch):
-    cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX, "seed": 2})
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
-    monkeypatch.delenv("MKERNEL_THREADS", raising=False)
-    assert main(["certify", "--config", cfg]) == 0
-    plain = capsys.readouterr()
-    monkeypatch.setenv("MKERNEL_THREADS", "1")
-    assert main(["certify", "--config", cfg]) == 0
-    capped = capsys.readouterr()
-    assert plain.err == ""
-    assert capped.err.count("\n") == 1
-    assert "no BLAS thread cap applied" in capped.err
-    mask = lambda text: text.replace(json.loads(text)["timestamp"], "T")
-    assert mask(capped.out) == mask(plain.out)
 
 
 LIFT = {"lift": {"scalar": {"gaussian": 0.5}, "matrix": [[2, 1], [1, 2]]}}

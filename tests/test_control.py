@@ -142,6 +142,37 @@ def test_neg_distance_control_unbounded():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+GAUSS_LIFT = Lift(Gaussian(2.0), ((2.0, 1.0), (1.0, 2.0)))
+EXACT_NULL_LIFT = Lift(Gaussian(1.0), ((1.0, 1.0), (1.0, 1.0)))
+DYADIC = [np.linspace(0, 1, m + 1) for m in (2, 4, 8, 16, 32, 64, 128)]
+
+
+@pytest.mark.parametrize("spec,beta", [
+    (Gaussian(1.0), [-2.0]),
+    (Gaussian(1.0), [1.0]),
+    (GAUSS_LIFT, [1.0, -1.0]),
+])
+def test_pd_control_refinement_has_finite_minima(spec, beta):
+    # Past 8 cells these Hessians are singular to working precision; b's
+    # component in their numerical null space is rounding noise, not a
+    # certificate of unboundedness.
+    rep = refine_partition_study(build_kernel(spec), DYADIC, np.array(beta))
+    assert [s.status for s in rep.solutions] == ["minimum"] * len(DYADIC)
+    assert all(s.hessian.certified for s in rep.solutions)
+    assert rep.non_increasing
+
+
+@pytest.mark.parametrize("cells", [2, 4, 8, 16, 32, 64])
+def test_exact_null_space_stays_unbounded(cells):
+    # K = g (x) 11^T annihilates (1, -1) in every cell, and b is made of those vectors
+    qp = assemble_control_qp(build_kernel(EXACT_NULL_LIFT), np.linspace(0, 1, cells + 1),
+                             np.array([1.0, -1.0]))
+    sol = solve_control_qp(qp)
+    assert sol.unbounded and sol.hessian.certified
+    assert np.linalg.norm(qp.H @ sol.direction) <= 1e-15
+    assert qp.b @ sol.direction < 0
+
+
 def test_refinement_requires_nesting():
     k = build_kernel(Gaussian(1.0))
     with pytest.raises(ValueError, match="nested"):

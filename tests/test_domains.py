@@ -59,6 +59,19 @@ def test_per_dimension_resolution():
         make_measure(dom, "trapezoid", [3, 5, 7])
 
 
+@pytest.mark.parametrize("domain,rule,resolution", [
+    (make_box_domain([0.0, 0.0], [1.0, 2.0]), "trapezoid", 9.7),
+    (make_box_domain([0.0, 0.0], [1.0, 2.0]), "gauss", [3, 5.5]),
+    (make_box_domain([0.0], [1.0]), "trapezoid", True),
+    (Circle(1.0), "uniform-nodes", 9.7),
+    (Circle(1.0), "uniform-nodes", "9"),
+])
+def test_non_integer_resolution_is_rejected(domain, rule, resolution):
+    # a truncated count would build fewer nodes than the caller asked for
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        make_measure(domain, rule, resolution)
+
+
 def test_gauss_rule_is_exact_for_polynomials():
     dom = make_box_domain([0.0], [1.0])
     m = make_measure(dom, "gauss", 3)

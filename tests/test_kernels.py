@@ -206,6 +206,10 @@ def test_json_rejects_unknown():
     ({"gaussian": [1.0]}, "gaussian expects a number for gamma"),
     ({"lift": {"scalar": {"gaussian": 1}, "matrix": [1, 2]}}, "lift expects a matrix"),
     ({"sum": {"gaussian": 1}}, "sum expects a list of kernel expressions"),
+    ({"gaussian": True}, "gaussian expects a number for gamma"),
+    ({"gaussian": "0.5"}, "gaussian expects a number for gamma"),
+    ({"lift": {"scalar": {"gaussian": 1}, "matrix": [[1, False], [False, 1]]}},
+     "lift expects a matrix"),
 ])
 def test_json_rejects_malformed_node(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
