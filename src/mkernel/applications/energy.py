@@ -63,8 +63,9 @@ def _energy_gradient(kernel: MatrixKernel, P: np.ndarray, h: float) -> np.ndarra
                                     - K(x_i-, x_j) - K(x_j, x_i-)]
 
     with x_i+- = x_i +- h e_k. All 2 N d (N - 1) shifted pairs go to the
-    kernel in one `eval_pairs` call per argument order; both orders are
-    summed because a non-canonical kernel need not be symmetric.
+    kernel in one `eval_pairs` call per argument order. Both orders are
+    summed because a kernel from a callable runs as given and need not be
+    symmetric; a compiled kernel is symmetric by construction.
     """
     n, d = P.shape
     others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)

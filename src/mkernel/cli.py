@@ -26,7 +26,7 @@ from .applications.estimation import load_dataset_csv, ridge_estimate
 from .certify import assemble_gram, certify_psd
 from .domains import domain_from_json, load_points_csv, make_measure
 from .integral import discretization_gap, equivalence_harness
-from .kernels import build_kernel, json_number, spec_from_json
+from .kernels import build_kernel, json_array, json_number, spec_from_json
 from .spectral import nystrom_decompose, trace_functional
 
 SCHEMA_VERSION = "1"
@@ -56,7 +56,7 @@ def _require_in_domain(points: np.ndarray, domain) -> None:
 def cmd_certify(args, cfg) -> tuple[dict, dict, int]:
     if args.points or "points" in cfg:
         points = (load_points_csv(args.points) if args.points
-                  else np.asarray(cfg["points"], dtype=float))
+                  else _array(cfg, "points"))
         _require_in_domain(points, args.domain)
     else:
         n_points = _number(cfg, "n_points", 8, True)
@@ -78,8 +78,8 @@ def cmd_equivalence(args, cfg) -> tuple[dict, dict, int]:
 def cmd_gap(args, cfg) -> tuple[dict, dict, int]:
     delta = args.delta if args.delta is not None else _number(cfg, "delta")
     epsilon = args.epsilon if args.epsilon is not None else _number(cfg, "epsilon")
-    centers = np.asarray(cfg["centers"], dtype=float)
-    coefficients = np.asarray(cfg["coefficients"], dtype=float)
+    centers = _array(cfg, "centers")
+    coefficients = _array(cfg, "coefficients")
     report = discretization_gap(args.kernel, args.measure, centers, coefficients, delta, epsilon)
     echo = {
         "centers": _point_rows(centers).tolist(),
@@ -113,12 +113,12 @@ def cmd_control(args, cfg) -> tuple[dict, dict, int]:
     if args.partition:
         partition = [float(t) for t in args.partition.split(",")]
     else:
-        partition = [float(t) for t in cfg["partition"]]
+        partition = [json_number(t, "config entry 'partition'") for t in cfg["partition"]]
     if "linear_term" in cfg:
-        linear = np.asarray(cfg["linear_term"], dtype=float)
+        linear = _array(cfg, "linear_term")
         linear_echo = {"linear_term": linear.tolist()}
     else:
-        linear = np.atleast_1d(np.asarray(cfg.get("beta", 0.0), dtype=float))
+        linear = np.atleast_1d(_array(cfg, "beta", 0.0))
         if linear.size == 1 and args.kernel.output_dim > 1:
             linear = np.full(args.kernel.output_dim, float(linear[0]))
         linear_echo = {"beta": linear.tolist()}
@@ -143,7 +143,10 @@ def cmd_estimate(args, cfg) -> tuple[dict, dict, int]:
     lam = args.lam if args.lam is not None else _number(cfg, "lambda", None)
     if lam is None:
         raise ValueError("estimate needs --lambda or a 'lambda' config entry")
-    causal = bool(args.causal or cfg.get("causal", False))
+    causal = cfg.get("causal", False)
+    if not isinstance(causal, bool):
+        raise ValueError(f"config entry 'causal' must be true or false, got {causal!r}")
+    causal = args.causal or causal
     dataset = load_dataset_csv(data_path)
     res = ridge_estimate(dataset, lam, causal=causal)
     echo = {
@@ -190,6 +193,12 @@ def _number(cfg: dict, name: str, default=..., integer: bool = False):
     """A numeric config entry; without a default (which may be None) it is required."""
     value = cfg[name] if default is ... else cfg.get(name, default)
     return None if value is None else json_number(value, f"config entry {name!r}", integer)
+
+
+def _array(cfg: dict, name: str, default=...) -> np.ndarray:
+    """A config entry of numbers (a number or nested lists); required without a default."""
+    return json_array(cfg[name] if default is ... else cfg.get(name, default),
+                      f"config entry {name!r}")
 
 
 def _object_entry(cfg: dict, name: str, default=None) -> dict:

@@ -3,8 +3,9 @@
 A kernel here is a map K(x, y) into real N x N matrices with the transpose
 symmetry K(x, y) = K(y, x)^T. Kernels are described by small expression
 trees (`KernelSpec` nodes), compiled into vectorized evaluators by
-`build_kernel`. Evaluation canonicalizes the argument order (lexicographic)
-so the transpose symmetry holds bitwise, not just up to rounding.
+`build_kernel`. The transpose symmetry holds bit for bit by construction:
+every leaf is symmetric in its arguments and every combinator keeps that, so
+evaluation runs each pair in the order given.
 
 Scalar kernels are the N = 1 case; `Lift` tensors a scalar kernel with a
 fixed PSD matrix, `Conjugate` maps K to B K B^T, and `Sum` / `Scale` /
@@ -188,7 +189,11 @@ class Lift(KernelSpec):
 
 @dataclass(frozen=True)
 class Conjugate(KernelSpec):
-    """B K(x, y) B^T for a fixed matrix B with as many columns as K's size."""
+    """B K(x, y) B^T for a fixed matrix B with as many columns as K's size.
+
+    Evaluated as the mean of (B K) B^T and B (K B^T): K -> K^T swaps the two
+    products, so K(y, x) = K(x, y)^T and a symmetric K(x, x) stay exact.
+    """
 
     key = "conjugate"
     inner: KernelSpec
@@ -203,7 +208,11 @@ class Conjugate(KernelSpec):
             )
 
         def f(X, Y, inner_f=inner_f, B=B):
-            return np.einsum("pi,mij,qj->mpq", B, inner_f(X, Y), B, optimize=True)
+            K = inner_f(X, Y)
+            out = (B @ K) @ B.T
+            out += B @ (K @ B.T)
+            out *= 0.5
+            return out
 
         return f, B.shape[0], in_dim, unb
 
@@ -292,32 +301,21 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def _lex_swap_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """True for pairs where y precedes x lexicographically."""
-    diff = X != Y
-    any_diff = diff.any(axis=1)
-    first = np.argmax(diff, axis=1)
-    rows = np.arange(X.shape[0])
-    return np.where(any_diff, Y[rows, first] < X[rows, first], False)
-
-
 @dataclass
 class MatrixKernel:
     """Compiled kernel with vectorized pair evaluation.
 
     `_batch` maps paired arrays X, Y of shape (m, d) to values (m, N, N).
-    Public evaluation goes through `eval_pairs`, which (for canonical
-    kernels) reorders each pair lexicographically and transposes back, so
-    K(x, y) and K(y, x)^T agree bit for bit.
+    Public evaluation goes through `eval_pairs`, which checks the points and
+    runs `_batch` on the pairs in the order given. A compiled kernel is
+    transpose symmetric by construction; a callable is trusted to be.
     """
 
     output_dim: int
     _batch: callable
     name: str = "kernel"
-    spec: KernelSpec | None = None
     input_dim: int | None = None
     unbounded_diagonal: bool = False
-    canonical: bool = True
 
     def _check_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -335,19 +333,7 @@ class MatrixKernel:
         X, Y = self._check_points(X), self._check_points(Y)
         if X.shape != Y.shape:
             raise ValueError("paired evaluation needs equally many points on both sides")
-        if not self.canonical:
-            return self._batch(X, Y)
-        swap = _lex_swap_mask(X, Y)
-        Xc = np.where(swap[:, None], Y, X)
-        Yc = np.where(swap[:, None], X, Y)
-        out = self._batch(Xc, Yc)
-        if swap.any():
-            out[swap] = np.transpose(out[swap], (0, 2, 1))
-        # K(x, x) is symmetric; make that exact so Gram matrices are too.
-        eq = np.all(X == Y, axis=1)
-        if eq.any():
-            out[eq] = 0.5 * (out[eq] + np.transpose(out[eq], (0, 2, 1)))
-        return out
+        return self._batch(X, Y)
 
     def eval_pairwise(self, X, Y, chunk: int = 1 << 18) -> np.ndarray:
         """Cross evaluation: (m, d), (k, d) -> (m, k, N, N), row-chunked."""
@@ -383,7 +369,6 @@ def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKerne
         output_dim=out_dim,
         _batch=batch,
         name=spec.name,
-        spec=spec,
         input_dim=in_dim,
         unbounded_diagonal=unbounded,
     )
@@ -394,8 +379,9 @@ def kernel_from_callable(
 ) -> MatrixKernel:
     """Wrap a user callable K(x, y) -> (N, N) array as a MatrixKernel.
 
-    The callable is trusted to be transpose symmetric and evaluated in the
-    argument order given; `symmetry_check` measures the residual.
+    Like a compiled kernel, it runs on each pair in the order given; it is
+    trusted to be transpose symmetric, and `symmetry_check` measures the
+    residual.
     """
 
     def batch(X, Y):
@@ -404,10 +390,7 @@ def kernel_from_callable(
             out[i] = np.asarray(func(X[i], Y[i]), dtype=float).reshape(output_dim, output_dim)
         return out
 
-    return MatrixKernel(
-        output_dim=output_dim, _batch=batch, name=name, spec=None,
-        input_dim=input_dim, canonical=False,
-    )
+    return MatrixKernel(output_dim=output_dim, _batch=batch, name=name, input_dim=input_dim)
 
 
 def _blocks_view(data: np.ndarray, block_dim: int) -> np.ndarray:
@@ -557,8 +540,7 @@ def _field_from_json(key: str, f, value):
         return tuple(spec_from_json(v) for v in value)
     try:
         if f.type == "Matrix":
-            _as_matrix(value)
-            return tuple(tuple(json_number(v, f.name) for v in row) for row in value)
+            return tuple(map(tuple, _as_matrix(json_array(value, f.name)).tolist()))
         return json_number(value, f.name)
     except (TypeError, ValueError):
         form = "a matrix (a list of rows)" if f.type == "Matrix" else "a number"
@@ -571,6 +553,16 @@ def json_number(value, name: str, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def json_array(value, name: str) -> np.ndarray:
+    """A config number or (nested) list of numbers as a float array; every
+    entry is read by `json_number`."""
+
+    def read(v):
+        return [read(e) for e in v] if isinstance(v, list) else json_number(v, name)
+
+    return np.asarray(read(value), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mkernel
 from mkernel.applications.estimation import save_dataset_csv, simulate_volterra_dataset
 from mkernel.cli import main
 
@@ -353,6 +356,24 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     ("energy", {"n": "4"}, "config entry 'n' must be an integer, got '4'"),
     ("energy", {"iterations": 2.5}, "config entry 'iterations' must be an integer, got 2.5"),
     ("estimate", {"lambda": "0.1", "data": "d.csv"}, "config entry 'lambda' must be a number"),
+    ("estimate", {"lambda": 0.1, "data": "d.csv", "causal": "false"},
+     "config entry 'causal' must be true or false, got 'false'"),
+    ("certify", {"points": [[0.5], ["0.7"]]}, "config entry 'points' must be a number, got '0.7'"),
+    ("gap", {"delta": 0.1, "epsilon": 0.05, "centers": [True]},
+     "config entry 'centers' must be a number, got True"),
+    ("gap", {"delta": 0.1, "epsilon": 0.05, "coefficients": [["1"]]},
+     "config entry 'coefficients' must be a number, got '1'"),
+    ("control", {"partition": ["0", True]}, "config entry 'partition' must be a number, got '0'"),
+    ("control", {"partition": [0, 1], "beta": True},
+     "config entry 'beta' must be a number, got True"),
+    ("control", {"partition": [0, 1], "linear_term": ["1"]},
+     "config entry 'linear_term' must be a number, got '1'"),
+    ("certify", {"domain": {"kind": "box", "lower": [False], "upper": [1]}},
+     "domain lower must be a number, got False"),
+    ("certify", {"domain": {"kind": "box", "lower": [0], "upper": ["1"]}},
+     "domain upper must be a number, got '1'"),
+    ("certify", {"domain": {"kind": "circle", "radius": "1"}},
+     "domain radius must be a number, got '1'"),
 ])
 def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
     cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX, "centers": [0.5], "coefficients": [[1.0]]}
@@ -398,10 +419,13 @@ def test_out_file_and_determinism(tmp_path, capsys):
 
 def test_module_entrypoint_runs(tmp_path):
     cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
+    # The child imports the package these tests import, installed or not.
+    path = [str(Path(mkernel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "mkernel", "certify", "--config", cfg],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)

@@ -27,6 +27,8 @@ from mkernel.kernels import (
 )
 
 A_PSD = ((2.0, 1.0), (1.0, 2.0))
+A_CONJ = ((1.0, 2.0), (0.0, 1.0), (1.0, -1.0))
+I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def test_gaussian_value():
@@ -120,26 +122,51 @@ def test_gamma_must_be_positive():
         build_kernel(Gaussian(0.0))
 
 
-@pytest.mark.parametrize("entry", kernel_zoo(), ids=lambda e: e.name)
-def test_transpose_symmetry_bitwise(entry):
-    k = build_kernel(entry.spec, allow_unbounded=True)
+CONJ = Conjugate(Lift(Gaussian(1.5), A_PSD), A_CONJ)
+EIGHT_BLOCKS = BlockDiag((Gaussian(1.0), Riesz(1.0, 0.1), NegDistance(), Constant(0.5),
+                          Gaussian(3.0), Riesz(0.5, 0.3), Lift(Gaussian(0.2), ((1.0,),)),
+                          Scale(2.0, Gaussian(0.7))))
+B_9x8 = tuple(map(tuple, np.random.default_rng(1).uniform(-1.0, 1.0, size=(9, 8))))
+
+# The zoo plus conjugations nested in every combinator, down to N = 1.
+SYMMETRY_CASES = [(e.name, e.spec, e.needs_1d) for e in kernel_zoo()] + [
+    ("conjugate_to_scalar", Conjugate(Lift(Gaussian(1.0), A_PSD), ((1.0, 1.0),)), False),
+    ("conjugate_of_conjugate", Conjugate(CONJ, ((1.0, -2.0, 0.5), (0.3, 1.0, 1.0))), False),
+    ("sum_around_conjugate", Sum((CONJ, Lift(Constant(1.0), I3), CONJ)), False),
+    ("scale_around_conjugate", Scale(0.3, CONJ), False),
+    ("block_diag_around_conjugate", BlockDiag((CONJ, Brownian(), CONJ)), True),
+    ("conjugate_9x8_of_block_diag", Conjugate(EIGHT_BLOCKS, B_9x8), False),
+]
+SYMMETRY_INPUTS = [pytest.param(spec, d, id=name if d == 1 else f"{name}-2d")
+                   for name, spec, needs_1d in SYMMETRY_CASES
+                   for d in (1, 2) if d == 1 or not needs_1d]
+
+
+@pytest.mark.parametrize("spec,d", SYMMETRY_INPUTS)
+def test_transpose_symmetry_bitwise(spec, d):
+    k = build_kernel(spec, allow_unbounded=True)
     rng = np.random.default_rng(7)
-    X = rng.uniform(0, 1, size=(40, 1))
-    Y = rng.uniform(0, 1, size=(40, 1))
+    X = rng.uniform(0, 1, size=(40, d))
+    Y = rng.uniform(0, 1, size=(40, d))
+    Y[::10] = X[::10]
     KXY = k.eval_pairs(X, Y)
     KYX = k.eval_pairs(Y, X)
-    # bit-exact, not just close: evaluation canonicalizes the argument order
+    # bit-exact, not just close: every node is transpose symmetric by construction
     assert np.array_equal(KXY, np.transpose(KYX, (0, 2, 1)))
     assert symmetry_check(k, X, Y) == 0.0
+    KXX = KXY[::10]
+    assert np.array_equal(KXX, np.transpose(KXX, (0, 2, 1)))
 
 
-@pytest.mark.parametrize("entry", kernel_zoo(), ids=lambda e: e.name)
-def test_gram_blocks_exactly_symmetric(entry):
-    k = build_kernel(entry.spec, allow_unbounded=True)
+@pytest.mark.parametrize("spec,d", SYMMETRY_INPUTS)
+def test_gram_blocks_exactly_symmetric(spec, d):
+    k = build_kernel(spec, allow_unbounded=True)
     rng = np.random.default_rng(3)
-    P = rng.uniform(0, 1, size=(6, 1))
+    n = 10
+    P = rng.uniform(0, 1, size=(n, d))
+    P[7] = P[2]
     G = gram_blocks(k, P)
-    n, N = 6, k.output_dim
+    N = k.output_dim
     flat = G.transpose(0, 2, 1, 3).reshape(n * N, n * N)
     assert np.array_equal(flat, flat.T)
 
@@ -252,9 +279,6 @@ def test_zoo_contents():
     names = [e.name for e in zoo]
     assert len(set(names)) == len(names)
     assert sum(not e.is_pd for e in zoo) == 1
-
-
-A_CONJ = ((1.0, 2.0), (0.0, 1.0), (1.0, -1.0))
 
 
 PINNED = [
