@@ -11,7 +11,7 @@ in for a measure of full support.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -201,7 +201,6 @@ class QuadratureMeasure:
     nodes: np.ndarray
     weights: np.ndarray
     mesh: float
-    empty: bool = False
     total_mass: float = field(init=False)
 
     def __post_init__(self):
@@ -226,6 +225,10 @@ class QuadratureMeasure:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+    @property
+    def empty(self) -> bool:
+        return len(self) == 0
 
     def to_json(self) -> dict:
         return {"nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
@@ -325,14 +328,10 @@ def restrict_measure(measure: QuadratureMeasure, region) -> QuadratureMeasure:
     """Restrict a measure to a closed ball or sub-box.
 
     Retains exactly the nodes inside the region with unchanged weights; an
-    empty restriction yields a mass-0 measure with the ``empty`` flag set.
+    empty restriction yields a mass-0 measure whose ``empty`` is true.
     """
     keep = region_mask(measure.nodes, region)
-    nodes = measure.nodes[keep]
-    weights = measure.weights[keep]
-    return QuadratureMeasure(
-        measure.domain, nodes, weights, measure.mesh, empty=nodes.shape[0] == 0
-    )
+    return replace(measure, nodes=measure.nodes[keep], weights=measure.weights[keep])
 
 
 def domain_from_json(doc: dict) -> Domain:

@@ -212,8 +212,9 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
     X0, C, masses = _prepare_bumps(measure, centers, coefficients, delta, epsilon)
     _require_components(C.shape[1], kernel)
     gram = measure_gram(kernel, measure)
-    fn = mercer_test_function(measure, X0, C, delta, epsilon)
-    q = _weighted_form(gram.data, measure.weights, fn.values_on(measure.nodes))
+    dists = np.linalg.norm(measure.nodes[:, None, :] - X0[None, :, :], axis=2)
+    F = _ramp(dists, delta, epsilon) @ (C / masses[:, None])  # mercer_test_function's values
+    q = _weighted_form(gram.data, measure.weights, F)
     if not np.isfinite(q):
         raise ValueError("quadratic form is not finite on this measure")
 
@@ -221,7 +222,6 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
     discrete = direct_quadform(Kc, C)
 
     k = X0.shape[0]
-    dists = np.linalg.norm(measure.nodes[:, None, :] - X0[None, :, :], axis=2)
     inner = dists <= delta + BOUNDARY_TOL * max(1.0, delta)
     outer = dists <= delta + epsilon + BOUNDARY_TOL * max(1.0, delta + epsilon)
     outer_masses = measure.weights @ outer

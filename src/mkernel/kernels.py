@@ -3,9 +3,10 @@
 A kernel here is a map K(x, y) into real N x N matrices with the transpose
 symmetry K(x, y) = K(y, x)^T. Kernels are described by small expression
 trees (`KernelSpec` nodes), compiled into vectorized evaluators by
-`build_kernel`. The transpose symmetry holds bit for bit by construction:
-every leaf is symmetric in its arguments and every combinator keeps that, so
-evaluation runs each pair in the order given.
+`build_kernel`; evaluators broadcast, (..., d) x (..., d) -> (..., N, N). The
+transpose symmetry holds bit for bit by construction: every leaf is symmetric
+in its arguments and every combinator keeps that, so evaluation runs each pair
+in the order given and a Gram evaluates every block, with no mirrored half.
 
 Scalar kernels are the N = 1 case; `Lift` tensors a scalar kernel with a
 fixed PSD matrix, `Conjugate` maps K to B K B^T, and `Sum` / `Scale` /
@@ -25,6 +26,9 @@ from typing import ClassVar
 import numpy as np
 
 PSD_LIFT_TOL = 1e-10
+
+# Pairs per broadcast product over two point lists: its temporaries stay small.
+_BLOCK_PAIRS = 4096
 
 # Field annotations beside float and KernelSpec; the JSON codec reads them
 # (as strings, under the annotations future import) to pick each field's form.
@@ -75,8 +79,8 @@ class Gaussian(KernelSpec):
             raise ValueError("gaussian rate gamma must be positive")
 
         def f(X, Y, g=g):
-            d2 = ((X - Y) ** 2).sum(axis=1)
-            return np.exp(-g * d2)[:, None, None]
+            d2 = ((X - Y) ** 2).sum(axis=-1)
+            return np.exp(-g * d2)[..., None, None]
 
         return f, 1, None, False
 
@@ -107,10 +111,10 @@ class Riesz(KernelSpec):
             )
 
         def f(X, Y, s=s, eta=eta):
-            r = np.linalg.norm(X - Y, axis=1)
+            r = np.linalg.norm(X - Y, axis=-1)
             with np.errstate(divide="ignore"):
                 v = (r + eta) ** (-s)
-            return v[:, None, None]
+            return v[..., None, None]
 
         return f, 1, None, eta == 0
 
@@ -123,7 +127,7 @@ class Brownian(KernelSpec):
 
     def compile(self, allow_unbounded):
         def f(X, Y):
-            return np.minimum(X[:, 0], Y[:, 0])[:, None, None]
+            return np.minimum(X[..., 0], Y[..., 0])[..., None, None]
 
         return f, 1, 1, False
 
@@ -136,7 +140,7 @@ class NegDistance(KernelSpec):
 
     def compile(self, allow_unbounded):
         def f(X, Y):
-            return -np.linalg.norm(X - Y, axis=1)[:, None, None]
+            return -np.linalg.norm(X - Y, axis=-1)[..., None, None]
 
         return f, 1, None, False
 
@@ -152,7 +156,7 @@ class Constant(KernelSpec):
         c = self._param("c")
 
         def f(X, Y, c=c):
-            return np.full((X.shape[0], 1, 1), c)
+            return np.full(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (1, 1), c)
 
         return f, 1, None, False
 
@@ -283,9 +287,9 @@ class BlockDiag(KernelSpec):
         offsets = np.concatenate([[0], np.cumsum(sizes)])
 
         def f(X, Y, fns=[b[0] for b in blocks], offsets=offsets, total=total):
-            out = np.zeros((X.shape[0], total, total))
+            out = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (total, total))
             for fn, lo, hi in zip(fns, offsets[:-1], offsets[1:]):
-                out[:, lo:hi, lo:hi] = fn(X, Y)
+                out[..., lo:hi, lo:hi] = fn(X, Y)
             return out
 
         return f, total, (in_dims.pop() if in_dims else None), any(b[3] for b in blocks)
@@ -303,12 +307,13 @@ def _as_matrix(m) -> np.ndarray:
 
 @dataclass
 class MatrixKernel:
-    """Compiled kernel with vectorized pair evaluation.
+    """Compiled kernel with vectorized evaluation.
 
-    `_batch` maps paired arrays X, Y of shape (m, d) to values (m, N, N).
-    Public evaluation goes through `eval_pairs`, which checks the points and
-    runs `_batch` on the pairs in the order given. A compiled kernel is
-    transpose symmetric by construction; a callable is trusted to be.
+    `_batch` maps point arrays X, Y of shapes that broadcast, (..., d), to
+    values (..., N, N). Public evaluation (`eval_pairs`, `eval_pairwise`,
+    `gram_blocks`) checks the points and runs `_batch` on each pair in the
+    order given. A compiled kernel is transpose symmetric by construction; a
+    callable is trusted to be.
     """
 
     output_dim: int
@@ -335,19 +340,14 @@ class MatrixKernel:
             raise ValueError("paired evaluation needs equally many points on both sides")
         return self._batch(X, Y)
 
-    def eval_pairwise(self, X, Y, chunk: int = 1 << 18) -> np.ndarray:
-        """Cross evaluation: (m, d), (k, d) -> (m, k, N, N), row-chunked."""
+    def eval_pairwise(self, X, Y) -> np.ndarray:
+        """Cross evaluation: (m, d), (k, d) -> (m, k, N, N)."""
         X, Y = self._check_points(X), self._check_points(Y)
-        m, k = X.shape[0], Y.shape[0]
-        N = self.output_dim
-        out = np.empty((m, k, N, N))
-        rows_per_chunk = max(1, chunk // max(1, k))
-        for start in range(0, m, rows_per_chunk):
-            stop = min(m, start + rows_per_chunk)
-            nb = stop - start
-            XX = np.repeat(X[start:stop], k, axis=0)
-            YY = np.tile(Y, (nb, 1))
-            out[start:stop] = self.eval_pairs(XX, YY).reshape(nb, k, N, N)
+        if X.shape[1] != Y.shape[1]:
+            raise ValueError("cross evaluation needs points of one dimension on both sides")
+        out = np.empty((X.shape[0], Y.shape[0], self.output_dim, self.output_dim))
+        for start, values in _row_blocks(self, X, Y):
+            out[start:start + len(values)] = values
         return out
 
     def __call__(self, x, y) -> np.ndarray:
@@ -379,16 +379,16 @@ def kernel_from_callable(
 ) -> MatrixKernel:
     """Wrap a user callable K(x, y) -> (N, N) array as a MatrixKernel.
 
-    Like a compiled kernel, it runs on each pair in the order given; it is
-    trusted to be transpose symmetric, and `symmetry_check` measures the
-    residual.
+    Like a compiled kernel, it runs once per pair in the order given (n^2
+    calls for a Gram over n points); it is trusted to be transpose symmetric,
+    and `symmetry_check` measures the residual.
     """
 
     def batch(X, Y):
-        out = np.empty((X.shape[0], output_dim, output_dim))
-        for i in range(X.shape[0]):
-            out[i] = np.asarray(func(X[i], Y[i]), dtype=float).reshape(output_dim, output_dim)
-        return out
+        X, Y = np.broadcast_arrays(X, Y)
+        out = [np.asarray(func(x, y), dtype=float).reshape(output_dim, output_dim)
+               for x, y in zip(X.reshape(-1, X.shape[-1]), Y.reshape(-1, Y.shape[-1]))]
+        return np.array(out).reshape(X.shape[:-1] + (output_dim, output_dim))
 
     return MatrixKernel(output_dim=output_dim, _batch=batch, name=name, input_dim=input_dim)
 
@@ -451,21 +451,27 @@ class GramBlockMatrix:
         return float(np.linalg.norm(blocks, axis=(2, 3)).max())
 
 
+def _row_blocks(kernel: MatrixKernel, X: np.ndarray, Y: np.ndarray):
+    """Yields (start, values), values[a, b] = K(x_{start + a}, y_b): all pairs,
+    one broadcast product of a block of rows of X against all of Y at a time."""
+    step = max(1, _BLOCK_PAIRS // max(1, Y.shape[0]))
+    for start in range(0, X.shape[0], step):
+        yield start, kernel._batch(X[start:start + step, None, :], Y[None, :, :])
+
+
 def gram_blocks(kernel: MatrixKernel, points) -> np.ndarray:
     """All kernel blocks over a point list: (n, d) -> (n, n, N, N).
 
-    Only the upper triangle is evaluated; the lower triangle is the mirrored
-    transpose, so the assembled Gram matrix is exactly symmetric. The blocks
-    are written straight into an (n N) x (n N) matrix and returned as its
-    block view, so `GramBlockMatrix` takes them over without a copy.
+    Every block is evaluated; a compiled kernel's Gram matrix is exactly
+    symmetric by construction, a callable's holds the callable's values. The
+    blocks are written straight into an (n N) x (n N) matrix and returned as
+    its block view, so `GramBlockMatrix` takes them over without a copy.
     """
     P = kernel._check_points(points)
     n, N = P.shape[0], kernel.output_dim
-    iu, ju = np.triu_indices(n)
-    upper = kernel.eval_pairs(P[iu], P[ju])
     G = _blocks_view(np.empty((n * N, n * N)), N)
-    G[iu, ju] = upper
-    G[ju, iu] = np.transpose(upper, (0, 2, 1))
+    for start, values in _row_blocks(kernel, P, P):
+        G[start:start + len(values)] = values
     return G
 
 
@@ -476,21 +482,15 @@ def symmetry_check(kernel: MatrixKernel, X, Y) -> float:
     return float(np.linalg.norm(KXY - np.transpose(KYX, (0, 2, 1)), axis=(1, 2)).max())
 
 
-def bound_estimate(kernel: MatrixKernel, points, chunk: int = 1 << 18) -> float:
+def bound_estimate(kernel: MatrixKernel, points) -> float:
     """Largest Frobenius norm of K over all pairs from a point list.
 
     Used as a stand-in for the sup of |K| on the support of a measure; for
     diagonally unbounded kernels this is infinite.
     """
     P = kernel._check_points(points)
-    n = P.shape[0]
-    best = 0.0
-    rows_per_chunk = max(1, chunk // max(1, n))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(n, start + rows_per_chunk)
-        vals = kernel.eval_pairwise(P[start:stop], P, chunk=chunk)
-        best = max(best, float(np.linalg.norm(vals, axis=(2, 3)).max()))
-    return best
+    return max((float(np.linalg.norm(values, axis=(2, 3)).max())
+                for _, values in _row_blocks(kernel, P, P)), default=0.0)
 
 
 def spec_to_json(spec: KernelSpec) -> dict:

@@ -11,6 +11,7 @@ from mkernel.certify import (
 )
 from mkernel.domains import make_box_domain, make_circle_domain
 from mkernel.kernels import Gaussian, Lift, NegDistance, Riesz, build_kernel, kernel_zoo
+from test_energy import _skewed_kernel
 
 
 def test_ones_matrix_eigenvalues():
@@ -257,3 +258,15 @@ def test_asymmetric_input_is_symmetrized():
     assert rep.certified
     assert (rep.min_eigenvalue, rep.max_eigenvalue) == (float(expected[0]), float(expected[-1]))
     assert any("asymmetric" in w for w in rep.warnings)
+
+
+def test_asymmetric_callable_is_reported_not_mirrored():
+    k = _skewed_kernel()
+    P = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+    g = assemble_gram(k, P)
+    for i in range(5):
+        for j in range(5):
+            assert g.blocks[i, j] == k(P[i], P[j])
+    gap = np.max(np.abs(g.data - g.data.T))
+    rep = certify_psd(g)
+    assert f"asymmetric input symmetrized (max gap {gap:.3e})" in rep.warnings

@@ -180,6 +180,8 @@ def test_eval_pairwise_matches_single_calls():
     for i in range(4):
         for j in range(3):
             assert_allclose(full[i, j], k(X[i], Y[j]), rtol=0, atol=0)
+    with pytest.raises(ValueError, match="points of one dimension"):
+        k.eval_pairwise(X, Y[:, :1])
 
 
 def test_lipschitz_spot_check():
