@@ -13,21 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import MatrixKernel
-
-
-def _as_config_points(points) -> np.ndarray:
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P.reshape(-1, 1)
-    return P
+from ..kernels import MatrixKernel, as_points
 
 
 def discrete_energy(kernel: MatrixKernel, points) -> float:
     """(1/N^2) sum over i != j of K(x_i, x_j) for a scalar kernel."""
     if kernel.output_dim != 1:
         raise ValueError("discrete energy is defined for scalar kernels")
-    P = _as_config_points(points)
+    P = as_points(points, "configuration points")
     n = P.shape[0]
     if n < 2:
         raise ValueError("a configuration needs at least 2 points")
@@ -49,7 +42,7 @@ class Configuration:
 
 
 def make_configuration(kernel: MatrixKernel, points) -> Configuration:
-    P = _as_config_points(points)
+    P = as_points(points, "configuration points")
     return Configuration(P, discrete_energy(kernel, P))
 
 
@@ -101,9 +94,7 @@ class EnergyResult:
 
 
 def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
-                    iterations: int = 500, seed: int = 0,
-                    initial_step: float | None = None,
-                    backtrack: float = 0.5) -> EnergyResult:
+                    iterations: int = 500, seed: int = 0) -> EnergyResult:
     """Projected gradient descent on the discrete energy.
 
     The gradient is the central difference of `discrete_energy` with step
@@ -111,10 +102,11 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
     point changes only its own row and column of the energy, so one
     iteration costs O(N^2 d) kernel evaluations, not O(N^3 d).
 
-    A step is accepted only if it strictly decreases the full energy, with
-    the step halved up to a cap otherwise, so the trace is non-increasing by
-    construction. Collisions (non-finite energy or gradient) trigger a
-    small jitter restart, counted in the result. Deterministic per seed.
+    A step (0.1 * diameter / N at first) is accepted only if it strictly
+    decreases the full energy, with the step halved up to a cap otherwise,
+    so the trace is non-increasing by construction. Collisions (non-finite
+    energy or gradient) trigger a small jitter restart, counted in the
+    result. Deterministic per seed.
     """
     if n_points < 2:
         raise ValueError("a configuration needs at least 2 points")
@@ -122,8 +114,6 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
         raise ValueError("need at least one iteration")
     rng = np.random.default_rng(seed)
     diam = domain.diameter
-    if initial_step is None:
-        initial_step = 0.1 * diam / n_points
     h = 1e-6 * diam
     jitter = 1e-6 * diam
 
@@ -138,7 +128,7 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
             raise ValueError("could not find a finite-energy starting configuration")
 
     trace = [E]
-    step = initial_step
+    step = 0.1 * diam / n_points
     converged = False
     it = 0
     while it < iterations:
@@ -165,7 +155,7 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
                 # grow the step back after an accept so progress never stalls
                 step = min(s * 2.0, diam)
                 break
-            s *= backtrack
+            s *= 0.5
         trace.append(E)
         if not accepted:
             converged = True

@@ -110,9 +110,9 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     Only when that fails is the matrix solved again with eigenvectors, and
     the verdict, both reported eigenvalues and the witness all come from
     that second solve, so a report never contradicts itself. The witness
-    coefficients are the most negative eigenvector, reshaped to one
-    coefficient vector per point, and the witness value is recomputed by a
-    direct double sum.
+    coefficients are the most negative eigenvector, signed so that its largest
+    entry is positive and reshaped to one coefficient vector per point; the
+    witness value is recomputed by a direct double sum. An empty matrix is an error.
     """
     return _certify(gram, tolerance, vectors=False)[0]
 
@@ -120,9 +120,11 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
 def _certify(gram, tolerance: float, vectors: bool):
     """`certify_psd`'s body; also returns the matrix it solved and the last solve's eigenpairs."""
     g = _as_gram(gram)
+    if g.n_points == 0:
+        raise ValueError("the Gram matrix is empty: there are no points to certify")
     d = g.data - g.data.T
     np.abs(d, out=d)
-    sym_gap = np.max(d) if d.size else 0.0
+    sym_gap = np.max(d)
     del d
     warnings = []
     if g.has_duplicates:
@@ -139,6 +141,7 @@ def _certify(gram, tolerance: float, vectors: bool):
     witness = None
     if not ok:
         C = evecs[:, 0].reshape(g.n_points, g.block_dim)
+        C *= np.sign(C.flat[np.argmax(np.abs(C))])  # largest entry positive, whatever LAPACK gave
         witness = Witness(g.points, C, direct_quadform(g.blocks, C))
     report = PDReport("certified_psd" if ok else "witness_found", float(evals[0]),
                       float(evals[-1]), tolerance, witness, tuple(warnings))

@@ -26,7 +26,7 @@ from .applications.estimation import load_dataset_csv, ridge_estimate
 from .certify import assemble_gram, certify_psd
 from .domains import domain_from_json, load_points_csv, make_measure
 from .integral import discretization_gap, equivalence_harness
-from .kernels import build_kernel, json_array, json_number, spec_from_json
+from .kernels import as_points, build_kernel, json_array, json_number, spec_from_json
 from .spectral import nystrom_decompose, trace_functional
 
 SCHEMA_VERSION = "1"
@@ -40,30 +40,24 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _point_rows(points: np.ndarray) -> np.ndarray:
-    """One point per row, as the library reads it: a 1-D list is n 1-D points."""
-    return points.reshape(-1, 1) if points.ndim == 1 else points
-
-
 def _require_in_domain(points: np.ndarray, domain) -> None:
-    """Reject the first given point outside the domain."""
-    for i, p in enumerate(_point_rows(points)):
-        if not domain.contains(p):
-            raise ValueError(f"point {i} {p.tolist()} lies outside the domain "
-                             f"{json.dumps(domain.to_json())}")
+    """Reject the first point (row) outside the domain."""
+    outside = np.flatnonzero(~domain.contains(points))
+    if outside.size:
+        raise ValueError(f"point {outside[0]} {points[outside[0]].tolist()} lies outside "
+                         f"the domain {json.dumps(domain.to_json())}")
 
 
 def cmd_certify(args, cfg) -> tuple[dict, dict, int]:
     if args.points or "points" in cfg:
         points = (load_points_csv(args.points) if args.points
-                  else _array(cfg, "points"))
+                  else as_points(_array(cfg, "points"), "config entry 'points'"))
         _require_in_domain(points, args.domain)
     else:
         n_points = _number(cfg, "n_points", 8, True)
         points = args.domain.sample(np.random.default_rng(args.seed), n_points)
     report = certify_psd(assemble_gram(args.kernel, points), args.tolerance)
-    echo = {"points": _point_rows(points).tolist()}
-    return echo, report.to_json(), 0 if report.certified else 2
+    return {"points": points.tolist()}, report.to_json(), 0 if report.certified else 2
 
 
 def cmd_equivalence(args, cfg) -> tuple[dict, dict, int]:
@@ -78,11 +72,11 @@ def cmd_equivalence(args, cfg) -> tuple[dict, dict, int]:
 def cmd_gap(args, cfg) -> tuple[dict, dict, int]:
     delta = args.delta if args.delta is not None else _number(cfg, "delta")
     epsilon = args.epsilon if args.epsilon is not None else _number(cfg, "epsilon")
-    centers = _array(cfg, "centers")
+    centers = as_points(_array(cfg, "centers"), "config entry 'centers'")
     coefficients = _array(cfg, "coefficients")
     report = discretization_gap(args.kernel, args.measure, centers, coefficients, delta, epsilon)
     echo = {
-        "centers": _point_rows(centers).tolist(),
+        "centers": centers.tolist(),
         "coefficients": np.atleast_2d(coefficients).tolist(),
         "delta": delta,
         "epsilon": epsilon,

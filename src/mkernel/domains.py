@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import json_array, json_number
+from .kernels import as_points, json_array, json_number
 
 # Closed-ball / membership slack at boundaries, to avoid floating-point
 # flapping for points generated exactly on a boundary.
@@ -38,6 +38,11 @@ def _as_point_or_rows(x) -> np.ndarray:
     """One point as a 1-D array, or an (n, d) array of points kept as rows."""
     p = np.asarray(x, dtype=float)
     return p if p.ndim == 2 else as_point(p)
+
+
+def in_closed_ball(dist, radius: float):
+    """Whether distances from a centre lie in the closed ball of that radius."""
+    return dist <= radius + BOUNDARY_TOL * max(1.0, radius)
 
 
 @dataclass(frozen=True)
@@ -71,15 +76,14 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
-    def contains(self, x) -> bool:
-        p = as_point(x)
-        if p.size != self.dimension:
-            return False
+    def contains(self, x):
+        """Whether one point, or each row of an (n, d) array, lies in the box."""
+        p = _as_point_or_rows(x)
+        if p.shape[-1] != self.dimension:
+            return np.zeros(p.shape[:-1], dtype=bool)
         scale = np.maximum(1.0, np.abs(self.upper - self.lower))
-        return bool(
-            np.all(p >= self.lower - BOUNDARY_TOL * scale)
-            and np.all(p <= self.upper + BOUNDARY_TOL * scale)
-        )
+        return np.all((p >= self.lower - BOUNDARY_TOL * scale)
+                      & (p <= self.upper + BOUNDARY_TOL * scale), axis=-1)
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the box to one point, or to each row of an (n, d) array."""
@@ -122,11 +126,14 @@ class Circle:
     def circumference(self) -> float:
         return 2.0 * np.pi * self.radius
 
-    def contains(self, x) -> bool:
-        p = as_point(x)
-        if p.size != 2:
-            return False
-        return abs(np.linalg.norm(p) - self.radius) <= 1e-9 * max(1.0, self.radius)
+    def contains(self, x):
+        """Whether one point, or each row of an (n, 2) array, lies on the circle."""
+        p = _as_point_or_rows(x)
+        if p.shape[-1] != 2:
+            return np.zeros(p.shape[:-1], dtype=bool)
+        # A dot product per row, as np.linalg.norm takes for one point: same verdict, bit for bit.
+        norm = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
+        return np.abs(norm - self.radius) <= 1e-9 * max(1.0, self.radius)
 
     def project(self, x) -> np.ndarray:
         """Radial projection of one point, or of each row of an (n, 2) array.
@@ -164,6 +171,13 @@ class Ball:
         object.__setattr__(self, "center", as_point(self.center))
         if not float(self.radius) >= 0:
             raise ValueError("ball radius must be nonnegative")
+
+    def contains(self, x):
+        """Whether one point, or each row of an (n, d) array, lies in the ball."""
+        p = _as_point_or_rows(x)
+        if p.shape[-1] != self.center.size:
+            return np.zeros(p.shape[:-1], dtype=bool)
+        return in_closed_ball(np.linalg.norm(p - self.center, axis=-1), self.radius)
 
 
 def make_box_domain(lower, upper) -> Box:
@@ -204,9 +218,7 @@ class QuadratureMeasure:
     total_mass: float = field(init=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim == 1:
-            nodes = nodes.reshape(-1, 1)
+        nodes = as_points(self.nodes, "nodes")
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if nodes.shape[0] != weights.size:
             raise ValueError("nodes and weights must have the same length")
@@ -216,9 +228,9 @@ class QuadratureMeasure:
             raise ValueError(
                 f"nodes have dimension {nodes.shape[1]}, domain has {self.domain.dimension}"
             )
-        for p in nodes:
-            if not self.domain.contains(p):
-                raise ValueError(f"node {p.tolist()} lies outside the domain")
+        outside = np.flatnonzero(~self.domain.contains(nodes))
+        if outside.size:
+            raise ValueError(f"node {nodes[outside[0]].tolist()} lies outside the domain")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "total_mass", float(weights.sum()))
@@ -311,17 +323,9 @@ def make_measure(domain: Domain, rule: str, resolution) -> QuadratureMeasure:
 
 def region_mask(nodes: np.ndarray, region) -> np.ndarray:
     """Boolean mask of the nodes lying in a closed ball or box region."""
-    if isinstance(region, Ball):
-        d = np.linalg.norm(nodes - region.center, axis=1)
-        return d <= region.radius + BOUNDARY_TOL * max(1.0, region.radius)
-    if isinstance(region, Box):
-        lo, hi = region.lower, region.upper
-        scale = np.maximum(1.0, np.abs(hi - lo))
-        return np.all(
-            (nodes >= lo - BOUNDARY_TOL * scale) & (nodes <= hi + BOUNDARY_TOL * scale),
-            axis=1,
-        )
-    raise ValueError("region must be a Ball or a Box")
+    if not isinstance(region, (Ball, Box)):
+        raise ValueError("region must be a Ball or a Box")
+    return region.contains(nodes)
 
 
 def restrict_measure(measure: QuadratureMeasure, region) -> QuadratureMeasure:
@@ -361,7 +365,7 @@ def load_points_csv(path) -> np.ndarray:
 
 
 def save_points_csv(path, points: np.ndarray) -> None:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = as_points(points, "points")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(points.shape[1])])

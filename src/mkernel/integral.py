@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import DEFAULT_TOLERANCE, SearchReport, direct_quadform, random_search_witness
-from .domains import BOUNDARY_TOL, Ball, QuadratureMeasure, region_mask
-from .kernels import GramBlockMatrix, MatrixKernel, gram_blocks
+from .domains import Ball, QuadratureMeasure, in_closed_ball, region_mask
+from .kernels import GramBlockMatrix, MatrixKernel, as_points, gram_blocks
 
 
 def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
@@ -55,14 +55,12 @@ class TestFunction:
     batch: callable
 
     def values_on(self, nodes) -> np.ndarray:
-        X = np.asarray(nodes, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X = as_points(nodes, "nodes")
         V = np.asarray(self.batch(X), dtype=float)
         return V.reshape(X.shape[0], self.output_dim)
 
     def __call__(self, x) -> np.ndarray:
-        return self.values_on(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1))[0]
+        return self.values_on(np.reshape(x, (1, -1)))[0]
 
     def describe(self) -> dict:
         return {"family": self.family, "params": self.params}
@@ -101,34 +99,34 @@ def _ramp(dist: np.ndarray, delta: float, epsilon: float) -> np.ndarray:
 
 def ball_mass(measure: QuadratureMeasure, center, radius: float) -> float:
     """Measure of the closed ball around a center."""
-    keep = region_mask(measure.nodes, Ball(center, radius))
-    return float(measure.weights[keep].sum())
+    return float(measure.weights[Ball(center, radius).contains(measure.nodes)].sum())
+
+
+def _closest_pair(P: np.ndarray) -> float:
+    """Smallest distance between two rows of P; infinite for fewer than two rows."""
+    dists = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+    return float(dists[np.triu_indices(P.shape[0], 1)].min(initial=np.inf))
 
 
 def _prepare_bumps(measure: QuadratureMeasure, centers, coefficients,
                    delta: float, epsilon: float):
     C = np.atleast_2d(np.asarray(coefficients, dtype=float))
-    X0 = np.asarray(centers, dtype=float)
-    if X0.ndim == 1:
-        X0 = X0.reshape(-1, 1)
+    X0 = as_points(centers, "bump centers")
     if X0.shape[0] != C.shape[0]:
         raise ValueError("need one coefficient vector per center")
-    for p in X0:
-        if not measure.domain.contains(p):
-            raise ValueError(f"bump center {p.tolist()} lies outside the domain")
+    outside = np.flatnonzero(~measure.domain.contains(X0))
+    if outside.size:
+        raise ValueError(f"bump center {X0[outside[0]].tolist()} lies outside the domain")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
-    k = X0.shape[0]
-    if k > 1:
-        diffs = np.linalg.norm(X0[:, None, :] - X0[None, :, :], axis=2)
-        dmin = float(diffs[np.triu_indices(k, 1)].min())
-        if dmin <= 2.0 * (delta + epsilon):
-            raise ValueError(
-                f"balls not disjoint: closest centers are {dmin:.6g} apart, "
-                f"need more than {2 * (delta + epsilon):.6g}"
-            )
+    dmin = _closest_pair(X0)
+    if dmin <= 2.0 * (delta + epsilon):
+        raise ValueError(
+            f"balls not disjoint: closest centers are {dmin:.6g} apart, "
+            f"need more than {2 * (delta + epsilon):.6g}"
+        )
     masses = np.array([ball_mass(measure, c, delta) for c in X0])
     if np.any(masses <= 0):
         raise ValueError(
@@ -222,8 +220,8 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
     discrete = direct_quadform(Kc, C)
 
     k = X0.shape[0]
-    inner = dists <= delta + BOUNDARY_TOL * max(1.0, delta)
-    outer = dists <= delta + epsilon + BOUNDARY_TOL * max(1.0, delta + epsilon)
+    inner = in_closed_ball(dists, delta)
+    outer = in_closed_ball(dists, delta + epsilon)
     outer_masses = measure.weights @ outer
 
     # Average of K over products of inner balls, one block per center pair.
@@ -372,8 +370,7 @@ def _merge_close_points(points: np.ndarray, coeffs: np.ndarray, tol: float):
 
 def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
                         trials: int = 200, seed: int = 0,
-                        tolerance: float = DEFAULT_TOLERANCE,
-                        n_range: tuple = (1, 8)) -> HarnessReport:
+                        tolerance: float = DEFAULT_TOLERANCE) -> HarnessReport:
     """Check that discrete and integral positive definiteness agree.
 
     The discrete side hunts for a Gram eigen-witness over random point
@@ -385,7 +382,7 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
         return HarnessReport(None, None, None)
 
     discrete = random_search_witness(kernel, measure.domain, trials=trials,
-                                     seed=seed, n_range=n_range, tolerance=tolerance)
+                                     seed=seed, tolerance=tolerance)
 
     gram = measure_gram(kernel, measure)
     w = measure.weights
@@ -395,12 +392,8 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
             discrete.witness.points, discrete.witness.coefficients,
             1e-9 * max(1.0, measure.domain.diameter),
         )
-        if merged_p.shape[0] > 1:
-            diffs = np.linalg.norm(merged_p[:, None, :] - merged_p[None, :, :], axis=2)
-            dmin = float(diffs[np.triu_indices(merged_p.shape[0], 1)].min())
-            radius = dmin / 5.0
-        else:
-            radius = measure.domain.diameter / 8.0
+        radius = (_closest_pair(merged_p) / 5.0 if merged_p.shape[0] > 1
+                  else measure.domain.diameter / 8.0)
         try:
             fns.append(mercer_test_function(measure, merged_p, merged_c,
                                             delta=radius / 2.0, epsilon=radius / 2.0))

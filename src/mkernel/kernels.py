@@ -298,6 +298,17 @@ class BlockDiag(KernelSpec):
 _FAMILIES = {cls.key: cls for cls in KernelSpec.__subclasses__()}
 
 
+def as_points(x, what: str) -> np.ndarray:
+    """A point list as an (n, d) float array, one point per row: a 1-D list is n
+    one-dimensional points; any other shape but (n, d) is an error naming `what`."""
+    P = np.asarray(x, dtype=float)
+    if P.ndim == 1:
+        return P.reshape(-1, 1)
+    if P.ndim != 2:
+        raise ValueError(f"{what} must list points, one per row; got shape {P.shape}")
+    return P
+
+
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -323,9 +334,7 @@ class MatrixKernel:
     unbounded_diagonal: bool = False
 
     def _check_points(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X = as_points(X, "points")
         if self.input_dim is not None and X.shape[1] != self.input_dim:
             raise ValueError(
                 f"kernel {self.name!r} expects {self.input_dim}-dimensional points,"
@@ -352,9 +361,7 @@ class MatrixKernel:
 
     def __call__(self, x, y) -> np.ndarray:
         """Single evaluation K(x, y) as an (N, N) array."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return self.eval_pairs(x.reshape(1, -1), y.reshape(1, -1))[0]
+        return self.eval_pairs(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0]
 
 
 def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKernel:
@@ -442,21 +449,30 @@ class GramBlockMatrix:
     @cached_property
     def sup_norm(self) -> float:
         """Largest Frobenius norm of a block."""
-        if self.n_points == 0:
-            return 0.0
         # Each norm sums its N^2 terms in one fixed order over contiguous
-        # blocks; over the strided view numpy may pick another order for
-        # N >= 3 and move the last bit.
-        blocks = np.ascontiguousarray(self.blocks)
-        return float(np.linalg.norm(blocks, axis=(2, 3)).max())
+        # blocks (over the strided view numpy may pick another order for
+        # N >= 3 and move the last bit), copied a few rows at a time.
+        n = self.n_points
+        return _max_block_norm(np.ascontiguousarray(self.blocks[rows])
+                               for rows in _row_slices(n, n))
+
+
+def _row_slices(m: int, k: int) -> list:
+    """Slices of m rows, each holding about _BLOCK_PAIRS pairs against k columns."""
+    step = max(1, _BLOCK_PAIRS // max(1, k))
+    return [slice(start, start + step) for start in range(0, m, step)]
+
+
+def _max_block_norm(row_blocks) -> float:
+    """Largest Frobenius norm of an N x N block over (m, k, N, N) row blocks; 0 for none."""
+    return max((float(np.linalg.norm(b, axis=(2, 3)).max()) for b in row_blocks), default=0.0)
 
 
 def _row_blocks(kernel: MatrixKernel, X: np.ndarray, Y: np.ndarray):
     """Yields (start, values), values[a, b] = K(x_{start + a}, y_b): all pairs,
     one broadcast product of a block of rows of X against all of Y at a time."""
-    step = max(1, _BLOCK_PAIRS // max(1, Y.shape[0]))
-    for start in range(0, X.shape[0], step):
-        yield start, kernel._batch(X[start:start + step, None, :], Y[None, :, :])
+    for rows in _row_slices(X.shape[0], Y.shape[0]):
+        yield rows.start, kernel._batch(X[rows, None, :], Y[None, :, :])
 
 
 def gram_blocks(kernel: MatrixKernel, points) -> np.ndarray:
@@ -489,8 +505,7 @@ def bound_estimate(kernel: MatrixKernel, points) -> float:
     diagonally unbounded kernels this is infinite.
     """
     P = kernel._check_points(points)
-    return max((float(np.linalg.norm(values, axis=(2, 3)).max())
-                for _, values in _row_blocks(kernel, P, P)), default=0.0)
+    return _max_block_norm(values for _, values in _row_blocks(kernel, P, P))
 
 
 def spec_to_json(spec: KernelSpec) -> dict:

@@ -226,8 +226,10 @@ def test_verdict_matches_full_eigh_reference_on_zoo():
             assert rep.max_eigenvalue == pytest.approx(evals[-1], abs=bound)
             assert rep.min_eigenvalue == pytest.approx(evals[0], abs=bound)
             if not ok:
-                # the witness comes from the same solve as the reference
-                C = evecs[:, 0].reshape(n, N)
+                # the witness comes from the same solve as the reference, with
+                # the sign that makes its largest entry positive
+                v = evecs[:, 0]
+                C = (v if v[np.argmax(np.abs(v))] > 0 else -v).reshape(n, N)
                 assert np.array_equal(rep.witness.coefficients, C)
                 assert rep.min_eigenvalue == float(evals[0])
 
@@ -270,3 +272,28 @@ def test_asymmetric_callable_is_reported_not_mirrored():
     gap = np.max(np.abs(g.data - g.data.T))
     rep = certify_psd(g)
     assert f"asymmetric input symmetrized (max gap {gap:.3e})" in rep.warnings
+
+
+def test_empty_gram_is_rejected():
+    with pytest.raises(ValueError, match="^the Gram matrix is empty"):
+        certify_psd(np.zeros((0, 0)))
+    gram = assemble_gram(build_kernel(Gaussian(1.0)), np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="^the Gram matrix is empty"):
+        certify_psd(gram)
+
+
+def test_witness_sign_does_not_follow_the_eigensolver(monkeypatch):
+    gram = assemble_gram(build_kernel(NegDistance()), [[0.1], [0.5], [0.45], [0.9], [0.2]])
+    rep = certify_psd(gram)
+    C = rep.witness.coefficients.ravel()
+    assert C[np.argmax(np.abs(C))] > 0
+    real = np.linalg.eigh
+
+    def negated(a, *args, **kwargs):
+        evals, evecs = real(a, *args, **kwargs)
+        return evals, -evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", negated)
+    flipped = certify_psd(gram)
+    assert flipped.to_json() == rep.to_json()
+    assert flipped.witness.value == rep.witness.value

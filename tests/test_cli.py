@@ -374,6 +374,12 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
      "domain upper must be a number, got '1'"),
     ("certify", {"domain": {"kind": "circle", "radius": "1"}},
      "domain radius must be a number, got '1'"),
+    ("certify", {"points": 0.5}, "config entry 'points' must list points, one per row; got shape ()"),
+    ("certify", {"points": [[[0.5]]]},
+     "config entry 'points' must list points, one per row; got shape (1, 1, 1)"),
+    ("gap", {"delta": 0.1, "epsilon": 0.05, "centers": 0.5},
+     "config entry 'centers' must list points, one per row; got shape ()"),
+    ("certify", {"points": []}, "the Gram matrix is empty"),
 ])
 def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
     cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX, "centers": [0.5], "coefficients": [[1.0]]}
@@ -381,6 +387,7 @@ def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"mkernel {command}: error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_malformed_kernel_node_exits_one(tmp_path, capsys):

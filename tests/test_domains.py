@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mkernel.domains import (
+    MEASURE_RULES,
     Ball,
     Box,
     BOUNDARY_TOL,
     Circle,
     QuadratureMeasure,
+    _box_1d_rule,
     distance,
     domain_from_json,
     load_points_csv,
@@ -211,6 +215,13 @@ def test_points_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == "x1,x2,x3"
 
 
+def test_points_csv_1d_list_is_one_point_per_row(tmp_path):
+    path = tmp_path / "pts.csv"
+    save_points_csv(path, [0.1, 0.9])
+    assert path.read_text().splitlines() == ["x1", "0.1", "0.9"]
+    assert load_points_csv(path).tolist() == [[0.1], [0.9]]
+
+
 def test_points_csv_header_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0.1,0.2\n")
@@ -225,3 +236,129 @@ def test_boundary_tolerance_membership():
     dom = make_box_domain([0.0], [1.0])
     assert dom.contains([1.0 + BOUNDARY_TOL / 2])
     assert not dom.contains([1.0 + 1e-9])
+
+
+# Per-point reference copies of the membership rules that `contains` applies
+# row-wise: the box, the circle and region_mask's closed ball.
+def _box_rule(box, p):
+    if p.size != box.dimension:
+        return False
+    scale = np.maximum(1.0, np.abs(box.upper - box.lower))
+    return bool(np.all(p >= box.lower - BOUNDARY_TOL * scale)
+                and np.all(p <= box.upper + BOUNDARY_TOL * scale))
+
+
+def _circle_rule(circle, p):
+    if p.size != 2:
+        return False
+    return bool(abs(np.linalg.norm(p) - circle.radius) <= 1e-9 * max(1.0, circle.radius))
+
+
+def _ball_rule(ball, p):
+    if p.size != ball.center.size:
+        return False
+    d = np.linalg.norm(p[None, :] - ball.center, axis=1)[0]
+    return bool(d <= ball.radius + BOUNDARY_TOL * max(1.0, ball.radius))
+
+
+def _offsets(r):
+    """Offsets from a boundary: on it, within and beyond the slack, and at the
+    circle's slack, 1e-9 max(1, r)."""
+    tol = 1e-9 * max(1.0, r)
+    return [0.0, BOUNDARY_TOL / 2, -BOUNDARY_TOL / 2, 2 * BOUNDARY_TOL, -2 * BOUNDARY_TOL,
+            tol, -tol, 2 * tol, -2 * tol]
+
+
+def _box_points(box, rng):
+    """Each face of the box with every offset, plus random points around it."""
+    lo, hi = box.lower, box.upper
+    pts = [*rng.uniform(lo - 0.5, hi + 0.5, size=(40, box.dimension))]
+    for i, off in itertools.product(range(box.dimension), _offsets(float(np.max(hi - lo)))):
+        for face, sign in ((lo, -1.0), (hi, 1.0)):
+            p = rng.uniform(lo, hi)
+            p[i] = face[i] + sign * off
+            pts.append(p)
+    return np.array(pts)
+
+
+def _sphere_points(center, r, rng, n=40):
+    """Points at distance r + offset from the center, in random directions."""
+    u = rng.normal(size=(n * len(_offsets(r)), center.size))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    dist = r + np.repeat(_offsets(r), n)
+    return center + dist[:, None] * u
+
+
+REGIONS = [
+    (Box([0.0], [1.0]), _box_rule),
+    (Box([-2.0], [3.5]), _box_rule),
+    (Box([0.0, -1.0], [1.0, 2.0]), _box_rule),
+    (Circle(1.5), _circle_rule),
+    (Circle(0.25), _circle_rule),
+    (Ball([0.3, -0.2], 0.7), _ball_rule),
+    (Ball([0.5], 2.5), _ball_rule),
+]
+
+
+@pytest.mark.parametrize("region,rule", REGIONS, ids=["interval", "wide-interval", "rectangle",
+                                                      "circle", "small-circle", "disc", "segment"])
+def test_contains_rows_match_the_per_point_rule(region, rule):
+    rng = np.random.default_rng(11)
+    if isinstance(region, Box):
+        P = _box_points(region, rng)
+    elif isinstance(region, Circle):
+        P = _sphere_points(np.zeros(2), region.radius, rng)
+    else:
+        P = _sphere_points(region.center, region.radius, rng)
+    expected = [rule(region, p) for p in P]
+    assert any(expected) and not all(expected)
+    mask = region.contains(P)
+    assert mask.shape == (len(P),) and mask.dtype == bool
+    assert mask.tolist() == expected
+    assert [bool(region.contains(p)) for p in P] == expected
+    d = P.shape[1]
+    assert region.contains(np.zeros((0, d))).shape == (0,)
+    assert region.contains(np.zeros((5, d + 1))).tolist() == [False] * 5
+    assert not region.contains(np.zeros(d + 1))
+    if not isinstance(region, Circle):
+        assert region_mask(P, region).tolist() == expected
+
+
+def _reference_measure(domain, rule, res):
+    """A measure's nodes, weights and mesh built node by node, each node
+    checked by the per-point rule."""
+    if isinstance(domain, Circle):
+        theta = 2.0 * np.pi * np.arange(res) / res
+        nodes = domain.radius * np.column_stack([np.cos(theta), np.sin(theta)])
+        weights = np.full(res, domain.circumference / res)
+        mesh = float(2.0 * domain.radius * np.sin(np.pi / (2 * res)))
+        assert all(_circle_rule(domain, p) for p in nodes)
+        return nodes, weights, mesh
+    per_dim = [_box_1d_rule(rule, lo, hi, res) for lo, hi in zip(domain.lower, domain.upper)]
+    nodes, weights = [], []
+    for idx in itertools.product(*[range(len(x)) for x, _, _ in per_dim]):
+        nodes.append([per_dim[i][0][j] for i, j in enumerate(idx)])
+        w = 1.0
+        for i, j in enumerate(idx):
+            w = w * per_dim[i][1][j]
+        weights.append(w)
+    nodes = np.array(nodes)
+    assert all(_box_rule(domain, p) for p in nodes)
+    return nodes, np.array(weights), float(np.sqrt(sum(c ** 2 for _, _, c in per_dim)))
+
+
+@pytest.mark.parametrize("rule", MEASURE_RULES)
+def test_measures_are_bit_identical_to_the_node_by_node_reference(rule):
+    rng = np.random.default_rng(5)
+    cases = []
+    for d in (1, 2, 3):
+        lo = rng.uniform(-2.0, 0.0, size=d)
+        cases += [(Box(lo, lo + rng.uniform(0.5, 3.0, size=d)), res) for res in (2, 3, 5)]
+    if rule == "uniform-nodes":
+        cases += [(Circle(r), res) for r in (1.0, 2.5) for res in (1, 7, 64)]
+    for dom, res in cases:
+        m = make_measure(dom, rule, res)
+        nodes, weights, mesh = _reference_measure(dom, rule, res)
+        assert np.array_equal(m.nodes, nodes)
+        assert np.array_equal(m.weights, weights)
+        assert m.mesh == mesh

@@ -167,3 +167,20 @@ def test_assembly_holds_no_gram_sized_temporary(entry):
     # The Gram plus one block of row products; a gathered triangle of pair
     # values, or the pairs themselves, would add a large share of a Gram.
     assert peak <= 1.25 * gram_bytes
+
+
+@pytest.mark.parametrize("entry", kernel_zoo(), ids=lambda e: e.name)
+def test_sup_norm_holds_no_gram_sized_copy(entry):
+    k = build_kernel(entry.spec)
+    P = np.random.default_rng(4).uniform(0.0, 1.0, size=(300, 1))
+    g = assemble_gram(k, P)
+    assemble_gram(k, P[:5]).sup_norm  # warm up, so lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        value = g.sup_norm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == _reference_sup_norm(np.ascontiguousarray(g.blocks))
+    # A contiguous copy of the blocks, or their squares, is a whole Gram size.
+    assert peak <= 0.25 * g.data.nbytes

@@ -16,6 +16,7 @@ from mkernel.kernels import (
     Riesz,
     Scale,
     Sum,
+    as_points,
     bound_estimate,
     build_kernel,
     gram_blocks,
@@ -317,3 +318,17 @@ def test_spec_name_and_json_text_pinned(spec, name, text):
     assert build_kernel(spec, allow_unbounded=True).name == name
     assert json.dumps(spec_to_json(spec)) == text
     assert spec_from_json(json.loads(text)) == spec
+
+
+def test_as_points_reads_rows_and_rejects_other_shapes():
+    assert as_points([0.1, 0.9], "x").tolist() == [[0.1], [0.9]]
+    assert as_points([[0.1, 0.9]], "x").tolist() == [[0.1, 0.9]]
+    assert as_points([], "x").shape == (0, 1)
+    with pytest.raises(ValueError, match=r"^the centers must list points, one per row; "
+                                         r"got shape \(\)$"):
+        as_points(0.5, "the centers")
+    with pytest.raises(ValueError, match=r"^x must list points.*got shape \(1, 1, 1\)$"):
+        as_points([[[0.5]]], "x")
+    k = build_kernel(Gaussian(1.0))
+    with pytest.raises(ValueError, match="points must list points"):
+        k.eval_pairs(0.5, 0.5)
