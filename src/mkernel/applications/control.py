@@ -11,12 +11,13 @@ minus infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..certify import DEFAULT_TOLERANCE, PDReport, _certify
-from ..kernels import GramBlockMatrix, MatrixKernel, gram_blocks
+from ..kernels import MatrixKernel, gram_matrix
 
 _GAUSS5_X, _GAUSS5_W = np.polynomial.legendre.leggauss(5)
 # measured |r| / bound: 0.9-2.7 on PD Gaussian Hessians, >= 4e3 on exact null spaces
@@ -93,7 +94,7 @@ def assemble_control_qp(kernel: MatrixKernel, breakpoints, linear_term) -> Contr
     M, N = mids.size, kernel.output_dim
     P = mids.reshape(-1, 1)
     sw = np.repeat(widths, N)
-    H = GramBlockMatrix(P, N, gram_blocks(kernel, P)).data * np.multiply.outer(sw, sw)
+    H = gram_matrix(kernel, P).data * np.multiply.outer(sw, sw)
     b = _cell_integrals(linear_term, bp, M, N)
     return ControlQP(bp, mids, widths, H, b, N)
 
@@ -126,9 +127,35 @@ class QPSolution:
         }
 
 
+def _split(a: np.ndarray):
+    """a = hi + lo exactly, each half with at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """(p, e) with p + e = a * b exactly (Dekker's TwoProduct)."""
+    p = a * b
+    a1, a2 = _split(a)
+    b1, b2 = _split(b)
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
 def qp_objective(H: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=float)
-    return float(v @ (H @ v) + b @ v)
+    """v^T H v + b^T v, to within about one rounding of the value even on an
+    ill-conditioned H, where the terms cancel many digits. TwoProduct
+    (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005) splits
+    each product into its rounded value and its exact error; `math.fsum`
+    adds the rounded values exactly, and the errors, each below eps times
+    its term, are added in floating point, which costs only eps^2 of the
+    sum of the terms' magnitudes."""
+    H, b, v = (np.asarray(a, dtype=float) for a in (H, b, v))
+    p, e = _two_product(v[:, None], H)  # v_i H_ij = p + e
+    q, f = _two_product(p, v)  # p v_j = q + f
+    s, g = _two_product(b, v)
+    errors = float((f + e * v).sum() + g.sum())
+    return math.fsum([*q.ravel().tolist(), *s.tolist(), errors])
 
 
 def solve_qp(H, b, tolerance: float = DEFAULT_TOLERANCE) -> QPSolution:
@@ -142,7 +169,7 @@ def solve_qp(H, b, tolerance: float = DEFAULT_TOLERANCE) -> QPSolution:
     the minimum-norm v = -H^+ b / 2 is returned with the residual |2Hv + b|/|b|.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
-    hessian, H, evals, evecs = _certify(H, tolerance, vectors=True)
+    hessian, ((H, evals, evecs),) = _certify(H, tolerance, vectors=True)
     if not hessian.certified:
         d = evecs[:, 0]
         if b @ d > 0:

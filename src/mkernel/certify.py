@@ -2,12 +2,15 @@
 
 A kernel is PD in the discrete sense when every block Gram matrix
 [K(x_i, x_j)]_{ij} is positive semidefinite as an (n N) x (n N) matrix. We
-decide that from the eigenvalues alone. Only a matrix that fails is solved
-again with eigenvectors; the verdict is then re-decided on that solve and,
-on failure, a witness is returned: the points and coefficient vectors whose
-quadratic form is negative, reproducible by a direct double sum. Every
-Gram matrix here is a `GramBlockMatrix`, the one block-Gram type that the
-integral and spectral sides also use for the Gram over measure nodes.
+decide that from the eigenvalues alone, taken from the Gram's Kronecker
+terms F (x) A: a `Lift` is decided on its scalar Gram and a `BlockDiag` on
+its blocks, without forming the (n N) x (n N) matrix. Only a term that
+fails is solved again with eigenvectors; the verdict is then re-decided on
+that solve and, on failure, a witness is returned: the points and
+coefficient vectors whose quadratic form is negative, reproducible by a
+direct double sum. Every Gram matrix here is a `GramBlockMatrix`, the one
+block-Gram type that the integral and spectral sides also use for the Gram
+over measure nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramBlockMatrix, MatrixKernel, gram_blocks
+from .kernels import GramBlockMatrix, MatrixKernel, gram_matrix
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -38,7 +41,7 @@ def assemble_gram(kernel: MatrixKernel, points) -> GramBlockMatrix:
         )
     P = kernel._check_points(points)
     _require_finite(P, "points")
-    return GramBlockMatrix(P, kernel.output_dim, gram_blocks(kernel, P))
+    return gram_matrix(kernel, P)
 
 
 @dataclass(frozen=True)
@@ -106,46 +109,112 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     """Certify a (block) Gram matrix PSD, or produce an eigen-witness.
 
     The matrix passes when its minimum eigenvalue is at least
-    -tolerance * max(1, lambda_max), decided from an eigenvalues-only solve.
-    Only when that fails is the matrix solved again with eigenvectors, and
-    the verdict, both reported eigenvalues and the witness all come from
-    that second solve, so a report never contradicts itself. The witness
-    coefficients are the most negative eigenvector, signed so that its largest
-    entry is positive and reshaped to one coefficient vector per point; the
-    witness value is recomputed by a direct double sum. An empty matrix is an error.
+    -tolerance * max(1, lambda_max). The spectrum comes from the Gram's
+    terms F (x) A: the products of the eigenvalues of F and of A, over every
+    term, so only the factors are solved. Each F is solved for eigenvalues
+    only, unless a diagonal entry or an adjacent 2 x 2 principal block
+    already shows it indefinite. Only
+    when the verdict fails on a term solved without eigenvectors is that
+    term solved again with them, and the verdict, both reported eigenvalues
+    and the witness all come from that solve, so a report never contradicts
+    itself. The witness coefficients are v (x) u for the most negative
+    product, in the term's component slots, signed so that the largest entry
+    is positive and reshaped to one coefficient vector per point; the
+    witness value is recomputed by a direct double sum. An empty matrix is
+    an error.
     """
     return _certify(gram, tolerance, vectors=False)[0]
 
 
 def _certify(gram, tolerance: float, vectors: bool):
-    """`certify_psd`'s body; also returns the matrix it solved and the last solve's eigenpairs."""
+    """`certify_psd`'s body; also returns, per term, the symmetrized factor
+    it solved with the eigenvalues and eigenvectors (None if not asked for
+    and not needed) of its last solve."""
     g = _as_gram(gram)
     if g.n_points == 0:
         raise ValueError("the Gram matrix is empty: there are no points to certify")
-    d = g.data - g.data.T
-    np.abs(d, out=d)
-    sym_gap = np.max(d)
-    del d
     warnings = []
     if g.has_duplicates:
         warnings.append("duplicate points: Gram matrix is singular by construction")
-    M = g.data  # an exactly symmetric matrix is its own symmetrization, bit for bit
+    Ms, sym_gap = [], 0.0
+    for F, t in g.factors:
+        if (F == F.T).all():  # an exactly symmetric factor is its own symmetrization
+            Ms.append(F)
+            continue
+        d = F - F.T
+        np.abs(d, out=d)
+        sym_gap = max(sym_gap, np.max(d) * np.max(np.abs(t.matrix)))
+        del d
+        Ms.append(0.5 * (F + F.T))
     if sym_gap > 0:
-        M = 0.5 * (g.data + g.data.T)
-        if sym_gap > 1e-12 * max(1.0, np.max(np.abs(g.data))):
+        scale = max(np.max(np.abs(F)) * np.max(np.abs(t.matrix)) for F, t in g.factors)
+        if sym_gap > 1e-12 * max(1.0, scale):
             warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
-    evals, evecs = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
-    if evecs is None and not _decide(evals, tolerance):
-        evals, evecs = np.linalg.eigh(M)
-    ok = _decide(evals, tolerance)
+    terms = [t for _, t in g.factors]
+    solves = _eig(Ms, [vectors or _evidently_indefinite(M, tolerance) for M in Ms])
+    while True:
+        lo, hi = _extreme_products(solves, terms)
+        ok = _decide((lo[0], hi[0]), tolerance)
+        k = lo[1]
+        if ok or solves[k][1] is not None:
+            break
+        solves[k] = np.linalg.eigh(Ms[k])
     witness = None
     if not ok:
-        C = evecs[:, 0].reshape(g.n_points, g.block_dim)
+        _, k, i, j = lo
+        t = terms[k]
+        C = np.zeros((g.n_points, g.block_dim))
+        C[:, t.offset:t.offset + t.size] = np.multiply.outer(
+            solves[k][1][:, i], t.evecs[:, j]).reshape(g.n_points, t.size)
         C *= np.sign(C.flat[np.argmax(np.abs(C))])  # largest entry positive, whatever LAPACK gave
         witness = Witness(g.points, C, direct_quadform(g.blocks, C))
-    report = PDReport("certified_psd" if ok else "witness_found", float(evals[0]),
-                      float(evals[-1]), tolerance, witness, tuple(warnings))
-    return report, M, evals, evecs
+    report = PDReport("certified_psd" if ok else "witness_found", float(lo[0]),
+                      float(hi[0]), tolerance, witness, tuple(warnings))
+    return report, [(M, lam, V) for M, (lam, V) in zip(Ms, solves)]
+
+
+def _evidently_indefinite(M: np.ndarray, tolerance: float) -> bool:
+    """Whether a diagonal entry, or the lower eigenvalue of an adjacent 2 x 2
+    principal block, lies below -s, s = tolerance * max(1, largest diagonal
+    entry). By interlacing, lambda_min lies below each of them. O(n), and in
+    plain Python, which costs less than numpy calls on the small Grams of a
+    search."""
+    d = M.diagonal().tolist()
+    s = tolerance * max(1.0, max(d))
+    # [[a, e], [e, b]] + s I is PSD unless a + s < 0 or (a + s)(b + s) < e^2
+    return min(d) < -s or any((a + s) * (b + s) < e * e
+                              for a, b, e in zip(d, d[1:], M.diagonal(1).tolist()))
+
+
+def _eig(Ms: list, vectors: list) -> list:
+    """(ascending eigenvalues, eigenvectors or None) of each symmetric M,
+    with eigenvectors where `vectors` says; matrices of one order and kind
+    go to LAPACK as one stacked call."""
+    groups = {}
+    for k, key in enumerate(zip(map(len, Ms), vectors)):
+        groups.setdefault(key, []).append(k)
+    out = [None] * len(Ms)
+    for (_, v), ks in groups.items():
+        stack = np.stack([Ms[k] for k in ks]) if len(ks) > 1 else Ms[ks[0]]
+        solved = np.linalg.eigh(stack) if v else (np.linalg.eigvalsh(stack), None)
+        if len(ks) == 1:
+            out[ks[0]] = solved
+            continue
+        for pos, k in enumerate(ks):
+            out[k] = (solved[0][pos], None if solved[1] is None else solved[1][pos])
+    return out
+
+
+def _extreme_products(solves: list, terms: list):
+    """The least and the greatest eigenvalue of the direct sum of the terms
+    F (x) A, each as (value, term, i, j): the product of F's i-th and A's
+    j-th ascending eigenvalue. Both are products of extreme eigenvalues."""
+    products = []
+    for k, ((lam, _), t) in enumerate(zip(solves, terms)):
+        n, a = lam.size - 1, t.evals.size - 1
+        l0, l1, m0, m1 = lam.item(0), lam.item(n), t.evals.item(0), t.evals.item(a)
+        products += [(l0 * m0, k, 0, 0), (l0 * m1, k, 0, a), (l1 * m0, k, n, 0), (l1 * m1, k, n, a)]
+    return min(products), max(products)
 
 
 @dataclass(frozen=True)

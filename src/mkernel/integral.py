@@ -24,7 +24,7 @@ import numpy as np
 
 from .certify import DEFAULT_TOLERANCE, SearchReport, direct_quadform, random_search_witness
 from .domains import Ball, QuadratureMeasure, in_closed_ball, region_mask
-from .kernels import GramBlockMatrix, MatrixKernel, as_points, gram_blocks
+from .kernels import GramBlockMatrix, MatrixKernel, as_points, gram_blocks, gram_matrix
 
 
 def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
@@ -35,7 +35,7 @@ def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockM
             f"kernel {kernel.name!r} is unbounded on the diagonal; "
             "integral quadratic forms against it diverge"
         )
-    return GramBlockMatrix(measure.nodes, kernel.output_dim, gram_blocks(kernel, measure.nodes))
+    return gram_matrix(kernel, measure.nodes)
 
 
 def _weighted_form(G: np.ndarray, weights: np.ndarray, F: np.ndarray) -> float:

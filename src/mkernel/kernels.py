@@ -12,6 +12,12 @@ Scalar kernels are the N = 1 case; `Lift` tensors a scalar kernel with a
 fixed PSD matrix, `Conjugate` maps K to B K B^T, and `Sum` / `Scale` /
 `BlockDiag` combine kernels in the PD-preserving ways.
 
+A block Gram is kept as what the expression says it is: a direct sum of
+Kronecker products F_b (x) A_b (`Term`s). `Lift(k, A)` is one term, the
+scalar Gram of k times A; `BlockDiag` is the direct sum of its blocks'
+terms; every other node is one dense term, its own Gram (x) [1]. The
+(nN) x (nN) matrix is formed from the factors only when it is read.
+
 A new kernel family is one `KernelSpec` dataclass with a JSON `key` and a
 `compile` method; its name and its JSON form follow from its fields.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -35,14 +41,54 @@ _BLOCK_PAIRS = 4096
 Matrix = tuple  # rows of floats
 Specs = tuple  # kernel expressions
 
+_ONE = np.ones((1, 1))
+_ONE.flags.writeable = False
+
+
+class Term(NamedTuple):
+    """One summand F (x) A of a block Gram's direct sum.
+
+    F is the Gram of the evaluator `fn` (block size `dim`) over the points
+    and A = `matrix` a fixed symmetric matrix, with ascending eigenvalues
+    `evals` and eigenvectors `evecs`. The term fills the `size` component
+    slots from `offset` on: entry (i, r a + s), (j, r' a + s') of those
+    slots is F[(i, r), (j, r')] * A[s, s'] for A of order a.
+    """
+
+    fn: callable
+    dim: int
+    matrix: np.ndarray = _ONE
+    evals: np.ndarray = _ONE[0]
+    evecs: np.ndarray = _ONE
+    offset: int = 0
+
+    @property
+    def size(self) -> int:
+        return self.dim * self.matrix.shape[0]
+
+
+class Compiled(NamedTuple):
+    """What `KernelSpec.compile` returns: the evaluator, its output size N,
+    the input dimension it needs (None for any), whether it is unbounded on
+    the diagonal, and its Gram's terms (empty for one dense term)."""
+
+    fn: callable
+    dim: int
+    input_dim: int | None = None
+    unbounded: bool = False
+    terms: tuple = ()
+
+    def gram_terms(self) -> tuple:
+        return self.terms or (Term(self.fn, self.dim),)
+
 
 class KernelSpec:
     """A node of a kernel expression.
 
     Each node is a frozen dataclass that declares its JSON `key` and owns
-    `compile(allow_unbounded)`, which validates the node and returns
-    (batch_fn, output_dim, input_dim, unbounded). Its `name` is the key
-    followed by the names of its sub-expressions in parentheses. Its JSON
+    `compile(allow_unbounded)`, which validates the node and returns it
+    `Compiled`. Its `name` is the key followed by the names of its
+    sub-expressions in parentheses. Its JSON
     form is {key: value}: the bare value of a node with one field, otherwise
     an object of its fields ({} for none); matrices are lists of rows.
     """
@@ -82,7 +128,7 @@ class Gaussian(KernelSpec):
             d2 = ((X - Y) ** 2).sum(axis=-1)
             return np.exp(-g * d2)[..., None, None]
 
-        return f, 1, None, False
+        return Compiled(f, 1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +162,7 @@ class Riesz(KernelSpec):
                 v = (r + eta) ** (-s)
             return v[..., None, None]
 
-        return f, 1, None, eta == 0
+        return Compiled(f, 1, None, eta == 0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +175,7 @@ class Brownian(KernelSpec):
         def f(X, Y):
             return np.minimum(X[..., 0], Y[..., 0])[..., None, None]
 
-        return f, 1, 1, False
+        return Compiled(f, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -142,7 +188,7 @@ class NegDistance(KernelSpec):
         def f(X, Y):
             return -np.linalg.norm(X - Y, axis=-1)[..., None, None]
 
-        return f, 1, None, False
+        return Compiled(f, 1)
 
 
 @dataclass(frozen=True)
@@ -158,20 +204,21 @@ class Constant(KernelSpec):
         def f(X, Y, c=c):
             return np.full(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (1, 1), c)
 
-        return f, 1, None, False
+        return Compiled(f, 1)
 
 
 @dataclass(frozen=True)
 class Lift(KernelSpec):
-    """scalar_kernel(x, y) * A for a fixed symmetric PSD matrix A."""
+    """scalar_kernel(x, y) * A for a fixed symmetric PSD matrix A; its Gram
+    is one term, the scalar kernel's Gram (x) A."""
 
     key = "lift"
     scalar: KernelSpec
     matrix: Matrix
 
     def compile(self, allow_unbounded):
-        inner_f, inner_dim, in_dim, unb = self.scalar.compile(allow_unbounded)
-        if inner_dim != 1:
+        inner = self.scalar.compile(allow_unbounded)
+        if inner.dim != 1:
             raise ValueError("lift expects a scalar kernel")
         A = _as_matrix(self._param("matrix"))
         if A.shape[0] != A.shape[1]:
@@ -179,16 +226,17 @@ class Lift(KernelSpec):
         if np.max(np.abs(A - A.T)) > PSD_LIFT_TOL * max(1.0, np.max(np.abs(A))):
             raise ValueError("lift matrix must be symmetric")
         A = 0.5 * (A + A.T)
-        evals = np.linalg.eigvalsh(A)
+        evals, evecs = np.linalg.eigh(A)
         if evals.min() < -PSD_LIFT_TOL * max(1.0, abs(evals.max())):
             raise ValueError(
                 f"lift matrix must be positive semidefinite (min eigenvalue {evals.min():.3e})"
             )
 
-        def f(X, Y, inner_f=inner_f, A=A):
+        def f(X, Y, inner_f=inner.fn, A=A):
             return inner_f(X, Y) * A
 
-        return f, A.shape[0], in_dim, unb
+        return Compiled(f, A.shape[0], inner.input_dim, inner.unbounded,
+                        (Term(inner.fn, 1, A, evals, evecs),))
 
 
 @dataclass(frozen=True)
@@ -204,21 +252,21 @@ class Conjugate(KernelSpec):
     matrix: Matrix
 
     def compile(self, allow_unbounded):
-        inner_f, inner_dim, in_dim, unb = self.inner.compile(allow_unbounded)
+        inner = self.inner.compile(allow_unbounded)
         B = _as_matrix(self._param("matrix"))
-        if B.shape[1] != inner_dim:
+        if B.shape[1] != inner.dim:
             raise ValueError(
-                f"conjugation matrix has {B.shape[1]} columns, inner kernel size is {inner_dim}"
+                f"conjugation matrix has {B.shape[1]} columns, inner kernel size is {inner.dim}"
             )
 
-        def f(X, Y, inner_f=inner_f, B=B):
+        def f(X, Y, inner_f=inner.fn, B=B):
             K = inner_f(X, Y)
             out = (B @ K) @ B.T
             out += B @ (K @ B.T)
             out *= 0.5
             return out
 
-        return f, B.shape[0], in_dim, unb
+        return Compiled(f, B.shape[0], inner.input_dim, inner.unbounded)
 
 
 @dataclass(frozen=True)
@@ -232,20 +280,21 @@ class Sum(KernelSpec):
         terms = [t.compile(allow_unbounded) for t in self.terms]
         if not terms:
             raise ValueError("sum needs at least one term")
-        dims = {t[1] for t in terms}
+        dims = {t.dim for t in terms}
         if len(dims) != 1:
             raise ValueError(f"sum terms must share one output size, got {sorted(dims)}")
-        in_dims = {t[2] for t in terms if t[2] is not None}
+        in_dims = {t.input_dim for t in terms if t.input_dim is not None}
         if len(in_dims) > 1:
             raise ValueError("sum terms disagree on input dimension")
 
-        def f(X, Y, fns=[t[0] for t in terms]):
+        def f(X, Y, fns=[t.fn for t in terms]):
             out = fns[0](X, Y).copy()
             for fn in fns[1:]:
                 out += fn(X, Y)
             return out
 
-        return f, terms[0][1], (in_dims.pop() if in_dims else None), any(t[3] for t in terms)
+        return Compiled(f, terms[0].dim, in_dims.pop() if in_dims else None,
+                        any(t.unbounded for t in terms))
 
 
 @dataclass(frozen=True)
@@ -260,17 +309,18 @@ class Scale(KernelSpec):
         a = self._param("factor")
         if a < 0:
             raise ValueError("scale factor must be nonnegative")
-        inner_f, inner_dim, in_dim, unb = self.inner.compile(allow_unbounded)
+        inner = self.inner.compile(allow_unbounded)
 
-        def f(X, Y, inner_f=inner_f, a=a):
+        def f(X, Y, inner_f=inner.fn, a=a):
             return a * inner_f(X, Y)
 
-        return f, inner_dim, in_dim, unb
+        return Compiled(f, inner.dim, inner.input_dim, inner.unbounded)
 
 
 @dataclass(frozen=True)
 class BlockDiag(KernelSpec):
-    """Block-diagonal combination; output size is the sum of block sizes."""
+    """Block-diagonal combination; output size is the sum of block sizes. Its
+    Gram is the direct sum of its blocks' terms."""
 
     key = "block_diag"
     blocks: Specs
@@ -279,20 +329,23 @@ class BlockDiag(KernelSpec):
         blocks = [b.compile(allow_unbounded) for b in self.blocks]
         if not blocks:
             raise ValueError("block_diag needs at least one block")
-        in_dims = {b[2] for b in blocks if b[2] is not None}
+        in_dims = {b.input_dim for b in blocks if b.input_dim is not None}
         if len(in_dims) > 1:
             raise ValueError("block_diag blocks disagree on input dimension")
-        sizes = [b[1] for b in blocks]
+        sizes = [b.dim for b in blocks]
         total = sum(sizes)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        offsets = [0, *np.cumsum(sizes).tolist()]
 
-        def f(X, Y, fns=[b[0] for b in blocks], offsets=offsets, total=total):
+        def f(X, Y, fns=[b.fn for b in blocks], offsets=offsets, total=total):
             out = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (total, total))
             for fn, lo, hi in zip(fns, offsets[:-1], offsets[1:]):
                 out[..., lo:hi, lo:hi] = fn(X, Y)
             return out
 
-        return f, total, (in_dims.pop() if in_dims else None), any(b[3] for b in blocks)
+        terms = tuple(t._replace(offset=t.offset + lo)
+                      for b, lo in zip(blocks, offsets) for t in b.gram_terms())
+        return Compiled(f, total, in_dims.pop() if in_dims else None,
+                        any(b.unbounded for b in blocks), terms)
 
 
 _FAMILIES = {cls.key: cls for cls in KernelSpec.__subclasses__()}
@@ -321,9 +374,10 @@ class MatrixKernel:
     """Compiled kernel with vectorized evaluation.
 
     `_batch` maps point arrays X, Y of shapes that broadcast, (..., d), to
-    values (..., N, N). Public evaluation (`eval_pairs`, `eval_pairwise`,
-    `gram_blocks`) checks the points and runs `_batch` on each pair in the
-    order given. A compiled kernel is transpose symmetric by construction; a
+    values (..., N, N). Public evaluation (`eval_pairs`, `eval_pairwise`)
+    checks the points and runs `_batch` on each pair in the order given; a
+    Gram runs each of `terms` instead (by default one dense term, `_batch`
+    itself). A compiled kernel is transpose symmetric by construction; a
     callable is trusted to be.
     """
 
@@ -332,6 +386,10 @@ class MatrixKernel:
     name: str = "kernel"
     input_dim: int | None = None
     unbounded_diagonal: bool = False
+    terms: tuple = ()
+
+    def __post_init__(self):
+        self.terms = self.terms or (Term(self._batch, self.output_dim),)
 
     def _check_points(self, X: np.ndarray) -> np.ndarray:
         X = as_points(X, "points")
@@ -355,7 +413,7 @@ class MatrixKernel:
         if X.shape[1] != Y.shape[1]:
             raise ValueError("cross evaluation needs points of one dimension on both sides")
         out = np.empty((X.shape[0], Y.shape[0], self.output_dim, self.output_dim))
-        for start, values in _row_blocks(self, X, Y):
+        for start, values in _row_blocks(self._batch, X, Y):
             out[start:start + len(values)] = values
         return out
 
@@ -371,14 +429,8 @@ def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKerne
     negative scale factors, mismatched sizes, and (unless allow_unbounded
     is set) kernels that are unbounded on the diagonal.
     """
-    batch, out_dim, in_dim, unbounded = spec.compile(allow_unbounded)
-    return MatrixKernel(
-        output_dim=out_dim,
-        _batch=batch,
-        name=spec.name,
-        input_dim=in_dim,
-        unbounded_diagonal=unbounded,
-    )
+    c = spec.compile(allow_unbounded)
+    return MatrixKernel(c.dim, c.fn, spec.name, c.input_dim, c.unbounded, c.terms)
 
 
 def kernel_from_callable(
@@ -401,29 +453,59 @@ def kernel_from_callable(
 
 
 def _blocks_view(data: np.ndarray, block_dim: int) -> np.ndarray:
-    """The (n, n, N, N) block view of an (n N) x (n N) matrix; block (i, j)
+    """The (m, n, N, N) block view of an (m N) x (n N) matrix; block (i, j)
     holds rows i N .. i N + N - 1 and columns j N .. j N + N - 1."""
-    n = data.shape[0] // block_dim
-    return data.reshape(n, block_dim, n, block_dim).transpose(0, 2, 1, 3)
+    m, n = data.shape[0] // block_dim, data.shape[1] // block_dim
+    return data.reshape(m, block_dim, n, block_dim).transpose(0, 2, 1, 3)
 
 
 class GramBlockMatrix:
     """Block Gram matrix [K(x_i, x_j)] of a kernel over n points, stored once.
 
-    `data` is the contiguous (n N) x (n N) matrix with N x N blocks in point
-    order; `blocks[i, j]` is K(x_i, x_j), read through a strided view of
-    `data`. The same type serves point sets (unweighted) and measure nodes
-    (weighted by the caller). `points` is None for a matrix given without
-    points.
+    `factors` holds the Gram as its kernel's terms: pairs (F, term), F the
+    term's Gram over the points (see `Term`). `data` is the contiguous
+    (n N) x (n N) matrix with N x N blocks in point order, formed from the
+    factors when first read (a lone dense term is its own `data`);
+    `blocks[i, j]` is K(x_i, x_j), read through a strided view of `data`.
+    The same type serves point sets (unweighted) and measure nodes (weighted
+    by the caller). `points` is None for a matrix given without points.
     """
 
     def __init__(self, points, block_dim: int, blocks: np.ndarray):
+        """A Gram given by its (n, n, N, N) blocks, as one dense term."""
         n, N = blocks.shape[0], block_dim
-        self.points = points
-        self.block_dim = N
-        # A view when `blocks` is already a block view (as gram_blocks
-        # returns), a single copy otherwise.
-        self.data = blocks.transpose(0, 2, 1, 3).reshape(n * N, n * N)
+        self.points, self.block_dim = points, N
+        # A view when `blocks` is already a block view, a single copy otherwise.
+        self.factors = ((blocks.transpose(0, 2, 1, 3).reshape(n * N, n * N), Term(None, N)),)
+
+    @classmethod
+    def from_factors(cls, points, block_dim: int, factors) -> GramBlockMatrix:
+        """A Gram given by its terms' (F, term) pairs."""
+        g = cls.__new__(cls)
+        g.points, g.block_dim, g.factors = points, block_dim, tuple(factors)
+        return g
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return self._rows(slice(0, self.n_points))
+
+    def _rows(self, rows: slice) -> np.ndarray:
+        """The rows of `data` that belong to the points `rows`: read from
+        `data` once it is formed, formed from the factors before."""
+        n, N = self.n_points, self.block_dim
+        if "data" in vars(self):
+            return self.data[rows.start * N:rows.stop * N]
+        (F, t), *rest = self.factors
+        if not rest:  # one term over every slot
+            return _kron(F[rows.start * t.dim:rows.stop * t.dim], t.matrix)
+        r = min(rows.stop, n) - rows.start
+        out = np.zeros((r * N, n * N))
+        slots = out.reshape(r, N, n, N)
+        for F, t in self.factors:
+            s = slice(t.offset, t.offset + t.size)
+            F = F[rows.start * t.dim:rows.stop * t.dim]
+            slots[:, s, :, s] = _kron(F, t.matrix).reshape(r, t.size, n, t.size)
+        return out
 
     @property
     def blocks(self) -> np.ndarray:
@@ -436,25 +518,39 @@ class GramBlockMatrix:
 
     @property
     def n_points(self) -> int:
-        return self.data.shape[0] // self.block_dim
+        F, t = self.factors[0]
+        return F.shape[0] // t.dim
 
     @cached_property
     def has_duplicates(self) -> bool:
+        """Whether two points are equal (as floats compare: 0.0 equals -0.0)."""
         P = self.points
-        if P is None or P.shape[0] < 2:
-            return False
-        srt = P[np.lexsort(P.T[::-1])]
-        return bool(np.any(np.all(srt[1:] == srt[:-1], axis=1)))
+        return P is not None and len(set(map(tuple, P.tolist()))) < P.shape[0]
 
     @cached_property
     def sup_norm(self) -> float:
         """Largest Frobenius norm of a block."""
         # Each norm sums its N^2 terms in one fixed order over contiguous
         # blocks (over the strided view numpy may pick another order for
-        # N >= 3 and move the last bit), copied a few rows at a time.
+        # N >= 3 and move the last bit), formed a few rows at a time.
         n = self.n_points
-        return _max_block_norm(np.ascontiguousarray(self.blocks[rows])
+        return _max_block_norm(np.ascontiguousarray(_blocks_view(self._rows(rows), self.block_dim))
                                for rows in _row_slices(n, n))
+
+
+def _kron(F: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """np.kron(F, A) for a small A, bit for bit: F itself for A = [1],
+    otherwise one strided product of F per entry of A, so that each inner
+    loop runs over a row of F."""
+    if A is _ONE:
+        return F
+    a = A.shape[0]
+    out = np.empty((F.shape[0] * a, F.shape[1] * a))
+    blocks = out.reshape(F.shape[0], a, F.shape[1], a)
+    for p in range(a):
+        for q in range(a):
+            np.multiply(F, A[p, q], out=blocks[:, p, :, q])
+    return out
 
 
 def _row_slices(m: int, k: int) -> list:
@@ -468,27 +564,37 @@ def _max_block_norm(row_blocks) -> float:
     return max((float(np.linalg.norm(b, axis=(2, 3)).max()) for b in row_blocks), default=0.0)
 
 
-def _row_blocks(kernel: MatrixKernel, X: np.ndarray, Y: np.ndarray):
-    """Yields (start, values), values[a, b] = K(x_{start + a}, y_b): all pairs,
+def _row_blocks(fn, X: np.ndarray, Y: np.ndarray):
+    """Yields (start, values), values[a, b] = fn(x_{start + a}, y_b): all pairs,
     one broadcast product of a block of rows of X against all of Y at a time."""
     for rows in _row_slices(X.shape[0], Y.shape[0]):
-        yield rows.start, kernel._batch(X[rows, None, :], Y[None, :, :])
+        yield rows.start, fn(X[rows, None, :], Y[None, :, :])
+
+
+def gram_matrix(kernel: MatrixKernel, points) -> GramBlockMatrix:
+    """The block Gram of a kernel over a point list, as its terms' factors.
+
+    Each factor is the Gram of its term's evaluator: every block evaluated
+    and written straight into one (n dim) x (n dim) matrix. A compiled
+    kernel's factors are exactly symmetric by construction, a callable's
+    hold the callable's values.
+    """
+    P = kernel._check_points(points)
+    n = P.shape[0]
+    factors = []
+    for t in kernel.terms:
+        F = np.empty((n * t.dim, n * t.dim))
+        blocks = _blocks_view(F, t.dim)
+        for start, values in _row_blocks(t.fn, P, P):
+            blocks[start:start + len(values)] = values
+        factors.append((F, t))
+    return GramBlockMatrix.from_factors(P, kernel.output_dim, factors)
 
 
 def gram_blocks(kernel: MatrixKernel, points) -> np.ndarray:
-    """All kernel blocks over a point list: (n, d) -> (n, n, N, N).
-
-    Every block is evaluated; a compiled kernel's Gram matrix is exactly
-    symmetric by construction, a callable's holds the callable's values. The
-    blocks are written straight into an (n N) x (n N) matrix and returned as
-    its block view, so `GramBlockMatrix` takes them over without a copy.
-    """
-    P = kernel._check_points(points)
-    n, N = P.shape[0], kernel.output_dim
-    G = _blocks_view(np.empty((n * N, n * N)), N)
-    for start, values in _row_blocks(kernel, P, P):
-        G[start:start + len(values)] = values
-    return G
+    """All kernel blocks over a point list: (n, d) -> (n, n, N, N), the block
+    view of `gram_matrix(kernel, points).data`."""
+    return gram_matrix(kernel, points).blocks
 
 
 def symmetry_check(kernel: MatrixKernel, X, Y) -> float:
@@ -505,7 +611,7 @@ def bound_estimate(kernel: MatrixKernel, points) -> float:
     diagonally unbounded kernels this is infinite.
     """
     P = kernel._check_points(points)
-    return _max_block_norm(values for _, values in _row_blocks(kernel, P, P))
+    return _max_block_norm(values for _, values in _row_blocks(kernel._batch, P, P))
 
 
 def spec_to_json(spec: KernelSpec) -> dict:

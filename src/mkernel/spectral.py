@@ -8,7 +8,7 @@ weighted eigenproblem into an ordinary symmetric one:
     A = W^{1/2} G W^{1/2},   A v_k = sigma_k v_k,   phi_k = v_k / sqrt(w),
 
 where G is the block Gram matrix over the nodes (a `GramBlockMatrix`, as
-on point sets) and W repeats each node weight once per
+on point sets, solved term by term) and W repeats each node weight once per
 output component. The eigenfunctions phi_k are orthonormal in L^2(mu) by
 construction, and sum_k sigma_k equals the weighted trace of K on the
 diagonal. For a PD kernel the quadratic form of any f is the sum of the
@@ -71,23 +71,43 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
 
     Keeps eigenvalues above drop_tolerance times the largest one; requires
     strictly positive quadrature weights (the square-root rescaling divides
-    by them). The measure's `GramBlockMatrix` is freed once it is scaled,
-    so its memory is not held beside the eigensolver's copies.
+    by them). The weighting acts on each Kronecker term of the Gram alone,
+    W^{1/2} (F (x) A) W^{1/2} = (W_F^{1/2} F W_F^{1/2}) (x) A, so each scaled
+    factor is solved and its eigenpairs are the products sigma mu with
+    eigenvectors v (x) u in the term's component slots. The measure's
+    `GramBlockMatrix` is freed once it is scaled, so its memory is not held
+    beside the eigensolver's copies.
     """
     if np.any(measure.weights <= 0):
         raise ValueError("spectral decomposition needs strictly positive weights")
     n, N = len(measure), kernel.output_dim
-    sw = np.sqrt(np.repeat(measure.weights, N))
-    A = np.multiply.outer(sw, sw)
-    A *= measure_gram(kernel, measure).data
-    evals, evecs = np.linalg.eigh(A)
-    del A
-    evals, evecs = evals[::-1], evecs[:, ::-1]
+    sw = np.sqrt(measure.weights)
+    scaled = [(_weighted(F, np.repeat(sw, t.dim)), t)
+              for F, t in measure_gram(kernel, measure).factors]
+    solves = []
+    while scaled:
+        S, t = scaled.pop(0)
+        solves.append((*np.linalg.eigh(S), t))
+        del S
+    products = [np.multiply.outer(lam, t.evals).ravel() for lam, _, t in solves]
+    values = np.concatenate(products)
+    order = np.argsort(values, kind="stable")[::-1]
+    evals = values[order]
     sig_max = float(evals[0]) if evals.size else 0.0
     threshold = drop_tolerance * max(1.0, abs(sig_max))
     keep = evals > threshold
     not_pd = bool(evals.size and float(evals[-1]) < -threshold)
-    phis = (evecs[:, keep] / sw[:, None]).T.reshape(-1, n, N)
+    kept = order[keep]
+    phis = np.zeros((kept.size, n, N))
+    start = 0
+    for (_, V, t), p in zip(solves, products):
+        mine = (kept >= start) & (kept < start + p.size)
+        i, j = np.divmod(kept[mine] - start, t.evals.size)
+        # v (x) u, node-major; a 1 x 1 A has u = [1]
+        vecs = V[:, i] if t.evals.size == 1 else (V[:, None, i] * t.evecs[:, j]).reshape(-1, i.size)
+        vecs /= np.repeat(sw, t.size)[:, None]
+        phis[mine, :, t.offset:t.offset + t.size] = vecs.T.reshape(-1, n, t.size)
+        start += p.size
     return SpectralDecomposition(
         sigmas=evals[keep].copy(),
         phis=phis,
@@ -99,6 +119,13 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
         not_pd=not_pd,
         drop_tolerance=drop_tolerance,
     )
+
+
+def _weighted(F: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """W^{1/2} F W^{1/2} for W = diag(sw^2), in one new matrix."""
+    S = np.multiply.outer(sw, sw)
+    S *= F
+    return S
 
 
 def eigenfunction_gram(decomp: SpectralDecomposition) -> np.ndarray:

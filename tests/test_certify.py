@@ -208,7 +208,9 @@ def test_witness_gram_solves_with_eigenvectors_once(monkeypatch):
     eigh_calls, eigvalsh_calls = _spy(monkeypatch, "eigh"), _spy(monkeypatch, "eigvalsh")
     rep = certify_psd(gram)
     assert rep.verdict == "witness_found"
-    assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 1)
+    # the zero diagonal and -|x - y| beside it fail a 2 x 2 principal block,
+    # so the Gram goes straight to the solve with eigenvectors
+    assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 0)
 
 
 def test_verdict_matches_full_eigh_reference_on_zoo():

@@ -124,6 +124,37 @@ def test_gaussian_control_refinement_non_increasing():
     assert_allclose(vals, expected, rtol=1e-9)
 
 
+def _mp_objective(H, b, v, digits=50):
+    """v^T H v + b^T v at the given floats, summed with mpmath."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        mpf = mpmath.mpf
+        hv = [mpmath.fsum(mpf(h) * mpf(x) for h, x in zip(row, v)) for row in H.tolist()]
+        return mpmath.fsum(mpf(x) * (y + mpf(c)) for x, y, c in zip(v.tolist(), hv, b.tolist()))
+
+
+def test_gaussian_control_value_is_the_objective_at_v():
+    pytest.importorskip("mpmath")
+    # cond(H) is about 1.7e11 and |v| about 4.5e4: a floating-point sum of
+    # v^T H v + b^T v cancels nine digits
+    qp = assemble_control_qp(build_kernel(Gaussian(1.0)), np.linspace(0, 1, 9), np.array([-2.0]))
+    H, b = qp.H, qp.b
+    evals, evecs = np.linalg.eigh(H)
+
+    def half_solve(r):
+        return 0.5 * (evecs @ ((evecs.T @ r) / evals))
+
+    v = -half_solve(b)
+    for _ in range(4):  # the value at v after 1, 2, 3 and 4 refinement steps
+        v = v - half_solve(2.0 * (H @ v) + b)
+        exact = float(_mp_objective(H, b, v))
+        assert abs(qp_objective(H, b, v) - exact) <= 1e-14 * abs(exact)
+    sol = solve_qp(H, b)
+    exact = float(_mp_objective(H, b, sol.v))
+    assert abs(sol.value - exact) <= 1e-14 * abs(exact)
+
+
 def test_lift_control_refinement():
     k = build_kernel(Lift(Gaussian(2.0), ((2.0, 1.0), (1.0, 2.0))))
     parts = [np.linspace(0, 1, m + 1) for m in (2, 4, 8)]

@@ -157,7 +157,7 @@ def test_decomposition_json_shape(box):
 
 
 def _reference_decompose(k, mu):
-    """The decomposition as built from gram.flat * outer(sw, sw) and eigh."""
+    """The decomposition of the formed block Gram, gram.flat * outer(sw, sw), by one eigh."""
     from mkernel.integral import measure_gram
 
     n, N = len(mu), k.output_dim
@@ -168,17 +168,66 @@ def _reference_decompose(k, mu):
     return evals[keep], (evecs[:, keep] / sw[:, None]).T.reshape(-1, n, N)
 
 
+def _kron_reference(mu, gamma, A):
+    """Lift(Gaussian(gamma), A) decomposed from the Kronecker identity alone:
+    W^{1/2} (G (x) A) W^{1/2} = (W^{1/2} G W^{1/2}) (x) A, with G evaluated
+    here in plain numpy; eigenpairs sigma mu_j and v_i (x) u_j, descending."""
+    X, w = mu.nodes, mu.weights
+    G = np.exp(-gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1))
+    sw = np.sqrt(w)
+    lam, V = np.linalg.eigh(np.multiply.outer(sw, sw) * G)
+    mus, U = np.linalg.eigh(A)
+    products = np.multiply.outer(lam, mus).ravel()
+    order = np.argsort(products, kind="stable")[::-1]
+    sigmas = products[order]
+    kept = order[sigmas > 1e-12 * max(1.0, abs(float(sigmas[0])))]
+    i, j = np.divmod(kept, mus.size)
+    vecs = (V[:, None, i] * U[:, j]).reshape(-1, kept.size) / np.repeat(sw, mus.size)[:, None]
+    return products[kept], vecs.T.reshape(-1, len(mu), mus.size)
+
+
 @pytest.mark.parametrize("case", ["brownian_1d", "lift_21x21"])
 def test_decomposition_matches_reference_bit_for_bit(case):
     if case == "brownian_1d":
         k, mu = build_kernel(Brownian()), make_measure(make_box_domain([0.0], [1.0]), "trapezoid", 257)
-    else:
-        k = build_kernel(Lift(Gaussian(0.5), ((2.0, 1.0), (1.0, 2.0))))
-        mu = make_measure(make_box_domain([0.0, 0.0], [1.0, 1.0]), "trapezoid", 21)
-    sigmas, phis = _reference_decompose(k, mu)
+        sigmas, phis = _reference_decompose(k, mu)
+        dec = nystrom_decompose(k, mu)
+        assert np.array_equal(dec.sigmas, sigmas)
+        assert np.array_equal(dec.phis, phis)
+        return
+    # A lift is solved on its scalar Gram: bit for bit the Kronecker
+    # reference, and equal to a full solve of the block Gram within rounding.
+    A = np.array([[2.0, 1.0], [1.0, 2.0]])
+    k = build_kernel(Lift(Gaussian(0.5), tuple(map(tuple, A))))
+    mu = make_measure(make_box_domain([0.0, 0.0], [1.0, 1.0]), "trapezoid", 21)
     dec = nystrom_decompose(k, mu)
+    sigmas, phis = _kron_reference(mu, 0.5, A)
     assert np.array_equal(dec.sigmas, sigmas)
     assert np.array_equal(dec.phis, phis)
+
+    dense_sigmas, dense_phis = _reference_decompose(k, mu)
+    smax = float(dense_sigmas[0])
+    r = min(dec.rank, dense_sigmas.size)
+    assert np.max(np.abs(dec.sigmas[:r] - dense_sigmas[:r])) <= 1e-12 * smax
+    # ranks may differ only by eigenvalues within rounding of the drop threshold
+    for extra in (dec.sigmas[r:], dense_sigmas[r:]):
+        assert np.all(extra <= 1e-12 * smax + 1e-12 * smax)
+    total = float(dec.sigmas.sum()) + dec.dropped_mass
+    assert total == pytest.approx(trace_functional(k, mu), abs=1e-12 * smax * len(mu))
+    # spectral projectors agree on clusters separated by more than 1e-8 sigma_max;
+    # Davis-Kahan bounds the angle by the backward error over the gap
+    sw = np.sqrt(np.repeat(mu.weights, 2))
+    V = dec.phis[:r].reshape(r, -1) * sw
+    W = dense_phis[:r].reshape(r, -1) * sw
+    gaps = np.diff(-dense_sigmas[:r])
+    cuts = [0, *(np.flatnonzero(gaps > 1e-8 * smax) + 1).tolist()]
+    checked = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        gap = min(gaps[lo - 1] if lo else np.inf, gaps[hi - 1])
+        diff = V[lo:hi].T @ V[lo:hi] - W[lo:hi].T @ W[lo:hi]
+        assert np.linalg.norm(diff, 2) <= 1e-12 * smax / gap
+        checked += 1
+    assert checked >= 10
 
 
 def test_built_gram_is_freed_before_eigensolve():
