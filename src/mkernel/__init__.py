@@ -47,6 +47,7 @@ from .integral import (
     quadform,
     random_test_functions,
     truncation_study,
+    weighted_gram,
 )
 from .kernels import (
     BlockDiag,

@@ -14,6 +14,7 @@ runtime error (diagnostic on stderr, no report written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -29,7 +30,7 @@ from .integral import discretization_gap, equivalence_harness
 from .kernels import as_points, build_kernel, json_array, json_number, spec_from_json
 from .spectral import nystrom_decompose, trace_functional
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _load_config(path: str) -> dict:
@@ -65,7 +66,7 @@ def cmd_equivalence(args, cfg) -> tuple[dict, dict, int]:
     harness = equivalence_harness(args.kernel, args.measure, trials=trials, seed=args.seed,
                                   tolerance=args.tolerance)
     found = ((harness.discrete is not None and harness.discrete.found)
-             or (harness.integral is not None and harness.integral.violations > 0))
+             or (harness.integral is not None and not harness.integral.certified))
     return {"trials": trials}, harness.to_json(), 2 if found else 0
 
 
@@ -230,6 +231,7 @@ def _set_up(args, cfg: dict, needs: tuple) -> dict:
     return echo
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkernel",

@@ -7,24 +7,27 @@ measure mu is
 
 here evaluated over quadrature measures as a doubly weighted sum: u^T G u,
 with G the block Gram matrix of the kernel over the measure nodes (the same
-`GramBlockMatrix` as on point sets) and u the weighted function values. The
-module
-provides random test functions, the Urysohn bump construction that converts
-a discrete witness into an integral one, a quantified comparison between
-the integral form of such a bump function and its discrete counterpart, a
-randomized harness checking that the discrete and integral notions of
-positive definiteness agree, and a truncation study over nested regions.
+`GramBlockMatrix` as on point sets) and u the weighted function values. With
+W the node weights, B(f, f) = v^T (W^{1/2} G W^{1/2}) v for v = W^{1/2} f,
+so the kernel is integrally PD on the measure exactly when that weighted
+Gram is PSD: one decision, `certify_psd(weighted_gram(kernel, measure))`.
+The module provides that decision beside the discrete one in a harness,
+test functions, the Urysohn bump construction that converts a discrete
+witness into an integral one with a quantified gap to its discrete
+counterpart, and a truncation study over nested regions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import DEFAULT_TOLERANCE, SearchReport, direct_quadform, random_search_witness
+from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, certify_psd,
+                      direct_quadform, random_search_witness)
 from .domains import Ball, QuadratureMeasure, in_closed_ball, region_mask
-from .kernels import GramBlockMatrix, MatrixKernel, as_points, gram_blocks, gram_matrix
+from .kernels import (GramBlockMatrix, MatrixKernel, _row_slices, as_points, gram_blocks,
+                      gram_matrix)
 
 
 def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
@@ -36,6 +39,23 @@ def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockM
             "integral quadratic forms against it diverge"
         )
     return gram_matrix(kernel, measure.nodes)
+
+
+def weighted_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
+    """W^{1/2} G W^{1/2} for the measure Gram G, W repeating each node
+    weight once per output component.
+
+    The weighting acts on each Kronecker term alone, W^{1/2} (F (x) A) W^{1/2}
+    = (W_F^{1/2} F W_F^{1/2}) (x) A, so each factor F is scaled in place, a
+    block of rows at a time, and no second copy of the measure Gram is held.
+    """
+    gram = measure_gram(kernel, measure)
+    sw = np.sqrt(measure.weights)
+    for F, t in gram.factors:
+        s = np.repeat(sw, t.dim)
+        for rows in _row_slices(s.size, s.size):
+            F[rows] *= np.multiply.outer(s[rows], s)
+    return GramBlockMatrix.from_factors(measure.nodes, kernel.output_dim, gram.factors)
 
 
 def _weighted_form(G: np.ndarray, weights: np.ndarray, F: np.ndarray) -> float:
@@ -313,35 +333,11 @@ def random_test_functions(domain, output_dim: int, count: int, seed: int) -> lis
 
 
 @dataclass(frozen=True)
-class IntegralReport:
-    """Outcome of the randomized integral PD test."""
-
-    verdict: str
-    trials: int
-    violations: int
-    min_quadform: float
-    min_normalized: float
-    worst_function: dict | None
-    tolerance: float
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "violations": self.violations,
-            "min_quadform": self.min_quadform,
-            "min_normalized": self.min_normalized,
-            "worst_function": self.worst_function,
-            "tolerance": self.tolerance,
-        }
-
-
-@dataclass(frozen=True)
 class HarnessReport:
     """Joint discrete/integral PD report with an agreement flag."""
 
     discrete: SearchReport | None
-    integral: IntegralReport | None
+    integral: PDReport | None
     agree: bool | None
 
     def to_json(self) -> dict:
@@ -354,73 +350,29 @@ class HarnessReport:
         }
 
 
-def _merge_close_points(points: np.ndarray, coeffs: np.ndarray, tol: float):
-    """Merge near-duplicate witness points, summing their coefficients."""
-    out_p, out_c = [], []
-    for p, c in zip(points, coeffs):
-        for i, q in enumerate(out_p):
-            if np.linalg.norm(p - q) <= tol:
-                out_c[i] = out_c[i] + c
-                break
-        else:
-            out_p.append(p)
-            out_c.append(c.copy())
-    return np.asarray(out_p), np.asarray(out_c)
-
-
 def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
                         trials: int = 200, seed: int = 0,
                         tolerance: float = DEFAULT_TOLERANCE) -> HarnessReport:
     """Check that discrete and integral positive definiteness agree.
 
     The discrete side hunts for a Gram eigen-witness over random point
-    sets; the integral side evaluates the quadratic form on random test
-    functions, plus a bump function built from the discrete witness when
-    one exists. With trials = 0 both sides are inconclusive.
+    sets. The integral side decides the weighted measure Gram PSD at the
+    same tolerance; its witness is the lowest eigenfunction phi = v / sqrt(w)
+    at the measure nodes, with value B(phi, phi) (phi is 0 at a node of zero
+    weight, which adds nothing to the form). With trials = 0 both sides are
+    inconclusive.
     """
     if trials == 0:
         return HarnessReport(None, None, None)
 
     discrete = random_search_witness(kernel, measure.domain, trials=trials,
                                      seed=seed, tolerance=tolerance)
-
-    gram = measure_gram(kernel, measure)
-    w = measure.weights
-    fns = random_test_functions(measure.domain, kernel.output_dim, trials, seed)
-    if discrete.found:
-        merged_p, merged_c = _merge_close_points(
-            discrete.witness.points, discrete.witness.coefficients,
-            1e-9 * max(1.0, measure.domain.diameter),
-        )
-        radius = (_closest_pair(merged_p) / 5.0 if merged_p.shape[0] > 1
-                  else measure.domain.diameter / 8.0)
-        try:
-            fns.append(mercer_test_function(measure, merged_p, merged_c,
-                                            delta=radius / 2.0, epsilon=radius / 2.0))
-        except ValueError:
-            pass
-
-    min_q, min_norm, worst, violations = np.inf, np.inf, None, 0
-    for fn in fns:
-        F = fn.values_on(measure.nodes)
-        q = _weighted_form(gram.data, w, F)
-        l1 = float(w @ np.linalg.norm(F, axis=1))
-        scale = max(1.0, l1 * l1 * gram.sup_norm)
-        if q < -tolerance * scale:
-            violations += 1
-        if q / scale < min_norm:
-            min_norm = q / scale
-            worst = fn.describe()
-        min_q = min(min_q, q)
-
-    integral = IntegralReport(
-        verdict="witness_found" if violations else "no_witness_found",
-        trials=len(fns), violations=violations,
-        min_quadform=float(min_q), min_normalized=float(min_norm),
-        worst_function=worst, tolerance=tolerance,
-    )
-    agree = discrete.found == (violations > 0)
-    return HarnessReport(discrete, integral, agree)
+    integral = certify_psd(weighted_gram(kernel, measure), tolerance)
+    if integral.witness is not None:
+        v, sw = integral.witness.coefficients, np.sqrt(measure.weights)[:, None]
+        phi = np.divide(v, sw, out=np.zeros_like(v), where=sw > 0)
+        integral = replace(integral, witness=Witness(measure.nodes, phi, integral.witness.value))
+    return HarnessReport(discrete, integral, discrete.found == (not integral.certified))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import DEFAULT_TOLERANCE, _decide
 from .domains import QuadratureMeasure
-from .integral import TestFunction, measure_gram
+from .integral import TestFunction, weighted_gram
 from .kernels import MatrixKernel
 
 DROP_TOLERANCE = 1e-12
@@ -35,7 +36,7 @@ class SpectralDecomposition:
     sigmas are descending and strictly positive; phis[k] holds eigenfunction
     values at the measure nodes, shape (n, N). ``dropped`` counts discarded
     eigenvalues and ``dropped_mass`` is their sum; ``not_pd`` flags a
-    negative eigenvalue beyond tolerance.
+    spectrum that fails `certify_psd`'s rule at its default tolerance.
     """
 
     sigmas: np.ndarray
@@ -71,19 +72,16 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
 
     Keeps eigenvalues above drop_tolerance times the largest one; requires
     strictly positive quadrature weights (the square-root rescaling divides
-    by them). The weighting acts on each Kronecker term of the Gram alone,
-    W^{1/2} (F (x) A) W^{1/2} = (W_F^{1/2} F W_F^{1/2}) (x) A, so each scaled
-    factor is solved and its eigenpairs are the products sigma mu with
-    eigenvectors v (x) u in the term's component slots. The measure's
-    `GramBlockMatrix` is freed once it is scaled, so its memory is not held
-    beside the eigensolver's copies.
+    by them). Each scaled factor of `weighted_gram` is solved and its
+    eigenpairs are the products sigma mu with eigenvectors v (x) u in the
+    term's component slots. Each factor is freed once it is solved, so the
+    measure Gram is not held beside the eigensolver's copies.
     """
     if np.any(measure.weights <= 0):
         raise ValueError("spectral decomposition needs strictly positive weights")
     n, N = len(measure), kernel.output_dim
     sw = np.sqrt(measure.weights)
-    scaled = [(_weighted(F, np.repeat(sw, t.dim)), t)
-              for F, t in measure_gram(kernel, measure).factors]
+    scaled = list(weighted_gram(kernel, measure).factors)
     solves = []
     while scaled:
         S, t = scaled.pop(0)
@@ -94,9 +92,8 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
     order = np.argsort(values, kind="stable")[::-1]
     evals = values[order]
     sig_max = float(evals[0]) if evals.size else 0.0
-    threshold = drop_tolerance * max(1.0, abs(sig_max))
-    keep = evals > threshold
-    not_pd = bool(evals.size and float(evals[-1]) < -threshold)
+    keep = evals > drop_tolerance * max(1.0, abs(sig_max))
+    not_pd = bool(evals.size) and not _decide(evals[::-1], DEFAULT_TOLERANCE)
     kept = order[keep]
     phis = np.zeros((kept.size, n, N))
     start = 0
@@ -119,13 +116,6 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
         not_pd=not_pd,
         drop_tolerance=drop_tolerance,
     )
-
-
-def _weighted(F: np.ndarray, sw: np.ndarray) -> np.ndarray:
-    """W^{1/2} F W^{1/2} for W = diag(sw^2), in one new matrix."""
-    S = np.multiply.outer(sw, sw)
-    S *= F
-    return S
 
 
 def eigenfunction_gram(decomp: SpectralDecomposition) -> np.ndarray:

@@ -31,7 +31,7 @@ def test_certify_gaussian_exits_zero(tmp_path, capsys):
     code, rep = _run(capsys, ["certify", "--config", cfg])
     assert code == 0
     assert rep["command"] == "certify"
-    assert rep["schema_version"] == "1"
+    assert rep["schema_version"] == "2"
     assert rep["result"]["verdict"] == "certified_psd"
     assert rep["config"]["tolerance"] == 1e-9
     assert len(rep["config"]["points"]) == 8
@@ -401,6 +401,18 @@ def test_malformed_kernel_node_exits_one(tmp_path, capsys):
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    from mkernel.cli import _build_parser
+
+    cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
+    assert main(["certify", "--config", cfg]) == 0
+    before = _build_parser.cache_info()
+    assert main(["certify", "--frobnicate"]) == 1
+    assert main(["certify", "--config", cfg]) == 0
+    after = _build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
 
 
 def test_out_file_and_determinism(tmp_path, capsys):

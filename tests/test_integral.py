@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +22,15 @@ from mkernel.integral import (
     random_test_functions,
     truncation_study,
 )
-from mkernel.kernels import Constant, Gaussian, Lift, NegDistance, build_kernel, kernel_zoo
+from mkernel.kernels import (
+    BlockDiag,
+    Constant,
+    Gaussian,
+    Lift,
+    NegDistance,
+    build_kernel,
+    kernel_zoo,
+)
 
 
 @pytest.fixture
@@ -181,8 +192,7 @@ def test_harness_agreement_on_zoo():
         rep = equivalence_harness(k, mu, trials=40, seed=0)
         assert rep.agree is True, entry.name
         assert (rep.discrete.verdict == "witness_found") == (not entry.is_pd), entry.name
-        if not entry.is_pd:
-            assert rep.integral.violations > 0
+        assert rep.integral.certified == entry.is_pd, entry.name
 
 
 def test_harness_zero_trials_inconclusive(unit_box):
@@ -196,13 +206,44 @@ def test_harness_zero_trials_inconclusive(unit_box):
 
 def test_harness_circle():
     # -|x - y| is conditionally negative, not PD, so both sides of the harness
-    # must find violations and agree on a two-dimensional domain too.
+    # must find a witness and agree on a two-dimensional domain too.
     dom = make_circle_domain(1.0)
     mu = make_measure(dom, "uniform-nodes", 64)
     rep = equivalence_harness(build_kernel(NegDistance()), mu, trials=20, seed=1)
     assert rep.agree is True
     assert rep.discrete.verdict == "witness_found"
-    assert rep.integral.violations > 0
+    assert rep.integral.verdict == "witness_found"
+
+
+@pytest.mark.parametrize("spec", [
+    NegDistance(),
+    Lift(NegDistance(), ((2.0, 1.0), (1.0, 2.0))),
+    BlockDiag((Gaussian(1.0), NegDistance())),
+], ids=["neg_distance", "lift", "block_diag"])
+def test_integral_witness_value_is_its_double_sum(unit_box, spec):
+    # The witness is the lowest eigenfunction phi at the nodes; its value is
+    # B(phi, phi) = sum_a sum_b w_a w_b phi_a^T K(x_a, x_b) phi_b, summed
+    # here exactly over the kernel's own pairwise blocks.
+    mu = make_measure(unit_box, "trapezoid", 257)
+    k = build_kernel(spec)
+    w = equivalence_harness(k, mu, trials=5, seed=0).integral.witness
+    assert w.points is mu.nodes
+    assert w.coefficients.shape == (len(mu), k.output_dim)
+    K = k.eval_pairwise(mu.nodes, mu.nodes)
+    terms = np.einsum("a,b,ai,abij,bj->abij", mu.weights, mu.weights,
+                      w.coefficients, K, w.coefficients)
+    exact = math.fsum(terms.ravel())
+    assert w.value < 0
+    assert w.value == pytest.approx(exact, rel=1e-12)
+
+
+def test_integral_report_does_not_depend_on_the_seed(unit_box):
+    mu = make_measure(unit_box, "trapezoid", 33)
+    for spec in (Gaussian(1.0), NegDistance()):
+        k = build_kernel(spec)
+        docs = {json.dumps(equivalence_harness(k, mu, trials=10, seed=s).to_json()["integral"])
+                for s in (0, 1, 2)}
+        assert len(docs) == 1
 
 
 def test_truncation_monotone(unit_box):

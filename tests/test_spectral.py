@@ -3,8 +3,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mkernel.domains import QuadratureMeasure, make_box_domain, make_measure
-from mkernel.integral import constant_function, quadform, random_test_functions
-from mkernel.kernels import Brownian, Constant, Gaussian, Lift, NegDistance, build_kernel
+from mkernel.integral import (
+    constant_function,
+    equivalence_harness,
+    quadform,
+    random_test_functions,
+)
+from mkernel.kernels import (
+    Brownian,
+    Constant,
+    Gaussian,
+    Lift,
+    NegDistance,
+    build_kernel,
+    kernel_from_callable,
+    kernel_zoo,
+)
 from mkernel.spectral import (
     eigenfunction_gram,
     nystrom_decompose,
@@ -116,6 +130,21 @@ def test_not_pd_flag(box):
     doc = dec.to_json(max_rank=3)
     assert doc["not_pd_flag"] is True
     assert len(doc["sigmas"]) <= 3
+
+
+def test_not_pd_flag_is_the_integral_verdict(box):
+    mu = make_measure(box, "trapezoid", 65)
+    kernels = [build_kernel(entry.spec) for entry in kernel_zoo()]
+    # 1 - eps (x - 1/2)(y - 1/2): the weighted Gram has sigma_max = 1 and
+    # lambda_min = -eps / 12 = -1e-10, negative but within the PSD tolerance.
+    eps = 1.2e-9
+    kernels.append(kernel_from_callable(
+        lambda x, y: np.array([[1.0 - eps * (x[0] - 0.5) * (y[0] - 0.5)]]), 1))
+    for k in kernels:
+        harness = equivalence_harness(k, mu, trials=5, seed=0)
+        assert nystrom_decompose(k, mu).not_pd == (not harness.integral.certified), k.name
+    assert harness.integral.min_eigenvalue == pytest.approx(-1e-10, rel=1e-3)
+    assert harness.integral.certified
 
 
 def test_positive_weights_required(box):
