@@ -101,7 +101,6 @@ from .applications.energy import (
 from .applications.estimation import (
     EstimationDataset,
     RidgeResult,
-    gradient_descent_oracle,
     load_dataset_csv,
     objective,
     ridge_estimate,

@@ -14,9 +14,10 @@ fixed PSD matrix, `Conjugate` maps K to B K B^T, and `Sum` / `Scale` /
 
 A block Gram is kept as what the expression says it is: a direct sum of
 Kronecker products F_b (x) A_b (`Term`s). `Lift(k, A)` is one term, the
-scalar Gram of k times A; `BlockDiag` is the direct sum of its blocks'
-terms; every other node is one dense term, its own Gram (x) [1]. The
-(nN) x (nN) matrix is formed from the factors only when it is read.
+scalar Gram of k times A, and so is a `Conjugate` of such a term (k times
+B A B^T); `BlockDiag` is the direct sum of its blocks' terms; every other
+node is one dense term, its own Gram (x) [1]. The (nN) x (nN) matrix is
+formed from the factors only when it is read.
 
 A new kernel family is one `KernelSpec` dataclass with a JSON `key` and a
 `compile` method; its name and its JSON form follow from its fields.
@@ -225,26 +226,25 @@ class Lift(KernelSpec):
             raise ValueError("lift matrix must be square")
         if np.max(np.abs(A - A.T)) > PSD_LIFT_TOL * max(1.0, np.max(np.abs(A))):
             raise ValueError("lift matrix must be symmetric")
-        A = 0.5 * (A + A.T)
-        evals, evecs = np.linalg.eigh(A)
+        lifted = _lift(inner, inner.fn, 0.5 * (A + A.T))
+        evals = lifted.terms[0].evals
         if evals.min() < -PSD_LIFT_TOL * max(1.0, abs(evals.max())):
             raise ValueError(
                 f"lift matrix must be positive semidefinite (min eigenvalue {evals.min():.3e})"
             )
-
-        def f(X, Y, inner_f=inner.fn, A=A):
-            return inner_f(X, Y) * A
-
-        return Compiled(f, A.shape[0], inner.input_dim, inner.unbounded,
-                        (Term(inner.fn, 1, A, evals, evecs),))
+        return lifted
 
 
 @dataclass(frozen=True)
 class Conjugate(KernelSpec):
     """B K(x, y) B^T for a fixed matrix B with as many columns as K's size.
 
-    Evaluated as the mean of (B K) B^T and B (K B^T): K -> K^T swaps the two
-    products, so K(y, x) = K(x, y)^T and a symmetric K(x, x) stay exact.
+    When K's Gram is one term with a scalar factor, K = k A (a `Lift`, or a
+    scalar kernel with A = [1]), the conjugate is the lift k B A B^T, with
+    B A B^T symmetrised: one term, decided and decomposed on k's Gram. Any
+    other K is evaluated as the mean of (B K) B^T and B (K B^T): K -> K^T
+    swaps the two products, so K(y, x) = K(x, y)^T and a symmetric K(x, x)
+    stay exact.
     """
 
     key = "conjugate"
@@ -258,6 +258,10 @@ class Conjugate(KernelSpec):
             raise ValueError(
                 f"conjugation matrix has {B.shape[1]} columns, inner kernel size is {inner.dim}"
             )
+        terms = inner.gram_terms()
+        if len(terms) == 1 and terms[0].dim == 1:
+            M = B @ terms[0].matrix @ B.T
+            return _lift(inner, terms[0].fn, 0.5 * (M + M.T))
 
         def f(X, Y, inner_f=inner.fn, B=B):
             K = inner_f(X, Y)
@@ -267,6 +271,17 @@ class Conjugate(KernelSpec):
             return out
 
         return Compiled(f, B.shape[0], inner.input_dim, inner.unbounded)
+
+
+def _lift(inner: Compiled, k, A: np.ndarray) -> Compiled:
+    """k(x, y) * A for a scalar evaluator k of `inner` and a symmetric A: one
+    broadcast product per evaluation, and one term, k's Gram (x) A."""
+    evals, evecs = np.linalg.eigh(A)
+
+    def f(X, Y, k=k, A=A):
+        return k(X, Y) * A
+
+    return Compiled(f, A.shape[0], inner.input_dim, inner.unbounded, (Term(k, 1, A, evals, evecs),))
 
 
 @dataclass(frozen=True)

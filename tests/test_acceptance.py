@@ -19,7 +19,6 @@ from mkernel.applications.control import (
 )
 from mkernel.applications.energy import capacity_estimate, minimize_energy
 from mkernel.applications.estimation import (
-    gradient_descent_oracle,
     objective,
     ridge_estimate,
     save_dataset_csv,
@@ -48,6 +47,8 @@ from mkernel.kernels import (
 )
 from mkernel.spectral import nystrom_decompose, quadform_via_spectrum
 
+from oracles import gradient_descent_oracle
+
 # dense res-1025 brownian eigensolve, frozen before the library was built
 BROWNIAN_EIGS_1025 = [
     0.40528481404222017,
@@ -56,7 +57,6 @@ BROWNIAN_EIGS_1025 = [
     0.008271196505345472,
     0.005003594715214017,
 ]
-
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     tag = "PASS" if ok else "FAIL"

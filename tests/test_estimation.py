@@ -4,13 +4,14 @@ from numpy.testing import assert_allclose
 
 from mkernel.applications.estimation import (
     EstimationDataset,
-    gradient_descent_oracle,
     load_dataset_csv,
     objective,
     ridge_estimate,
     save_dataset_csv,
     simulate_volterra_dataset,
 )
+
+from oracles import gradient_descent_oracle
 
 
 def _lower_tri_kernel(m, seed=0):

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -170,6 +171,45 @@ def test_gram_blocks_exactly_symmetric(spec, d):
     N = k.output_dim
     flat = G.transpose(0, 2, 1, 3).reshape(n * N, n * N)
     assert np.array_equal(flat, flat.T)
+
+
+def _conjugates(spec):
+    """Every Conjugate node of a kernel expression."""
+    subs = [getattr(spec, f.name) for f in fields(spec) if f.type == "KernelSpec"]
+    subs += [s for f in fields(spec) if f.type == "Specs" for s in getattr(spec, f.name)]
+    own = [spec] if isinstance(spec, Conjugate) else []
+    return own + [c for s in subs for c in _conjugates(s)]
+
+
+def _mean_of_products(spec, X, Y):
+    """A kernel's values with every Conjugate evaluated as the mean of (B K) B^T
+    and B (K B^T), and a bound on the sum of the absolute values of the terms."""
+    if not isinstance(spec, Conjugate):
+        K = build_kernel(spec, allow_unbounded=True).eval_pairs(X, Y)
+        return K, np.abs(K)
+    K, mag = _mean_of_products(spec.inner, X, Y)
+    B = np.array(spec.matrix)
+    return 0.5 * ((B @ K) @ B.T + B @ (K @ B.T)), np.abs(B) @ mag @ np.abs(B).T
+
+
+# Each distinct Conjugate node of SYMMETRY_CASES, named after the first case
+# that holds it (with its depth-first index there when it is not the root).
+CONJUGATE_CASES = {}
+for case, spec, _ in SYMMETRY_CASES:
+    for i, c in enumerate(_conjugates(spec)):
+        if c not in CONJUGATE_CASES.values():
+            CONJUGATE_CASES[f"{case}-{i}" if i else case] = c
+
+
+@pytest.mark.parametrize("name", CONJUGATE_CASES)
+def test_conjugate_agrees_with_the_mean_of_two_products(name):
+    spec = CONJUGATE_CASES[name]
+    rng = np.random.default_rng(13)
+    X = rng.uniform(0, 1, size=(200, 1))
+    Y = rng.uniform(0, 1, size=(200, 1))
+    got = build_kernel(spec).eval_pairs(X, Y)
+    ref, mag = _mean_of_products(spec, X, Y)
+    assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * mag)
 
 
 def test_eval_pairwise_matches_single_calls():

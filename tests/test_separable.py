@@ -1,7 +1,8 @@
 """Separable kernels decided and decomposed on their Kronecker factors.
 
-A `Lift` Gram is G (x) A and a `BlockDiag` Gram the direct sum of its
-blocks' terms, so `certify_psd` solves only the factors. Every case here is
+A `Lift` Gram is G (x) A, a `Conjugate` of a one-term scalar-factor kernel
+k A is the lift G (x) B A B^T, and a `BlockDiag` Gram is the direct sum of
+its blocks' terms, so `certify_psd` solves only the factors. Every case here is
 checked against a dense solve of the formed block Gram `g.data`: the verdict
 is equal, the extreme eigenvalues agree within 1e-12 max(1, lambda_max), and
 a witness is negative and recomputed by a direct double sum.
@@ -21,13 +22,17 @@ from mkernel.integral import measure_gram
 from mkernel.kernels import (
     BlockDiag,
     Brownian,
+    Conjugate,
     Constant,
     Gaussian,
     GramBlockMatrix,
     Lift,
     NegDistance,
     Riesz,
+    Scale,
+    Sum,
     build_kernel,
+    kernel_zoo,
 )
 from mkernel.spectral import nystrom_decompose, trace_functional
 
@@ -38,6 +43,14 @@ def _psd(seed, order, rank):
     """A random symmetric PSD matrix of the given order and rank, as rows."""
     B = np.random.default_rng(seed).normal(size=(order, rank))
     return tuple(map(tuple, (B @ B.T).tolist()))
+
+
+def _matrix(seed, rows, cols, rank=None):
+    """A random rows x cols matrix of the given rank (full by default), as rows."""
+    rng = np.random.default_rng(seed)
+    rank = rank or min(rows, cols)
+    B = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    return tuple(map(tuple, B.tolist()))
 
 
 def _dense(g):
@@ -112,10 +125,45 @@ def test_block_diag_witness_sits_in_the_failing_block():
     assert C[np.argmax(np.abs(C))] > 0
 
 
+# Conjugates of a one-term scalar-factor kernel k A, each the lift k B A B^T.
+CONJUGATED_LIFTS = {
+    "full_column_rank": Conjugate(Lift(Gaussian(2.0), _psd(6, 3, 3)), _matrix(7, 4, 3)),
+    "rank_deficient": Conjugate(Lift(Gaussian(2.0), _psd(6, 3, 3)), _matrix(8, 4, 3, rank=2)),
+    "one_row": Conjugate(Lift(Gaussian(2.0), _psd(6, 3, 3)), _matrix(9, 1, 3)),
+    "scalar_column": Conjugate(Gaussian(1.0), _matrix(10, 3, 1)),
+    "twice": Conjugate(Conjugate(Lift(Riesz(1.0, 0.1), _psd(11, 2, 2)), _matrix(12, 3, 2)),
+                       _matrix(13, 2, 3)),
+    "neg_distance": Conjugate(Lift(NegDistance(), _psd(14, 2, 2)), _matrix(15, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CONJUGATED_LIFTS)
+def test_conjugated_lift_agrees_with_a_dense_solve(name):
+    spec = CONJUGATED_LIFTS[name]
+    (t,) = build_kernel(spec).terms
+    assert t.dim == 1 and t.matrix.shape == (t.size, t.size)
+    rep = _check_against_dense(spec, POINTS)
+    assert rep.verdict == ("witness_found" if name == "neg_distance" else "certified_psd")
+
+
+@pytest.mark.parametrize("spec", [
+    Conjugate(Sum((Lift(Gaussian(1.0), _psd(1, 2, 2)), Lift(Brownian(), _psd(2, 2, 1)))),
+              _matrix(3, 3, 2)),
+    Conjugate(BlockDiag((Gaussian(1.0), Brownian())), _matrix(4, 3, 2)),
+    Conjugate(Scale(0.5, Lift(Gaussian(1.0), _psd(5, 2, 2))), _matrix(6, 1, 2)),
+], ids=["sum", "two_block_block_diag", "dense_term"])
+def test_conjugate_of_any_other_kernel_is_one_dense_term(spec):
+    k = build_kernel(spec)
+    (t,) = k.terms
+    assert t.dim == k.output_dim and t.matrix.shape == (1, 1)
+    _check_against_dense(spec, POINTS)
+
+
 @pytest.mark.parametrize("spec", [
     Lift(Gaussian(2.0), _psd(5, 3, 1)),
     BlockDiag((Lift(Gaussian(1.0), _psd(1, 2, 2)), Brownian(), BlockDiag((NegDistance(),)))),
-], ids=["lift", "nested_block_diag"])
+    *CONJUGATED_LIFTS.values(),
+], ids=["lift", "nested_block_diag", *(f"conjugate_{name}" for name in CONJUGATED_LIFTS)])
 def test_formed_gram_equals_the_evaluated_blocks_bit_for_bit(spec):
     k = build_kernel(spec)
     g = assemble_gram(k, POINTS)
@@ -124,20 +172,30 @@ def test_formed_gram_equals_the_evaluated_blocks_bit_for_bit(spec):
     assert g.sup_norm == evaluated.sup_norm
 
 
-def test_lift_verdict_never_forms_the_block_gram():
-    k = build_kernel(Lift(Gaussian(1.0), ((2.0, 1.0), (1.0, 2.0))))
+def _assert_verdict_never_forms_the_block_gram(spec):
+    """Assembling the Gram over 400 points and certifying it peaks below half
+    an (nN)^2 matrix under tracemalloc."""
+    k = build_kernel(spec)
     P = np.linspace(0.0, 1.0, 400).reshape(-1, 1)
-    g = assemble_gram(k, P)
     certify_psd(assemble_gram(k, P[:5]))  # warm up, so lazy set-up is not counted
     tracemalloc.start()
     try:
-        rep = certify_psd(g)
+        rep = certify_psd(assemble_gram(k, P))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.certified
     order = len(P) * k.output_dim
     assert peak < 0.5 * order**2 * 8
+
+
+def test_lift_verdict_never_forms_the_block_gram():
+    _assert_verdict_never_forms_the_block_gram(Lift(Gaussian(1.0), ((2.0, 1.0), (1.0, 2.0))))
+
+
+def test_conjugated_lift_verdict_never_forms_the_block_gram():
+    (entry,) = [e for e in kernel_zoo() if e.name == "gaussian_conjugated"]
+    _assert_verdict_never_forms_the_block_gram(entry.spec)
 
 
 def test_block_diag_spectrum_matches_a_dense_solve():
@@ -166,17 +224,32 @@ LEAVES = st.sampled_from([Gaussian(0.5), Gaussian(4.0), Brownian(), Constant(0.7
                           NegDistance(), Riesz(1.0, 0.1)])
 MATRICES = st.builds(_psd, st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 3))
 LIFTS = st.builds(Lift, LEAVES, MATRICES)
+
+
+def _conjugations(inner):
+    """Conjugate(K, B) of a generated K, with B of 1-3 rows and any rank."""
+    cols = build_kernel(inner).output_dim
+    return st.builds(Conjugate, st.just(inner), st.builds(
+        _matrix, st.integers(0, 2**16), st.integers(1, 3), st.just(cols),
+        st.none() | st.integers(1, cols)))
+
+
+# Multi-block BlockDiags get their own branch: without it, nested conjugations
+# crowd out the direct sums and the dense conjugates of them.
 SPECS = st.recursive(
     st.one_of(LEAVES, LIFTS),
-    lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda bs: BlockDiag(tuple(bs))),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda bs: BlockDiag(tuple(bs))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda bs: BlockDiag(tuple(bs))),
+        inner.flatmap(_conjugations)),
     max_leaves=5,
-).filter(lambda s: isinstance(s, (Lift, BlockDiag)))
+).filter(lambda s: isinstance(s, (Lift, BlockDiag, Conjugate)))
 # points on a grid of 1/64: distinct distances are exact, none is borderline
 POINT_SETS = st.lists(st.integers(0, 64), min_size=1, max_size=10).map(
     lambda ks: np.array(ks, dtype=float).reshape(-1, 1) / 64.0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
+@settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(SPECS, POINT_SETS)
 def test_generated_structured_kernels_agree_with_a_dense_solve(spec, P):
