@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..certify import DEFAULT_TOLERANCE, PDReport, _certify
+from ..certify import DEFAULT_TOLERANCE, PDReport, _certify, _require_finite
 from ..kernels import MatrixKernel, gram_matrix
 
 _GAUSS5_X, _GAUSS5_W = np.polynomial.legendre.leggauss(5)
@@ -169,6 +169,7 @@ def solve_qp(H, b, tolerance: float = DEFAULT_TOLERANCE) -> QPSolution:
     the minimum-norm v = -H^+ b / 2 is returned with the residual |2Hv + b|/|b|.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
+    _require_finite(b, "b")
     hessian, ((H, evals, evecs),) = _certify(H, tolerance, vectors=True)
     if not hessian.certified:
         d = evecs[:, 0]

@@ -130,6 +130,8 @@ def _certify(gram, tolerance: float, vectors: bool):
     """`certify_psd`'s body; also returns, per term, the symmetrized factor
     it solved with the eigenvalues and eigenvectors (None if not asked for
     and not needed) of its last solve."""
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     g = _as_gram(gram)
     if g.n_points == 0:
         raise ValueError("the Gram matrix is empty: there are no points to certify")

@@ -106,7 +106,7 @@ def cmd_energy(args, cfg) -> tuple[dict, dict, int]:
 
 def cmd_control(args, cfg) -> tuple[dict, dict, int]:
     if args.partition:
-        partition = [float(t) for t in args.partition.split(",")]
+        partition = [json_number(float(t), "--partition") for t in args.partition.split(",")]
     else:
         partition = [json_number(t, "config entry 'partition'") for t in cfg["partition"]]
     if "linear_term" in cfg:

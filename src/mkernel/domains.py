@@ -359,6 +359,9 @@ def load_points_csv(path) -> np.ndarray:
         if [h.strip() for h in header] != expected:
             raise ValueError(f"{path}: header row must be {','.join(expected)}")
         rows = [[float(v) for v in row] for row in reader if row]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: point {i + 1} has {len(row)} coordinates, not {len(header)}")
     if not rows:
         raise ValueError(f"{path}: no points")
     return np.asarray(rows, dtype=float)

@@ -26,8 +26,8 @@ import numpy as np
 from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, certify_psd,
                       direct_quadform, random_search_witness)
 from .domains import Ball, QuadratureMeasure, in_closed_ball, region_mask
-from .kernels import (GramBlockMatrix, MatrixKernel, _row_slices, as_points, gram_blocks,
-                      gram_matrix)
+from .kernels import (GramBlockMatrix, MatrixKernel, _row_slices, as_points, bound_estimate,
+                      gram_blocks, gram_matrix)
 
 
 def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
@@ -255,7 +255,8 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
     cnorms = np.linalg.norm(C, axis=1)
     annulus = np.multiply.outer(outer_masses, outer_masses) - np.multiply.outer(masses, masses)
     rel = annulus / np.multiply.outer(masses, masses)
-    remainder = float(np.einsum("ij,i,j->", rel, cnorms, cnorms) * gram.sup_norm)
+    sup_norm = bound_estimate(kernel, measure.nodes)
+    remainder = float(np.einsum("ij,i,j->", rel, cnorms, cnorms) * sup_norm)
 
     continuity = 0.0
     for i in range(k):
@@ -270,7 +271,7 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
         quadform=q, discrete=discrete, correction=correction, gap=gap,
         remainder_bound=remainder, continuity_term=continuity,
         inner_masses=masses, outer_masses=np.asarray(outer_masses, dtype=float),
-        delta=delta, epsilon=epsilon, sup_norm=gram.sup_norm,
+        delta=delta, epsilon=epsilon, sup_norm=sup_norm,
     )
 
 

@@ -2,11 +2,12 @@
 
 A kernel here is a map K(x, y) into real N x N matrices with the transpose
 symmetry K(x, y) = K(y, x)^T. Kernels are described by small expression
-trees (`KernelSpec` nodes), compiled into vectorized evaluators by
-`build_kernel`; evaluators broadcast, (..., d) x (..., d) -> (..., N, N). The
-transpose symmetry holds bit for bit by construction: every leaf is symmetric
-in its arguments and every combinator keeps that, so evaluation runs each pair
-in the order given and a Gram evaluates every block, with no mirrored half.
+trees (`KernelSpec` nodes); each node compiles to a `MatrixKernel`, and
+`build_kernel` compiles the root and names it. Evaluators broadcast,
+(..., d) x (..., d) -> (..., N, N). The transpose symmetry holds bit for bit
+by construction: every leaf is symmetric in its arguments and every
+combinator keeps that, so evaluation runs each pair in the order given and a
+Gram evaluates every block, with no mirrored half.
 
 Scalar kernels are the N = 1 case; `Lift` tensors a scalar kernel with a
 fixed PSD matrix, `Conjugate` maps K to B K B^T, and `Sum` / `Scale` /
@@ -68,27 +69,13 @@ class Term(NamedTuple):
         return self.dim * self.matrix.shape[0]
 
 
-class Compiled(NamedTuple):
-    """What `KernelSpec.compile` returns: the evaluator, its output size N,
-    the input dimension it needs (None for any), whether it is unbounded on
-    the diagonal, and its Gram's terms (empty for one dense term)."""
-
-    fn: callable
-    dim: int
-    input_dim: int | None = None
-    unbounded: bool = False
-    terms: tuple = ()
-
-    def gram_terms(self) -> tuple:
-        return self.terms or (Term(self.fn, self.dim),)
-
-
 class KernelSpec:
     """A node of a kernel expression.
 
     Each node is a frozen dataclass that declares its JSON `key` and owns
-    `compile(allow_unbounded)`, which validates the node and returns it
-    `Compiled`. Its `name` is the key followed by the names of its
+    `compile(allow_unbounded)`, which validates the node and returns it as
+    an unnamed `MatrixKernel`; combinators compile their children and read
+    the fields of theirs. Its `name` is the key followed by the names of its
     sub-expressions in parentheses. Its JSON
     form is {key: value}: the bare value of a node with one field, otherwise
     an object of its fields ({} for none); matrices are lists of rows.
@@ -96,7 +83,7 @@ class KernelSpec:
 
     key: ClassVar[str]
 
-    def compile(self, allow_unbounded: bool):
+    def compile(self, allow_unbounded: bool) -> MatrixKernel:
         raise NotImplementedError
 
     @property
@@ -129,7 +116,7 @@ class Gaussian(KernelSpec):
             d2 = ((X - Y) ** 2).sum(axis=-1)
             return np.exp(-g * d2)[..., None, None]
 
-        return Compiled(f, 1)
+        return MatrixKernel(1, f)
 
 
 @dataclass(frozen=True)
@@ -163,7 +150,7 @@ class Riesz(KernelSpec):
                 v = (r + eta) ** (-s)
             return v[..., None, None]
 
-        return Compiled(f, 1, None, eta == 0)
+        return MatrixKernel(1, f, None, eta == 0)
 
 
 @dataclass(frozen=True)
@@ -176,7 +163,7 @@ class Brownian(KernelSpec):
         def f(X, Y):
             return np.minimum(X[..., 0], Y[..., 0])[..., None, None]
 
-        return Compiled(f, 1, 1)
+        return MatrixKernel(1, f, 1)
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,7 @@ class NegDistance(KernelSpec):
         def f(X, Y):
             return -np.linalg.norm(X - Y, axis=-1)[..., None, None]
 
-        return Compiled(f, 1)
+        return MatrixKernel(1, f)
 
 
 @dataclass(frozen=True)
@@ -205,7 +192,7 @@ class Constant(KernelSpec):
         def f(X, Y, c=c):
             return np.full(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (1, 1), c)
 
-        return Compiled(f, 1)
+        return MatrixKernel(1, f)
 
 
 @dataclass(frozen=True)
@@ -219,14 +206,14 @@ class Lift(KernelSpec):
 
     def compile(self, allow_unbounded):
         inner = self.scalar.compile(allow_unbounded)
-        if inner.dim != 1:
+        if inner.output_dim != 1:
             raise ValueError("lift expects a scalar kernel")
         A = _as_matrix(self._param("matrix"))
         if A.shape[0] != A.shape[1]:
             raise ValueError("lift matrix must be square")
         if np.max(np.abs(A - A.T)) > PSD_LIFT_TOL * max(1.0, np.max(np.abs(A))):
             raise ValueError("lift matrix must be symmetric")
-        lifted = _lift(inner, inner.fn, 0.5 * (A + A.T))
+        lifted = _lift(inner, inner._batch, 0.5 * (A + A.T))
         evals = lifted.terms[0].evals
         if evals.min() < -PSD_LIFT_TOL * max(1.0, abs(evals.max())):
             raise ValueError(
@@ -254,26 +241,25 @@ class Conjugate(KernelSpec):
     def compile(self, allow_unbounded):
         inner = self.inner.compile(allow_unbounded)
         B = _as_matrix(self._param("matrix"))
-        if B.shape[1] != inner.dim:
-            raise ValueError(
-                f"conjugation matrix has {B.shape[1]} columns, inner kernel size is {inner.dim}"
-            )
-        terms = inner.gram_terms()
+        if B.shape[1] != inner.output_dim:
+            raise ValueError(f"conjugation matrix has {B.shape[1]} columns, "
+                             f"inner kernel size is {inner.output_dim}")
+        terms = inner.terms
         if len(terms) == 1 and terms[0].dim == 1:
             M = B @ terms[0].matrix @ B.T
             return _lift(inner, terms[0].fn, 0.5 * (M + M.T))
 
-        def f(X, Y, inner_f=inner.fn, B=B):
+        def f(X, Y, inner_f=inner._batch, B=B):
             K = inner_f(X, Y)
             out = (B @ K) @ B.T
             out += B @ (K @ B.T)
             out *= 0.5
             return out
 
-        return Compiled(f, B.shape[0], inner.input_dim, inner.unbounded)
+        return MatrixKernel(B.shape[0], f, inner.input_dim, inner.unbounded_diagonal)
 
 
-def _lift(inner: Compiled, k, A: np.ndarray) -> Compiled:
+def _lift(inner: MatrixKernel, k, A: np.ndarray) -> MatrixKernel:
     """k(x, y) * A for a scalar evaluator k of `inner` and a symmetric A: one
     broadcast product per evaluation, and one term, k's Gram (x) A."""
     evals, evecs = np.linalg.eigh(A)
@@ -281,7 +267,8 @@ def _lift(inner: Compiled, k, A: np.ndarray) -> Compiled:
     def f(X, Y, k=k, A=A):
         return k(X, Y) * A
 
-    return Compiled(f, A.shape[0], inner.input_dim, inner.unbounded, (Term(k, 1, A, evals, evecs),))
+    return MatrixKernel(A.shape[0], f, inner.input_dim, inner.unbounded_diagonal,
+                        (Term(k, 1, A, evals, evecs),))
 
 
 @dataclass(frozen=True)
@@ -295,21 +282,21 @@ class Sum(KernelSpec):
         terms = [t.compile(allow_unbounded) for t in self.terms]
         if not terms:
             raise ValueError("sum needs at least one term")
-        dims = {t.dim for t in terms}
+        dims = {t.output_dim for t in terms}
         if len(dims) != 1:
             raise ValueError(f"sum terms must share one output size, got {sorted(dims)}")
         in_dims = {t.input_dim for t in terms if t.input_dim is not None}
         if len(in_dims) > 1:
             raise ValueError("sum terms disagree on input dimension")
 
-        def f(X, Y, fns=[t.fn for t in terms]):
+        def f(X, Y, fns=[t._batch for t in terms]):
             out = fns[0](X, Y).copy()
             for fn in fns[1:]:
                 out += fn(X, Y)
             return out
 
-        return Compiled(f, terms[0].dim, in_dims.pop() if in_dims else None,
-                        any(t.unbounded for t in terms))
+        return MatrixKernel(terms[0].output_dim, f, in_dims.pop() if in_dims else None,
+                            any(t.unbounded_diagonal for t in terms))
 
 
 @dataclass(frozen=True)
@@ -326,10 +313,10 @@ class Scale(KernelSpec):
             raise ValueError("scale factor must be nonnegative")
         inner = self.inner.compile(allow_unbounded)
 
-        def f(X, Y, inner_f=inner.fn, a=a):
+        def f(X, Y, inner_f=inner._batch, a=a):
             return a * inner_f(X, Y)
 
-        return Compiled(f, inner.dim, inner.input_dim, inner.unbounded)
+        return MatrixKernel(inner.output_dim, f, inner.input_dim, inner.unbounded_diagonal)
 
 
 @dataclass(frozen=True)
@@ -347,20 +334,20 @@ class BlockDiag(KernelSpec):
         in_dims = {b.input_dim for b in blocks if b.input_dim is not None}
         if len(in_dims) > 1:
             raise ValueError("block_diag blocks disagree on input dimension")
-        sizes = [b.dim for b in blocks]
+        sizes = [b.output_dim for b in blocks]
         total = sum(sizes)
         offsets = [0, *np.cumsum(sizes).tolist()]
 
-        def f(X, Y, fns=[b.fn for b in blocks], offsets=offsets, total=total):
+        def f(X, Y, fns=[b._batch for b in blocks], offsets=offsets, total=total):
             out = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (total, total))
             for fn, lo, hi in zip(fns, offsets[:-1], offsets[1:]):
                 out[..., lo:hi, lo:hi] = fn(X, Y)
             return out
 
         terms = tuple(t._replace(offset=t.offset + lo)
-                      for b, lo in zip(blocks, offsets) for t in b.gram_terms())
-        return Compiled(f, total, in_dims.pop() if in_dims else None,
-                        any(b.unbounded for b in blocks), terms)
+                      for b, lo in zip(blocks, offsets) for t in b.terms)
+        return MatrixKernel(total, f, in_dims.pop() if in_dims else None,
+                            any(b.unbounded_diagonal for b in blocks), terms)
 
 
 _FAMILIES = {cls.key: cls for cls in KernelSpec.__subclasses__()}
@@ -386,22 +373,23 @@ def _as_matrix(m) -> np.ndarray:
 
 @dataclass
 class MatrixKernel:
-    """Compiled kernel with vectorized evaluation.
+    """A kernel with vectorized evaluation: what `KernelSpec.compile` returns
+    (unnamed; `build_kernel` names it) and what `kernel_from_callable` wraps.
 
     `_batch` maps point arrays X, Y of shapes that broadcast, (..., d), to
     values (..., N, N). Public evaluation (`eval_pairs`, `eval_pairwise`)
-    checks the points and runs `_batch` on each pair in the order given; a
-    Gram runs each of `terms` instead (by default one dense term, `_batch`
-    itself). A compiled kernel is transpose symmetric by construction; a
-    callable is trusted to be.
+    checks the points (of dimension `input_dim`, None for any) and runs
+    `_batch` on each pair in the order given; a Gram runs each of `terms`
+    instead (by default one dense term, `_batch` itself). A compiled kernel
+    is transpose symmetric by construction; a callable is trusted to be.
     """
 
     output_dim: int
     _batch: callable
-    name: str = "kernel"
     input_dim: int | None = None
     unbounded_diagonal: bool = False
     terms: tuple = ()
+    name: str = "kernel"
 
     def __post_init__(self):
         self.terms = self.terms or (Term(self._batch, self.output_dim),)
@@ -444,8 +432,9 @@ def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKerne
     negative scale factors, mismatched sizes, and (unless allow_unbounded
     is set) kernels that are unbounded on the diagonal.
     """
-    c = spec.compile(allow_unbounded)
-    return MatrixKernel(c.dim, c.fn, spec.name, c.input_dim, c.unbounded, c.terms)
+    kernel = spec.compile(allow_unbounded)
+    kernel.name = spec.name
+    return kernel
 
 
 def kernel_from_callable(
@@ -502,24 +491,15 @@ class GramBlockMatrix:
 
     @cached_property
     def data(self) -> np.ndarray:
-        return self._rows(slice(0, self.n_points))
-
-    def _rows(self, rows: slice) -> np.ndarray:
-        """The rows of `data` that belong to the points `rows`: read from
-        `data` once it is formed, formed from the factors before."""
-        n, N = self.n_points, self.block_dim
-        if "data" in vars(self):
-            return self.data[rows.start * N:rows.stop * N]
         (F, t), *rest = self.factors
         if not rest:  # one term over every slot
-            return _kron(F[rows.start * t.dim:rows.stop * t.dim], t.matrix)
-        r = min(rows.stop, n) - rows.start
-        out = np.zeros((r * N, n * N))
-        slots = out.reshape(r, N, n, N)
+            return _kron(F, t.matrix)
+        n, N = self.n_points, self.block_dim
+        out = np.zeros((n * N, n * N))
+        slots = out.reshape(n, N, n, N)
         for F, t in self.factors:
             s = slice(t.offset, t.offset + t.size)
-            F = F[rows.start * t.dim:rows.stop * t.dim]
-            slots[:, s, :, s] = _kron(F, t.matrix).reshape(r, t.size, n, t.size)
+            slots[:, s, :, s] = _kron(F, t.matrix).reshape(n, t.size, n, t.size)
         return out
 
     @property
@@ -542,16 +522,6 @@ class GramBlockMatrix:
         P = self.points
         return P is not None and len(set(map(tuple, P.tolist()))) < P.shape[0]
 
-    @cached_property
-    def sup_norm(self) -> float:
-        """Largest Frobenius norm of a block."""
-        # Each norm sums its N^2 terms in one fixed order over contiguous
-        # blocks (over the strided view numpy may pick another order for
-        # N >= 3 and move the last bit), formed a few rows at a time.
-        n = self.n_points
-        return _max_block_norm(np.ascontiguousarray(_blocks_view(self._rows(rows), self.block_dim))
-                               for rows in _row_slices(n, n))
-
 
 def _kron(F: np.ndarray, A: np.ndarray) -> np.ndarray:
     """np.kron(F, A) for a small A, bit for bit: F itself for A = [1],
@@ -572,11 +542,6 @@ def _row_slices(m: int, k: int) -> list:
     """Slices of m rows, each holding about _BLOCK_PAIRS pairs against k columns."""
     step = max(1, _BLOCK_PAIRS // max(1, k))
     return [slice(start, start + step) for start in range(0, m, step)]
-
-
-def _max_block_norm(row_blocks) -> float:
-    """Largest Frobenius norm of an N x N block over (m, k, N, N) row blocks; 0 for none."""
-    return max((float(np.linalg.norm(b, axis=(2, 3)).max()) for b in row_blocks), default=0.0)
 
 
 def _row_blocks(fn, X: np.ndarray, Y: np.ndarray):
@@ -623,10 +588,12 @@ def bound_estimate(kernel: MatrixKernel, points) -> float:
     """Largest Frobenius norm of K over all pairs from a point list.
 
     Used as a stand-in for the sup of |K| on the support of a measure; for
-    diagonally unbounded kernels this is infinite.
+    diagonally unbounded kernels this is infinite; 0 for no points. The
+    blocks are evaluated a few rows at a time, never as a whole Gram.
     """
     P = kernel._check_points(points)
-    return _max_block_norm(values for _, values in _row_blocks(kernel._batch, P, P))
+    return max((float(np.linalg.norm(values, axis=(2, 3)).max())
+                for _, values in _row_blocks(kernel._batch, P, P)), default=0.0)
 
 
 def spec_to_json(spec: KernelSpec) -> dict:
@@ -678,16 +645,20 @@ def _field_from_json(key: str, f, value):
         if f.type == "Matrix":
             return tuple(map(tuple, _as_matrix(json_array(value, f.name)).tolist()))
         return json_number(value, f.name)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
+        if "must be finite" in str(exc):  # a number, but NaN or infinite
+            raise ValueError(f"{key} {f.name} must be finite") from None
         form = "a matrix (a list of rows)" if f.type == "Matrix" else "a number"
         raise ValueError(f"{key} expects {form} for {f.name}") from None
 
 
 def json_number(value, name: str, integer: bool = False):
-    """A config number, as an int for a count; rejects bools, strings and non-integers."""
+    """A finite config number, as an int for a count; rejects bools, strings and non-integers."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not abs(value) <= float(np.finfo(float).max):  # NaN, an infinity or an int past floats
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return int(value) if integer else float(value)
 
 

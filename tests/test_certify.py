@@ -175,6 +175,17 @@ def test_non_finite_matrix_rejected(bad):
         certify_psd(M)
 
 
+@pytest.mark.parametrize("tolerance", [np.nan, -0.5, np.inf])
+def test_tolerance_must_be_finite_and_nonnegative(tolerance):
+    k = build_kernel(NegDistance())
+    gram = assemble_gram(k, [[0.1], [0.5], [0.9]])
+    message = f"tolerance must be a finite number >= 0, got {tolerance!r}"
+    with pytest.raises(ValueError, match=message):
+        certify_psd(gram, tolerance)
+    with pytest.raises(ValueError, match=message):
+        random_search_witness(k, make_box_domain([0.0], [1.0]), trials=5, tolerance=tolerance)
+
+
 def _reference_decision(gram, tolerance=1e-9):
     """The decision as a full eigh with eigenvectors on the symmetrized matrix."""
     M = 0.5 * (gram.data + gram.data.T)

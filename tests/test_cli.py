@@ -380,6 +380,21 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     ("gap", {"delta": 0.1, "epsilon": 0.05, "centers": 0.5},
      "config entry 'centers' must list points, one per row; got shape ()"),
     ("certify", {"points": []}, "the Gram matrix is empty"),
+    ("certify", {"tolerance": -0.5}, "tolerance must be a finite number >= 0, got -0.5"),
+    ("certify", {"tolerance": float("nan")}, "config entry 'tolerance' must be finite, got nan"),
+    ("spectrum", {"drop_tolerance": float("nan")},
+     "config entry 'drop_tolerance' must be finite, got nan"),
+    ("spectrum", {"drop_tolerance": float("inf")},
+     "config entry 'drop_tolerance' must be finite, got inf"),
+    ("control", {"partition": [0, float("nan"), 1]},
+     "config entry 'partition' must be finite, got nan"),
+    ("control", {"partition": [0, float("inf")]},
+     "config entry 'partition' must be finite, got inf"),
+    ("control", {"partition": [0, 1], "beta": float("nan")},
+     "config entry 'beta' must be finite, got nan"),
+    ("control", {"partition": [0, 1], "beta": [1.0, float("-inf")]},
+     "config entry 'beta' must be finite, got -inf"),
+    ("control", {"partition": [0, 1], "beta": 10**400}, "config entry 'beta' must be finite"),
 ])
 def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
     cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX, "centers": [0.5], "coefficients": [[1.0]]}
@@ -388,6 +403,15 @@ def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, messa
     assert captured.out == ""
     assert captured.err.startswith(f"mkernel {command}: error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["0,nan,1", "0,inf"])
+def test_non_finite_partition_flag_exits_one(tmp_path, capsys, flag):
+    cfg = _write(tmp_path, "p.json", {"kernel": {"gaussian": 1.0}, "partition": [0, 1]})
+    assert main(["control", "--config", cfg, "--partition", flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mkernel control: error: --partition must be finite")
 
 
 def test_malformed_kernel_node_exits_one(tmp_path, capsys):

@@ -63,6 +63,14 @@ def test_bad_linear_shape():
         assemble_control_qp(k, [0.0, 0.5, 1.0], np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_b_rejected(bad):
+    with pytest.raises(ValueError, match=r"non-finite value .* in b at index \(1,\)"):
+        solve_qp(np.eye(2), np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0, got -0.5"):
+        solve_qp(np.eye(2), np.ones(2), tolerance=-0.5)
+
+
 def test_identity_qp_closed_form():
     sol = solve_qp(np.eye(2), np.array([-2.0, -2.0]))
     assert sol.status == "minimum"

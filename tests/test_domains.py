@@ -232,6 +232,16 @@ def test_points_csv_header_required(tmp_path):
         load_points_csv(path)
 
 
+def test_points_csv_rows_must_match_the_header(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("x1\n0.1,0.5\n0.3,0.9\n")
+    with pytest.raises(ValueError, match="point 1 has 2 coordinates, not 1"):
+        load_points_csv(path)
+    path.write_text("x1,x2\n0.1,0.5\n\n0.3\n")
+    with pytest.raises(ValueError, match="point 2 has 1 coordinates, not 2"):
+        load_points_csv(path)
+
+
 def test_boundary_tolerance_membership():
     dom = make_box_domain([0.0], [1.0])
     assert dom.contains([1.0 + BOUNDARY_TOL / 2])

@@ -9,8 +9,9 @@ from mkernel import certify
 from mkernel.applications.control import assemble_control_qp
 from mkernel.certify import GramBlockMatrix, assemble_gram, certify_psd
 from mkernel.domains import make_box_domain, make_measure
-from mkernel.integral import measure_gram
-from mkernel.kernels import Gaussian, Lift, NegDistance, build_kernel, gram_blocks, kernel_zoo
+from mkernel.integral import discretization_gap, measure_gram
+from mkernel.kernels import (Gaussian, Lift, NegDistance, bound_estimate, build_kernel,
+                             gram_blocks, kernel_zoo)
 
 LIFT = Lift(Gaussian(0.5), ((2.0, 1.0), (1.0, 2.0)))
 
@@ -99,11 +100,19 @@ def test_sup_norm_and_duplicates_match_old_formulas(entry):
               np.array([[0.3]])):
         g = assemble_gram(k, P)
         ref = _reference_blocks(k, P)
-        assert g.sup_norm == _reference_sup_norm(ref)
+        assert bound_estimate(k, P) == _reference_sup_norm(ref)
         assert g.has_duplicates == _reference_has_duplicates(P)
     mu = make_measure(make_box_domain([0.0], [1.0]), "gauss", 17)
-    mg = measure_gram(k, mu)
-    assert mg.sup_norm == _reference_sup_norm(_reference_blocks(k, mu.nodes))
+    assert bound_estimate(k, mu.nodes) == _reference_sup_norm(_reference_blocks(k, mu.nodes))
+
+
+@pytest.mark.parametrize("entry", kernel_zoo(), ids=lambda e: e.name)
+def test_gap_sup_norm_is_the_bound_estimate_over_the_nodes(entry):
+    k = build_kernel(entry.spec)
+    mu = make_measure(make_box_domain([0.0], [1.0]), "trapezoid", 65)
+    rep = discretization_gap(k, mu, [[0.3], [0.7]], np.ones((2, k.output_dim)), 0.05, 0.05)
+    assert rep.sup_norm == bound_estimate(k, mu.nodes)
+    assert rep.sup_norm == _reference_sup_norm(_reference_blocks(k, mu.nodes))
 
 
 def test_has_duplicates_in_two_dimensions():
@@ -113,10 +122,11 @@ def test_has_duplicates_in_two_dimensions():
 
 
 def test_empty_gram():
-    g = assemble_gram(build_kernel(LIFT), np.zeros((0, 1)))
+    k = build_kernel(LIFT)
+    g = assemble_gram(k, np.zeros((0, 1)))
     assert g.data.shape == (0, 0)
     assert g.blocks.shape == (0, 0, 2, 2)
-    assert g.sup_norm == 0.0
+    assert bound_estimate(k, np.zeros((0, 1))) == 0.0
     assert g.has_duplicates is False
 
 
@@ -174,10 +184,10 @@ def test_sup_norm_holds_no_gram_sized_copy(entry):
     k = build_kernel(entry.spec)
     P = np.random.default_rng(4).uniform(0.0, 1.0, size=(300, 1))
     g = assemble_gram(k, P)
-    assemble_gram(k, P[:5]).sup_norm  # warm up, so lazy set-up is not counted
+    bound_estimate(k, P[:5])  # warm up, so lazy set-up is not counted
     tracemalloc.start()
     try:
-        value = g.sup_norm
+        value = bound_estimate(k, P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -31,6 +31,7 @@ from mkernel.kernels import (
     Riesz,
     Scale,
     Sum,
+    bound_estimate,
     build_kernel,
     kernel_zoo,
 )
@@ -169,7 +170,6 @@ def test_formed_gram_equals_the_evaluated_blocks_bit_for_bit(spec):
     g = assemble_gram(k, POINTS)
     evaluated = GramBlockMatrix(POINTS, k.output_dim, k.eval_pairwise(POINTS, POINTS))
     assert np.array_equal(g.data, evaluated.data)
-    assert g.sup_norm == evaluated.sup_norm
 
 
 def _assert_verdict_never_forms_the_block_gram(spec):
@@ -253,7 +253,11 @@ POINT_SETS = st.lists(st.integers(0, 64), min_size=1, max_size=10).map(
           suppress_health_check=[HealthCheck.too_slow])
 @given(SPECS, POINT_SETS)
 def test_generated_structured_kernels_agree_with_a_dense_solve(spec, P):
-    lo, hi, _ = _dense(assemble_gram(build_kernel(spec), P))
+    k = build_kernel(spec)
+    g = assemble_gram(k, P)
+    lo, hi, _ = _dense(g)
     # a verdict within the comparison bound of the threshold is too close to call
     assume(abs(lo + DEFAULT_TOLERANCE * max(1.0, hi)) > 4e-12 * max(1.0, hi))
     _check_against_dense(spec, P)
+    blocks = np.ascontiguousarray(g.blocks)
+    assert bound_estimate(k, P) == float(np.linalg.norm(blocks, axis=(2, 3)).max())
