@@ -90,7 +90,9 @@ class Box:
         return np.clip(_as_point_or_rows(x), self.lower, self.upper)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(n, self.dimension))
+        """n uniform points: bit for bit rng.uniform(lower, upper, (n, d)),
+        which also takes lower + (upper - lower) * u, from the same stream."""
+        return self.lower + (self.upper - self.lower) * rng.random((n, self.dimension))
 
     def to_json(self) -> dict:
         return {"kind": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
@@ -358,10 +360,15 @@ def load_points_csv(path) -> np.ndarray:
         expected = [f"x{i + 1}" for i in range(len(header))]
         if [h.strip() for h in header] != expected:
             raise ValueError(f"{path}: header row must be {','.join(expected)}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    for i, row in enumerate(rows):
+        rows = [row for row in reader if row]
+    for i, row in enumerate(rows, 1):
         if len(row) != len(header):
-            raise ValueError(f"{path}: point {i + 1} has {len(row)} coordinates, not {len(header)}")
+            raise ValueError(f"{path}: point {i} has {len(row)} coordinates, not {len(header)}")
+        for j, v in enumerate(row):
+            try:
+                row[j] = float(v)
+            except ValueError:
+                raise ValueError(f"{path}: point {i} has non-numeric x{j + 1} {v!r}") from None
     if not rows:
         raise ValueError(f"{path}: no points")
     return np.asarray(rows, dtype=float)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from mkernel.applications.estimation import EstimationDataset
+from mkernel.certify import DEFAULT_TOLERANCE, SearchReport, assemble_gram, certify_psd
 
 
 def gradient_descent_oracle(dataset: EstimationDataset, lam: float, causal: bool = False,
@@ -31,3 +32,27 @@ def gradient_descent_oracle(dataset: EstimationDataset, lam: float, causal: bool
         denom = 2.0 * float((GS * G).sum() + lam * gnorm2)
         K = K - (gnorm2 / denom) * G
     return K
+
+
+def random_search_oracle(kernel, domain, trials: int = 200, seed: int = 0,
+                         n_range: tuple = (1, 8),
+                         tolerance: float = DEFAULT_TOLERANCE) -> SearchReport:
+    """The witness search one trial at a time: one `certify_psd` of one
+    assembled Gram per trial, stopping at the first witness. The library's
+    search decides its trials in stacks and must report exactly this."""
+    rng = np.random.default_rng(seed)
+    n_lo, n_hi = int(n_range[0]), int(n_range[1])
+    if n_lo < 1 or n_hi < n_lo:
+        raise ValueError("n_range must satisfy 1 <= n_lo <= n_hi")
+    min_margin = np.inf
+    for t in range(trials):
+        n = int(rng.integers(n_lo, n_hi + 1))
+        points = domain.sample(rng, n)
+        report = certify_psd(assemble_gram(kernel, points), tolerance)
+        margin = report.min_eigenvalue / max(1.0, report.max_eigenvalue)
+        min_margin = min(min_margin, margin)
+        if not report.certified:
+            return SearchReport(True, t + 1, float(min_margin), tolerance, report.witness)
+    if trials == 0:
+        min_margin = np.nan
+    return SearchReport(False, trials, float(min_margin), tolerance, None)

@@ -109,6 +109,24 @@ def test_certify_rejects_csv_point_outside_domain(tmp_path, capsys):
     assert "point 2 [-0.5] lies outside the domain" in captured.err
 
 
+def test_certify_rejects_non_numeric_csv_entry(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("x1\n0.2\nabc\n")
+    assert main(["certify", "--config", cfg, "--points", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{csv_path}: point 2 has non-numeric x1 'abc'" in captured.err
+
+
+def test_equivalence_rejects_negative_trials(tmp_path, capsys):
+    cfg = _write(tmp_path, "g.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
+    assert main(["equivalence", "--config", cfg, "--trials", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be >= 0, got -2" in captured.err
+
+
 def test_equivalence_pd_and_not(tmp_path, capsys):
     good = _write(tmp_path, "g.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
     code, rep = _run(capsys, ["equivalence", "--config", good, "--trials", "20"])

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +241,29 @@ def test_points_csv_rows_must_match_the_header(tmp_path):
     path.write_text("x1,x2\n0.1,0.5\n\n0.3\n")
     with pytest.raises(ValueError, match="point 2 has 1 coordinates, not 2"):
         load_points_csv(path)
+
+
+def test_points_csv_names_a_non_numeric_entry(tmp_path):
+    path = tmp_path / "text.csv"
+    path.write_text("x1,x2\n0.1,0.5\n0.3, nan\n0.4,1e-3x\n")
+    with pytest.raises(ValueError, match=r"text.csv: point 3 has non-numeric x2 '1e-3x'"):
+        load_points_csv(path)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lower, upper", [
+    ([0.0], [1.0]), ([-3.5], [-1.25]), ([-2.0, 0.5], [-1.0, 4.0]),
+    ([-1e3, -1.0, 0.0], [1e-3, 1.0, 7.0]), ([0.25, -1.0], [0.25, 2.0]),
+], ids=["unit", "negative", "plane", "space", "a_flat_side"])
+def test_box_sample_is_rng_uniform_bit_for_bit(seed, lower, upper):
+    # Box rejects lower == upper, so the flat side is sampled through a stand-in
+    box = SimpleNamespace(lower=np.array(lower), upper=np.array(upper), dimension=len(lower))
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (0, 1, 5, 64):
+        got = Box.sample(box, ours, n)
+        want = ref.uniform(lower, upper, size=(n, len(lower)))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert ours.random() == ref.random()  # the same stream consumed
 
 
 def test_boundary_tolerance_membership():

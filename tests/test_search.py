@@ -1,0 +1,158 @@
+"""The random witness search, decided in stacks, against its one-trial-at-a-time oracle.
+
+`random_search_witness` draws a chunk of point sets, decides the Grams of each
+size in one stacked eigenvalue call and re-decides by `certify_psd` any trial
+the stack does not certify. Its `SearchReport`, and the harness report built
+on it, must equal byte for byte what `oracles.random_search_oracle` (one
+`certify_psd` per trial) gives.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import random_search_oracle
+from test_separable import SPECS
+
+import mkernel.certify as certify
+import mkernel.integral as integral
+from mkernel.certify import random_search_witness
+from mkernel.domains import Box, Circle, make_measure
+from mkernel.integral import equivalence_harness
+from mkernel.kernels import (
+    Brownian,
+    Conjugate,
+    Gaussian,
+    Lift,
+    NegDistance,
+    Riesz,
+    Scale,
+    Sum,
+    build_kernel,
+    kernel_from_callable,
+    kernel_zoo,
+)
+
+LINE = Box([0.0], [1.0])
+MEASURE = make_measure(LINE, "trapezoid", 257)
+ZOO = {e.name: build_kernel(e.spec) for e in kernel_zoo()}
+
+
+def _json(report) -> str:
+    return json.dumps(report.to_json())
+
+
+def _assert_matches_oracle(kernel, domain, **kw):
+    got = random_search_witness(kernel, domain, **kw)
+    assert _json(got) == _json(random_search_oracle(kernel, domain, **kw))
+    return got
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_zoo_search_and_harness_match_the_oracle(name, monkeypatch):
+    kernel = ZOO[name]
+    harness = [_json(equivalence_harness(kernel, MEASURE, seed=s)) for s in range(10)]
+    for seed in range(10):
+        _assert_matches_oracle(kernel, LINE, seed=seed)
+    monkeypatch.setattr(integral, "random_search_witness", random_search_oracle)
+    assert harness == [_json(equivalence_harness(kernel, MEASURE, seed=s)) for s in range(10)]
+
+
+@pytest.mark.parametrize("domain", [Box([-1.0, 0.0], [1.0, 2.0]), Circle(1.5)],
+                         ids=["box2", "circle"])
+@pytest.mark.parametrize("n_range", [(1, 1), (3, 12)])
+@pytest.mark.parametrize("trials", [1, 7, 200])
+def test_plane_domains_sizes_and_trial_counts_match_the_oracle(domain, n_range, trials):
+    for spec in (Gaussian(2.0), NegDistance()):
+        _assert_matches_oracle(build_kernel(spec), domain, trials=trials, n_range=n_range)
+
+
+# a dense Conjugate (its inner kernel is a Sum), an asymmetric callable that
+# takes the symmetrization path, and a kernel refuted late (trials 36, 164,
+# 75, 38, 30, 62, 3, none, 20, 133 for seeds 0-9)
+SPECIAL = {
+    "dense_conjugate": build_kernel(Conjugate(
+        Sum((Lift(Gaussian(1.0), ((2.0, 1.0), (1.0, 2.0))),
+             Lift(Brownian(), ((1.0, 0.0), (0.0, 0.5))))),
+        ((1.0, 2.0), (0.5, -1.0), (0.0, 1.0)))),
+    "asymmetric_callable": kernel_from_callable(
+        lambda x, y: np.exp(-np.sum((x - y) ** 2)) + 0.01 * (x[0] - y[0]), 1, "asym"),
+    "refuted_late": build_kernel(Sum((Scale(0.5, Gaussian(0.1)), NegDistance()))),
+}
+
+
+@pytest.mark.parametrize("name", SPECIAL)
+def test_special_kernels_match_the_oracle(name):
+    found = [_assert_matches_oracle(SPECIAL[name], LINE, seed=s).trials for s in range(10)]
+    if name == "refuted_late":
+        assert found == [36, 164, 75, 38, 30, 62, 3, 200, 20, 133]
+
+
+def test_large_point_sets_are_left_to_certify_psd():
+    for spec in (Gaussian(1.0), Riesz(1.0, 0.1), NegDistance()):
+        _assert_matches_oracle(build_kernel(spec), LINE, trials=5, n_range=(60, 70))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SPECS, st.integers(0, 9))
+def test_generated_structured_kernels_match_the_oracle(spec, seed):
+    _assert_matches_oracle(build_kernel(spec), LINE, seed=seed)
+
+
+def test_a_trial_the_stack_fails_is_decided_by_certify_psd(monkeypatch):
+    kernel = ZOO["gaussian"]
+    expected = _json(random_search_oracle(kernel, LINE, seed=4))
+    real_eigvalsh, real_certify = np.linalg.eigvalsh, certify.certify_psd
+    pushed, exact_calls = [], []
+
+    def eigvalsh(a, *args, **kwargs):
+        lam = real_eigvalsh(a, *args, **kwargs)
+        if lam.ndim == 2 and not pushed:  # the first stack: one trial below the threshold
+            lam[0, 0] = -1.0
+            pushed.append(lam.shape)
+        return lam
+
+    def certify_psd(*args, **kwargs):
+        exact_calls.append(1)
+        return real_certify(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(certify, "certify_psd", certify_psd)
+    assert _json(random_search_witness(kernel, LINE, seed=4)) == expected
+    assert pushed and len(exact_calls) == 1
+
+
+def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
+    real_eigvalsh, real_certify = np.linalg.eigvalsh, certify.certify_psd
+    solves, exact_calls = [], []
+
+    def eigvalsh(*args, **kwargs):
+        solves.append(1)
+        return real_eigvalsh(*args, **kwargs)
+
+    def certify_psd(*args, **kwargs):
+        exact_calls.append(1)
+        return real_certify(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(certify, "certify_psd", certify_psd)
+    report = random_search_witness(ZOO["gaussian"], LINE, trials=200, seed=0)
+    assert not report.found and report.trials == 200
+    # at most one stack per point-set size (8 of them) and chunk, not one per trial
+    assert len(solves) <= 40 and not exact_calls
+
+
+def test_negative_trials_rejected():
+    with pytest.raises(ValueError, match="trials must be >= 0, got -2"):
+        random_search_witness(ZOO["gaussian"], LINE, trials=-2)
+    with pytest.raises(ValueError, match="trials must be >= 0, got -2"):
+        equivalence_harness(ZOO["gaussian"], MEASURE, trials=-2)
+
+
+@pytest.mark.parametrize("tolerance", [np.nan, -0.5, np.inf])
+def test_tolerance_checked_without_trials(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        random_search_witness(ZOO["gaussian"], LINE, trials=0, tolerance=tolerance)
