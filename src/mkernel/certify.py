@@ -12,16 +12,17 @@ direct double sum. Every Gram matrix here is a `GramBlockMatrix`, the one
 block-Gram type that the integral and spectral sides also use for the Gram
 over measure nodes.
 
-The random witness search decides its many small Grams in stacks by the same
-rules: the point sets of a chunk of trials are grouped by size, each term is
-evaluated once on the stacked points and each stack of factors is solved by
-one eigenvalue call. A trial that the stack does not certify is decided again
-by `certify_psd` on its own, in trial order, so the search reports what one
-`certify_psd` per trial would.
+The rules are written once, in `_decide_stack`, over a stack of Grams of the
+same terms: `certify_psd` decides a stack of one, and the random witness
+search the point sets of a chunk of trials, grouped by size, with each term
+evaluated once on the stacked points. The search takes the witness of the
+trial that ends it from the factors its stack holds, so no trial's kernel is
+evaluated twice, and it reports what one `certify_psd` per trial would.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,9 @@ _FIRST_CHUNK = 4
 
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN or infinite input here, before an eigensolver meets it."""
-    bad = ~np.isfinite(a)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    finite = np.isfinite(a)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(f"non-finite value {float(a[idx])} in {what} at index {idx}")
 
 
@@ -114,17 +115,19 @@ def direct_quadform(blocks: np.ndarray, coefficients: np.ndarray) -> float:
 
 
 def _as_gram(gram) -> GramBlockMatrix:
-    if isinstance(gram, GramBlockMatrix):
-        return gram
-    M = np.asarray(gram, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a GramBlockMatrix or a square matrix")
-    _require_finite(M, "matrix")
-    return GramBlockMatrix(None, 1, M.reshape(M.shape[0], M.shape[0], 1, 1))
+    if not isinstance(gram, GramBlockMatrix):
+        M = np.asarray(gram, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("expected a GramBlockMatrix or a square matrix")
+        gram = GramBlockMatrix(None, 1, M.reshape(M.shape[0], M.shape[0], 1, 1))
+    for F, _ in gram.factors:
+        _require_finite(F, "matrix")
+    return gram
 
 
-def _decide(evals: np.ndarray, tolerance: float) -> bool:
-    return bool(evals[0] >= -tolerance * max(1.0, evals[-1]))
+def _decide(evals, tolerance: float):
+    """Whether evals[0] >= -tolerance * max(1, evals[-1]), elementwise."""
+    return evals[0] >= -tolerance * np.fmax(1.0, evals[-1])
 
 
 def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
@@ -135,14 +138,14 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     terms F (x) A: the products of the eigenvalues of F and of A, over every
     term, so only the factors are solved. Each F is solved for eigenvalues
     only, unless a diagonal entry or an adjacent 2 x 2 principal block
-    already shows it indefinite. Only
-    when the verdict fails on a term solved without eigenvectors is that
-    term solved again with them, and the verdict, both reported eigenvalues
-    and the witness all come from that solve, so a report never contradicts
-    itself. The witness coefficients are v (x) u for the most negative
-    product, in the term's component slots, signed so that the largest entry
-    is positive and reshaped to one coefficient vector per point; the
-    witness value is recomputed by a direct double sum. An empty matrix is
+    already shows it indefinite. Only when the verdict fails on a term solved
+    without eigenvectors is that term solved again with them, and the
+    verdict, both reported eigenvalues and the witness all come from that
+    solve, so a report never contradicts itself. The witness coefficients
+    are v (x) u for the most negative product, in the term's component
+    slots, signed so that the largest entry is positive and reshaped to one
+    coefficient vector per point; the witness value is recomputed by a
+    direct double sum. An empty matrix, or one with a non-finite entry, is
     an error.
     """
     return _certify(gram, tolerance, vectors=False)[0]
@@ -160,33 +163,17 @@ def _certify(gram, tolerance: float, vectors: bool):
     if g.has_duplicates:
         warnings.append("duplicate points: Gram matrix is singular by construction")
     terms = [t for _, t in g.factors]
-    Ms, gaps = zip(*(_symmetrized(F) for F, _ in g.factors))
-    sym_gap = max((gap * np.max(np.abs(t.matrix)) for gap, t in zip(gaps, terms) if gap),
+    d = _decide_stack([F[None] for F, _ in g.factors], terms, tolerance, vectors)
+    sym_gap = max((gap[0] * np.max(np.abs(t.matrix)) for gap, t in zip(d.gaps, terms) if gap),
                   default=0.0)
     if sym_gap > 0:
         scale = max(np.max(np.abs(F)) * np.max(np.abs(t.matrix)) for F, t in g.factors)
         if sym_gap > 1e-12 * max(1.0, scale):
             warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
-    solves = _eig(Ms, [vectors or bool(_evidently_indefinite(M, tolerance)) for M in Ms])
-    while True:
-        lo, hi = _extreme_products([lam for lam, _ in solves], terms)
-        ok = _decide((lo[0], hi[0]), tolerance)
-        k = lo[1]
-        if ok or solves[k][1] is not None:
-            break
-        solves[k] = np.linalg.eigh(Ms[k])
-    witness = None
-    if not ok:
-        _, k, i, j = lo
-        t = terms[k]
-        C = np.zeros((g.n_points, g.block_dim))
-        C[:, t.offset:t.offset + t.size] = np.multiply.outer(
-            solves[k][1][:, i], t.evecs[:, j]).reshape(g.n_points, t.size)
-        C *= np.sign(C.flat[np.argmax(np.abs(C))])  # largest entry positive, whatever LAPACK gave
-        witness = Witness(g.points, C, direct_quadform(g.blocks, C))
-    report = PDReport("certified_psd" if ok else "witness_found", float(lo[0]),
-                      float(hi[0]), tolerance, witness, tuple(warnings))
-    return report, [(M, lam, V) for M, (lam, V) in zip(Ms, solves)]
+    witness = None if d.ok[0] else _witness(d, 0, g)
+    report = PDReport("certified_psd" if witness is None else "witness_found", float(d.lo[0]),
+                      float(d.hi[0]), tolerance, witness, tuple(warnings))
+    return report, [(M[0], lam[0], V.get(0)) for M, lam, V in zip(d.Ms, d.lams, d.vecs)]
 
 
 def _symmetrized(F: np.ndarray):
@@ -217,36 +204,65 @@ def _evidently_indefinite(M: np.ndarray, tolerance: float):
     return (a < 0).any(-1) | (a[..., :-1] * a[..., 1:] < M.diagonal(1, -2, -1) ** 2).any(-1)
 
 
-def _eig(Ms: list, vectors: list) -> list:
-    """(ascending eigenvalues, eigenvectors or None) of each symmetric M,
-    with eigenvectors where `vectors` says; matrices of one order and kind
-    go to LAPACK as one stacked call."""
-    groups = {}
-    for k, key in enumerate(zip(map(len, Ms), vectors)):
-        groups.setdefault(key, []).append(k)
-    out = [None] * len(Ms)
-    for (_, v), ks in groups.items():
-        stack = np.stack([Ms[k] for k in ks]) if len(ks) > 1 else Ms[ks[0]]
-        solved = np.linalg.eigh(stack) if v else (np.linalg.eigvalsh(stack), None)
-        if len(ks) == 1:
-            out[ks[0]] = solved
-            continue
-        for pos, k in enumerate(ks):
-            out[k] = (solved[0][pos], None if solved[1] is None else solved[1][pos])
-    return out
+_Decided = namedtuple("_Decided", "Ms gaps lams vecs lo hi arg ok")
 
 
-def _extreme_products(lams: list, terms: list):
-    """The least and the greatest eigenvalue of the direct sum of the terms
-    F (x) A, given the ascending eigenvalues `lams[k]` of each term's F, each
-    as (value, term, i, j): the product of F's i-th and A's j-th ascending
-    eigenvalue. Both are products of extreme eigenvalues."""
-    products = []
-    for k, (lam, t) in enumerate(zip(lams, terms)):
-        n, a = lam.size - 1, t.evals.size - 1
-        l0, l1, m0, m1 = lam.item(0), lam.item(n), t.evals.item(0), t.evals.item(a)
-        products += [(l0 * m0, k, 0, 0), (l0 * m1, k, 0, a), (l1 * m0, k, n, 0), (l1 * m1, k, n, a)]
-    return min(products), max(products)
+def _decide_stack(factors: list, terms: list, tolerance: float,
+                  vectors: bool = False) -> _Decided:
+    """`certify_psd`'s rules over a stack of b Grams of the same terms, given
+    as term k's finite factors `factors[k]` (b, m, m); `vectors` solves every
+    factor with eigenvectors. Returns, per term, the symmetrized factors Ms,
+    their symmetry gaps, the ascending eigenvalues lams (b, m) of each last
+    solve and vecs, {Gram: eigenvectors} of the solves that kept them; per
+    Gram, the least and greatest product lo and hi, ranked as (value, term,
+    i, j), the column arg of the least (4 per term) and the verdict ok. A
+    solve is one call per term and kind; a stack solved whole is not copied."""
+    Ms, gaps = zip(*map(_symmetrized, factors))
+    solved = [np.ones(len(M), bool) if vectors else _evidently_indefinite(M, tolerance)
+              for M in Ms]
+    lams, vecs = [np.empty(M.shape[:2]) for M in Ms], [{} for _ in Ms]
+    for M, pre, lam, V in zip(Ms, solved, lams, vecs):
+        _solve(M, ~pre, lam)
+        _solve(M, pre, lam, V)
+    ends, rows = [t.evals[[0, -1]] for t in terms], np.arange(len(Ms[0]))
+    while True:
+        P = np.concatenate([np.multiply.outer(lam[:, [0, -1]], m).reshape(-1, 4)
+                            for lam, m in zip(lams, ends)], axis=1)
+        arg = P.argmin(1)
+        lo, hi = P[rows, arg], P[rows, P.shape[1] - 1 - P[:, ::-1].argmax(1)]
+        ok = _decide((lo, hi), tolerance)
+        redo = [] if ok.all() else [~ok & (arg // 4 == k) & ~s for k, s in enumerate(solved)]
+        if not any(r.any() for r in redo):
+            return _Decided(Ms, gaps, lams, vecs, lo, hi, arg, ok)
+        for M, lam, V, s, r in zip(Ms, lams, vecs, solved, redo):
+            _solve(M, r, lam, V)
+            s |= r
+
+
+def _solve(M: np.ndarray, which: np.ndarray, lam: np.ndarray, vecs: dict | None = None):
+    """Solve the matrices of a stack M that `which` selects, in one call,
+    into their rows of `lam`, and into `vecs` with eigenvectors if given."""
+    rows = which.nonzero()[0]
+    if rows.size:
+        sub = M if rows.size == len(M) else M[rows]
+        if vecs is None:
+            lam[rows] = np.linalg.eigvalsh(sub)
+        else:
+            lam[rows], V = np.linalg.eigh(sub)
+            vecs.update(zip(rows.tolist(), V))
+
+
+def _witness(d: _Decided, e: int, g: GramBlockMatrix) -> Witness:
+    """The witness of the failed Gram e of a decided stack, g that Gram:
+    v (x) u for its least product, in the term's component slots."""
+    k, c = divmod(int(d.arg[e]), 4)
+    t = g.factors[k][1]
+    v = d.vecs[k][e][:, (c >> 1) * (d.lams[k].shape[1] - 1)]
+    u = t.evecs[:, (c & 1) * (t.evals.size - 1)]
+    C = np.zeros((g.n_points, g.block_dim))
+    C[:, t.offset:t.offset + t.size] = np.multiply.outer(v, u).reshape(g.n_points, t.size)
+    C *= np.sign(C.flat[np.argmax(np.abs(C))])  # largest entry positive, whatever LAPACK gave
+    return Witness(g.points, C, direct_quadform(g.blocks, C))
 
 
 @dataclass(frozen=True)
@@ -286,10 +302,10 @@ def random_search_witness(
     Deterministic for a fixed seed. Stops at the first witness; otherwise
     reports the smallest relative eigenvalue margin seen (nonnegative means
     every trial certified). The trials run in chunks of growing size: a
-    chunk draws its point sets in trial order and decides them in stacks
-    (see `_chunk_margins`); a trial left undecided there is decided by
-    `certify_psd`, in trial order, so the report is the one that a
-    `certify_psd` per trial gives.
+    chunk draws its point sets in trial order and decides them in stacks by
+    `certify_psd`'s rules (see `_decide_chunk`), so the report, or the error
+    of a Gram with a non-finite entry, is the one that a `certify_psd` per
+    trial gives.
     """
     rng = np.random.default_rng(seed)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
@@ -304,63 +320,45 @@ def random_search_witness(
         for _ in range(min(size, trials - done)):
             n = int(rng.integers(n_lo, n_hi + 1))
             chunk.append(_gram_points(kernel, domain.sample(rng, n)))
-        for P, margin in zip(chunk, _chunk_margins(kernel, chunk, tolerance)):
+        for P, (margin, d, factors, e) in zip(chunk, _decide_chunk(kernel, chunk, tolerance)):
             done += 1
-            if margin is None:
-                report = certify_psd(assemble_gram(kernel, P), tolerance)
-                margin = report.min_eigenvalue / max(1.0, report.max_eigenvalue)
-                if not report.certified:
-                    return SearchReport(True, done, float(min(min_margin, margin)), tolerance,
-                                        report.witness)
-            min_margin = min(min_margin, margin)
+            if margin is not None:
+                min_margin = min(min_margin, margin)
+                if d.ok[e]:
+                    continue
+            # a failed Gram, or the first of its stack with a non-finite entry (_as_gram raises)
+            g = _as_gram(GramBlockMatrix.from_factors(
+                P, kernel.output_dim, [(F[e], t) for F, t in zip(factors, kernel.terms)]))
+            return SearchReport(True, done, float(min_margin), tolerance, _witness(d, e, g))
         size *= 4
     if trials == 0:
         min_margin = np.nan
     return SearchReport(False, trials, float(min_margin), tolerance, None)
 
 
-def _chunk_margins(kernel: MatrixKernel, chunk: list, tolerance: float) -> list:
-    """The margin lambda_min / max(1, lambda_max) of each point set's Gram
-    that `_stack_margins` certifies, None for every other. Point sets of one
-    size are stacked, at most _BLOCK_PAIRS pairs at a time; a set of more
-    than sqrt(_BLOCK_PAIRS) = 64 points gains nothing from a stack and is
-    left to `certify_psd`."""
-    margins = [None] * len(chunk)
-    by_size = {}
+def _decide_chunk(kernel: MatrixKernel, chunk: list, tolerance: float) -> list:
+    """Per point set, (margin, decided stack, its factors, position in it):
+    the margin lambda_min / max(1, lambda_max) of its Gram, None for its
+    stack's first Gram with a non-finite entry, past which the stack is not
+    decided. Point sets of one size are stacked, at most _BLOCK_PAIRS pairs
+    per stack (a larger set is a stack of one)."""
+    by_size, where = {}, [None] * len(chunk)
     for pos, P in enumerate(chunk):
         by_size.setdefault(len(P), []).append(pos)
     for n, positions in by_size.items():
-        if n * n > _BLOCK_PAIRS:
-            continue
-        step = _BLOCK_PAIRS // (n * n)
+        step = max(1, _BLOCK_PAIRS // (n * n))
         for s in range(0, len(positions), step):
             part = positions[s:s + step]
             P = np.stack([chunk[pos] for pos in part])
-            for pos, margin in zip(part, _stack_margins(kernel.terms, P, tolerance)):
-                margins[pos] = margin
-    return margins
-
-
-def _stack_margins(terms: list, P: np.ndarray, tolerance: float) -> list:
-    """Per point set of a stack P (b, n, d), the margin of its Gram where
-    `_certify`'s rules certify it from eigenvalues alone, else None (an
-    evidently indefinite or a non-finite factor, or a failed verdict). Each
-    term is evaluated once on the stacked points and its factors are solved
-    by one stacked `eigvalsh`; every value is the one `_certify` computes."""
-    b, n = P.shape[:2]
-    Ms = [_symmetrized(t.fn(P[:, :, None], P[:, None]).transpose(0, 1, 3, 2, 4)
-                       .reshape(b, n * t.dim, n * t.dim))[0] for t in terms]
-    sure = np.logical_and.reduce([np.isfinite(M).all(axis=(1, 2))
-                                  & ~_evidently_indefinite(M, tolerance) for M in Ms])
-    margins = [None] * b
-    keep = np.flatnonzero(sure)
-    if keep.size:
-        lams = [np.linalg.eigvalsh(M[keep]) for M in Ms]
-        for pos, i in enumerate(keep):
-            lo, hi = _extreme_products([lam[pos] for lam in lams], terms)
-            if _decide((lo[0], hi[0]), tolerance):
-                margins[i] = lo[0] / max(1.0, hi[0])
-    return margins
+            factors = [t.fn(P[:, :, None], P[:, None]).transpose(0, 1, 3, 2, 4)
+                       .reshape(len(part), n * t.dim, n * t.dim) for t in kernel.terms]
+            finite = np.logical_and.reduce([np.isfinite(F).all(axis=(1, 2)) for F in factors])
+            cut = len(part) if finite.all() else int(finite.argmin())
+            d = _decide_stack([F[:cut] for F in factors], kernel.terms, tolerance)
+            margins = (d.lo / np.fmax(1.0, d.hi)).tolist() + [None] * (len(part) - cut)
+            for e, (pos, margin) in enumerate(zip(part, margins)):
+                where[pos] = (margin, d, factors, e)
+    return where
 
 
 def complex_quadform(gram, Z) -> tuple[float, float]:

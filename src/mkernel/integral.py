@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, certify_psd,
-                      direct_quadform, random_search_witness)
+from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, _check_tolerance,
+                      certify_psd, direct_quadform, random_search_witness)
 from .domains import Ball, QuadratureMeasure, in_closed_ball, region_mask
 from .kernels import (GramBlockMatrix, MatrixKernel, _row_slices, as_points, bound_estimate,
                       gram_blocks, gram_matrix)
@@ -363,6 +363,7 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
     weight, which adds nothing to the form). With trials = 0 both sides are
     inconclusive.
     """
+    _check_tolerance(tolerance)
     if trials == 0:
         return HarnessReport(None, None, None)
 

@@ -10,7 +10,8 @@ from mkernel.certify import (
     random_search_witness,
 )
 from mkernel.domains import make_box_domain, make_circle_domain
-from mkernel.kernels import Gaussian, Lift, NegDistance, Riesz, build_kernel, kernel_zoo
+from mkernel.kernels import (Gaussian, Lift, NegDistance, Riesz, build_kernel,
+                             kernel_from_callable, kernel_zoo)
 from test_energy import _skewed_kernel
 
 
@@ -175,6 +176,14 @@ def test_non_finite_matrix_rejected(bad):
         certify_psd(M)
 
 
+def test_non_finite_block_gram_rejected():
+    k = kernel_from_callable(
+        lambda x, y: np.nan if x[0] == y[0] == 0.5 else np.exp(-(x[0] - y[0]) ** 2), 1, "nan")
+    gram = assemble_gram(k, [[0.1], [0.5], [0.9]])
+    with pytest.raises(ValueError, match=r"non-finite value nan in matrix at index \(1, 1\)"):
+        certify_psd(gram)
+
+
 @pytest.mark.parametrize("tolerance", [np.nan, -0.5, np.inf])
 def test_tolerance_must_be_finite_and_nonnegative(tolerance):
     k = build_kernel(NegDistance())
@@ -253,7 +262,7 @@ def test_eigenvalue_disagreement_gives_consistent_report(monkeypatch):
 
     def pushed_below_threshold(a, *args, **kwargs):
         evals = real(a, *args, **kwargs)
-        evals[0] = -1.0000001e-9 * max(1.0, evals[-1])
+        evals[..., 0] = -1.0000001e-9 * max(1.0, evals[..., -1])
         return evals
 
     monkeypatch.setattr(np.linalg, "eigvalsh", pushed_below_threshold)

@@ -1,10 +1,11 @@
 """The random witness search, decided in stacks, against its one-trial-at-a-time oracle.
 
-`random_search_witness` draws a chunk of point sets, decides the Grams of each
-size in one stacked eigenvalue call and re-decides by `certify_psd` any trial
-the stack does not certify. Its `SearchReport`, and the harness report built
-on it, must equal byte for byte what `oracles.random_search_oracle` (one
-`certify_psd` per trial) gives.
+`random_search_witness` draws a chunk of point sets and decides the Grams of
+each size as one stack, by the rules `certify_psd` applies to a stack of one;
+it takes the witness of the trial that ends it from the factors its stack
+holds. Its `SearchReport`, and the harness report built on it, must equal byte
+for byte what `oracles.random_search_oracle` (one `certify_psd` of one
+assembled Gram per trial) gives, and each trial's kernel is evaluated once.
 """
 
 import json
@@ -102,27 +103,35 @@ def test_generated_structured_kernels_match_the_oracle(spec, seed):
     _assert_matches_oracle(build_kernel(spec), LINE, seed=seed)
 
 
-def test_a_trial_the_stack_fails_is_decided_by_certify_psd(monkeypatch):
+def test_a_trial_the_stack_fails_is_solved_again_with_eigenvectors(monkeypatch):
     kernel = ZOO["gaussian"]
     expected = _json(random_search_oracle(kernel, LINE, seed=4))
-    real_eigvalsh, real_certify = np.linalg.eigvalsh, certify.certify_psd
-    pushed, exact_calls = [], []
+    real_eigvalsh, real_eigh = np.linalg.eigvalsh, np.linalg.eigh
+    real_certify = certify.certify_psd
+    pushed, resolved, exact_calls = [], [], []
 
     def eigvalsh(a, *args, **kwargs):
         lam = real_eigvalsh(a, *args, **kwargs)
-        if lam.ndim == 2 and not pushed:  # the first stack: one trial below the threshold
+        if len(lam) > 1 and not pushed:  # the first stack of several: its first Gram fails
             lam[0, 0] = -1.0
-            pushed.append(lam.shape)
+            pushed.append(a[0].copy())
         return lam
+
+    def eigh(a, *args, **kwargs):
+        resolved.append(np.array(a))
+        return real_eigh(a, *args, **kwargs)
 
     def certify_psd(*args, **kwargs):
         exact_calls.append(1)
         return real_certify(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(certify, "certify_psd", certify_psd)
     assert _json(random_search_witness(kernel, LINE, seed=4)) == expected
-    assert pushed and len(exact_calls) == 1
+    # one eigh, of that Gram's factor as the stack holds it, and no second decision
+    assert pushed and len(resolved) == 1 and not exact_calls
+    assert np.array_equal(resolved[0].reshape(pushed[0].shape), pushed[0])
 
 
 def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
@@ -156,3 +165,46 @@ def test_negative_trials_rejected():
 def test_tolerance_checked_without_trials(tolerance):
     with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
         random_search_witness(ZOO["gaussian"], LINE, trials=0, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        equivalence_harness(ZOO["gaussian"], MEASURE, trials=0, tolerance=tolerance)
+
+
+def test_the_search_evaluates_each_trial_once():
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return SPECIAL["refuted_late"](x, y)
+
+    kernel = kernel_from_callable(counted, 1, "counted")
+    for seed in (0, 6):
+        found = random_search_witness(kernel, LINE, seed=seed).trials
+        calls.clear()
+        report = random_search_witness(kernel, LINE, trials=found, seed=seed)
+        assert report.found and report.trials == found
+        rng = np.random.default_rng(seed)
+        sizes = [len(LINE.sample(rng, int(rng.integers(1, 9)))) for _ in range(found)]
+        assert len(calls) == sum(n * n for n in sizes)
+
+
+def test_a_non_finite_gram_fails_where_the_oracle_fails():
+    # NaN where both points lie within 0.002 of 0.3: some seeds reach such a
+    # trial before the first witness, the others find the witness first
+    def nan_region(x, y):
+        if abs(x[0] - 0.3) < 0.002 and abs(y[0] - 0.3) < 0.002:
+            return np.nan
+        return SPECIAL["refuted_late"](x, y)
+
+    kernel = kernel_from_callable(nan_region, 1, "nan_region")
+    outcomes = []
+    for seed in range(10):
+        results = []
+        for search in (random_search_witness, random_search_oracle):
+            try:
+                results.append(_json(search(kernel, LINE, seed=seed)))
+            except ValueError as err:
+                assert str(err).startswith("non-finite value nan in matrix at index")
+                results.append(str(err))
+        assert results[0] == results[1]
+        outcomes.append(results[0].startswith("non-finite"))
+    assert any(outcomes) and not all(outcomes)

@@ -198,6 +198,24 @@ def test_conjugated_lift_verdict_never_forms_the_block_gram():
     _assert_verdict_never_forms_the_block_gram(entry.spec)
 
 
+@pytest.mark.parametrize("entry", [e for e in kernel_zoo() if e.is_pd], ids=lambda e: e.name)
+def test_the_verdict_copies_no_factor(entry):
+    """Certifying a Gram over 400 points peaks below half of its largest
+    factor under tracemalloc: no factor is copied or stacked with another."""
+    k = build_kernel(entry.spec)
+    P = np.linspace(0.0, 1.0, 400).reshape(-1, 1)
+    certify_psd(assemble_gram(k, P[:5]))  # warm up, so lazy set-up is not counted
+    gram = assemble_gram(k, P)
+    tracemalloc.start()
+    try:
+        rep = certify_psd(gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.certified
+    assert peak < 0.5 * max(F.nbytes for F, _ in gram.factors)
+
+
 def test_block_diag_spectrum_matches_a_dense_solve():
     k = build_kernel(BlockDiag((Lift(Gaussian(2.0), _psd(4, 2, 1)), Brownian())))
     mu = make_measure(make_box_domain([0.0], [1.0]), "trapezoid", 65)
