@@ -170,7 +170,7 @@ def solve_qp(H, b, tolerance: float = DEFAULT_TOLERANCE) -> QPSolution:
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     _require_finite(b, "b")
-    hessian, ((H, evals, evecs),) = _certify(H, tolerance, vectors=True)
+    hessian, ((H, evals, evecs),) = _certify(H, tolerance, "eigh")
     if not hessian.certified:
         d = evecs[:, 0]
         if b @ d > 0:

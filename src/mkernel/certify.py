@@ -1,23 +1,30 @@
 """Discrete positive definiteness certification.
 
 A kernel is PD in the discrete sense when every block Gram matrix
-[K(x_i, x_j)]_{ij} is positive semidefinite as an (n N) x (n N) matrix. We
-decide that from the eigenvalues alone, taken from the Gram's Kronecker
-terms F (x) A: a `Lift` is decided on its scalar Gram and a `BlockDiag` on
-its blocks, without forming the (n N) x (n N) matrix. Only a term that
-fails is solved again with eigenvectors; the verdict is then re-decided on
-that solve and, on failure, a witness is returned: the points and
-coefficient vectors whose quadratic form is negative, reproducible by a
-direct double sum. Every Gram matrix here is a `GramBlockMatrix`, the one
-block-Gram type that the integral and spectral sides also use for the Gram
-over measure nodes.
+[K(x_i, x_j)]_{ij} is positive semidefinite as an (n N) x (n N) matrix. The
+rule is lambda_min >= -tolerance * max(1, lambda_max), decided on the Gram's
+Kronecker terms F (x) A, whose spectrum is the products of the eigenvalues of
+F and of A: a `Lift` is decided on its scalar Gram and a `BlockDiag` on its
+blocks, without forming the (n N) x (n N) matrix.
+
+`certify_psd` first tries to prove the rule with one shifted Cholesky per
+factor (Rump's test, see `_shifted_cholesky`), which needs no spectrum. Only
+when a factorisation fails, or a factor is evidently indefinite, are the
+factors solved for their eigenvalues; a term that fails is solved again with
+eigenvectors, the verdict is re-decided on that solve and, on failure, a
+witness is returned: the points and coefficient vectors whose quadratic form
+is negative, reproducible by a direct double sum. Every Gram matrix here is
+a `GramBlockMatrix`, the one block-Gram type that the integral and spectral
+sides also use for the Gram over measure nodes.
 
 The rules are written once, in `_decide_stack`, over a stack of Grams of the
 same terms: `certify_psd` decides a stack of one, and the random witness
 search the point sets of a chunk of trials, grouped by size, with each term
-evaluated once on the stacked points. The search takes the witness of the
-trial that ends it from the factors its stack holds, so no trial's kernel is
-evaluated twice, and it reports what one `certify_psd` per trial would.
+evaluated once on the stacked points. The search solves its Grams for their
+eigenvalues, since it reports the least margin it saw, and takes the witness
+of the trial that ends it from the factors its stack holds, so no trial's
+kernel is evaluated twice; it reports what one eigenvalue-solving decision
+per trial would.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ import numpy as np
 from .kernels import _BLOCK_PAIRS, GramBlockMatrix, MatrixKernel, gram_matrix
 
 DEFAULT_TOLERANCE = 1e-9
+
+# Power steps behind the lower bound rho on lambda_max that a Cholesky decision
+# sets its threshold by (see `_shifted_cholesky`).
+_POWER_STEPS = 8
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # Trials in the witness search's first chunk; each later chunk is four times
 # as large, so a kernel refuted early is decided on few Grams and one that is
@@ -85,10 +97,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class PDReport:
-    """Outcome of a PSD certification."""
+    """Outcome of a PSD certification.
+
+    `min_eigenvalue` and `max_eigenvalue` are the exact extreme eigenvalues
+    when an eigensolve decided; when a Cholesky proved the rule without one,
+    `min_eigenvalue` is None and `max_eigenvalue` the lower bound rho on
+    lambda_max that the threshold was set by.
+    """
 
     verdict: str
-    min_eigenvalue: float
+    min_eigenvalue: float | None
     max_eigenvalue: float
     tolerance: float
     witness: Witness | None = None
@@ -134,27 +152,32 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     """Certify a (block) Gram matrix PSD, or produce an eigen-witness.
 
     The matrix passes when its minimum eigenvalue is at least
-    -tolerance * max(1, lambda_max). The spectrum comes from the Gram's
+    -tolerance * max(1, lambda_max). The spectrum is that of the Gram's
     terms F (x) A: the products of the eigenvalues of F and of A, over every
-    term, so only the factors are solved. Each F is solved for eigenvalues
-    only, unless a diagonal entry or an adjacent 2 x 2 principal block
-    already shows it indefinite. Only when the verdict fails on a term solved
-    without eigenvectors is that term solved again with them, and the
-    verdict, both reported eigenvalues and the witness all come from that
-    solve, so a report never contradicts itself. The witness coefficients
-    are v (x) u for the most negative product, in the term's component
-    slots, signed so that the largest entry is positive and reshaped to one
-    coefficient vector per point; the witness value is recomputed by a
-    direct double sum. An empty matrix, or one with a non-finite entry, is
-    an error.
+    term, so only the factors are decided. Unless a diagonal entry or an
+    adjacent 2 x 2 principal block already shows a factor indefinite, each F
+    is first factored by Cholesky, shifted so that success proves the rule
+    (see `_shifted_cholesky`); then no eigensolve runs, the report's
+    `min_eigenvalue` is None and its `max_eigenvalue` is rho <= lambda_max.
+    Otherwise each F is solved for its eigenvalues (with eigenvectors if the
+    pre-test refuted it), and a term on which the verdict fails is solved
+    again with eigenvectors: the verdict, both reported eigenvalues and the
+    witness all come from that solve, so a report never contradicts itself.
+    A failed factorisation costs time, never a verdict. The witness
+    coefficients are v (x) u for the most negative product, in the term's
+    component slots, signed so that the largest entry is positive and
+    reshaped to one coefficient vector per point; the witness value is
+    recomputed by a direct double sum. An empty matrix, or one with a
+    non-finite entry, is an error.
     """
-    return _certify(gram, tolerance, vectors=False)[0]
+    return _certify(gram, tolerance, "cholesky")[0]
 
 
-def _certify(gram, tolerance: float, vectors: bool):
-    """`certify_psd`'s body; also returns, per term, the symmetrized factor
-    it solved with the eigenvalues and eigenvectors (None if not asked for
-    and not needed) of its last solve."""
+def _certify(gram, tolerance: float, first: str):
+    """`certify_psd`'s body, with its first solve named as in `_decide_stack`;
+    also returns, per term, the symmetrized factor it solved with the
+    eigenvalues and eigenvectors (None if not asked for and not needed) of
+    its last solve, or None when a Cholesky decided."""
     _check_tolerance(tolerance)
     g = _as_gram(gram)
     if g.n_points == 0:
@@ -163,7 +186,7 @@ def _certify(gram, tolerance: float, vectors: bool):
     if g.has_duplicates:
         warnings.append("duplicate points: Gram matrix is singular by construction")
     terms = [t for _, t in g.factors]
-    d = _decide_stack([F[None] for F, _ in g.factors], terms, tolerance, vectors)
+    d = _decide_stack([F[None] for F, _ in g.factors], terms, tolerance, first)
     sym_gap = max((gap[0] * np.max(np.abs(t.matrix)) for gap, t in zip(d.gaps, terms) if gap),
                   default=0.0)
     if sym_gap > 0:
@@ -171,8 +194,11 @@ def _certify(gram, tolerance: float, vectors: bool):
         if sym_gap > 1e-12 * max(1.0, scale):
             warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
     witness = None if d.ok[0] else _witness(d, 0, g)
-    report = PDReport("certified_psd" if witness is None else "witness_found", float(d.lo[0]),
-                      float(d.hi[0]), tolerance, witness, tuple(warnings))
+    report = PDReport("certified_psd" if witness is None else "witness_found",
+                      None if d.lams is None else float(d.lo[0]), float(d.hi[0]), tolerance,
+                      witness, tuple(warnings))
+    if d.lams is None:
+        return report, None
     return report, [(M[0], lam[0], V.get(0)) for M, lam, V in zip(d.Ms, d.lams, d.vecs)]
 
 
@@ -208,18 +234,29 @@ _Decided = namedtuple("_Decided", "Ms gaps lams vecs lo hi arg ok")
 
 
 def _decide_stack(factors: list, terms: list, tolerance: float,
-                  vectors: bool = False) -> _Decided:
+                  first: str = "eigvalsh") -> _Decided:
     """`certify_psd`'s rules over a stack of b Grams of the same terms, given
-    as term k's finite factors `factors[k]` (b, m, m); `vectors` solves every
-    factor with eigenvectors. Returns, per term, the symmetrized factors Ms,
-    their symmetry gaps, the ascending eigenvalues lams (b, m) of each last
-    solve and vecs, {Gram: eigenvectors} of the solves that kept them; per
-    Gram, the least and greatest product lo and hi, ranked as (value, term,
-    i, j), the column arg of the least (4 per term) and the verdict ok. A
-    solve is one call per term and kind; a stack solved whole is not copied."""
+    as term k's finite factors `factors[k]` (b, m, m). `first` names the
+    first solve: "eigvalsh" solves each factor for its eigenvalues (with
+    eigenvectors if the pre-test refutes it), "eigh" every factor with
+    eigenvectors, and "cholesky" tries `_shifted_cholesky` first when the
+    pre-test refutes no factor, going on as "eigvalsh" unless it proves every
+    Gram. Returns, per term, the symmetrized factors Ms, their symmetry gaps,
+    the ascending eigenvalues lams (b, m) of each last solve and vecs,
+    {Gram: eigenvectors} of the solves that kept them; per Gram, the least
+    and greatest product lo and hi, ranked as (value, term, i, j), the column
+    arg of the least (4 per term) and the verdict ok. When the Cholesky
+    decided, lams, vecs, lo and arg are None and hi is rho. A solve is one
+    call per term and kind; a stack solved whole is not copied."""
     Ms, gaps = zip(*map(_symmetrized, factors))
-    solved = [np.ones(len(M), bool) if vectors else _evidently_indefinite(M, tolerance)
-              for M in Ms]
+    if first == "eigh":
+        solved = [np.ones(len(M), bool) for M in Ms]
+    else:
+        solved = [_evidently_indefinite(M, tolerance) for M in Ms]
+        if first == "cholesky" and not any(s.any() for s in solved):
+            rho = _shifted_cholesky(Ms, terms, tolerance)
+            if rho is not None:
+                return _Decided(Ms, gaps, None, None, None, rho, None, np.ones(len(rho), bool))
     lams, vecs = [np.empty(M.shape[:2]) for M in Ms], [{} for _ in Ms]
     for M, pre, lam, V in zip(Ms, solved, lams, vecs):
         _solve(M, ~pre, lam)
@@ -237,6 +274,71 @@ def _decide_stack(factors: list, terms: list, tolerance: float,
         for M, lam, V, s, r in zip(Ms, lams, vecs, solved, redo):
             _solve(M, r, lam, V)
             s |= r
+
+
+def _shifted_cholesky(Ms, terms, tolerance: float):
+    """Per Gram of a stack, rho if one Cholesky per factor proves that the
+    Gram passes the rule, else None (then for the whole stack).
+
+    rho = max over terms of rho_F * a_max, rho_F the largest Rayleigh
+    quotient of _POWER_STEPS power steps on F from the ones vector and a_max
+    the largest eigenvalue of A. So rho <= lambda_max (up to the rounding of
+    a Rayleigh quotient), and s = tolerance * max(1, rho) is at most the
+    rule's threshold. Each term must show every product lambda(F) * a >= -s
+    (see `_proves_term`); then lambda_min >= -s >= -tolerance * max(1,
+    lambda_max)."""
+    if any(t.evals[-1] <= 0 for t in terms):
+        return None
+    rho = np.max([_rayleigh(M) * t.evals[-1] for M, t in zip(Ms, terms)], axis=0)
+    s = tolerance * np.fmax(1.0, rho)
+    for M, t in zip(Ms, terms):
+        for F, s_e in zip(M, s.tolist()):
+            if not _proves_term(F, s_e, float(t.evals[0]), float(t.evals[-1])):
+                return None
+    return rho
+
+
+def _rayleigh(M: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack (b, m, m), the largest Rayleigh quotient of
+    _POWER_STEPS power steps from the ones vector (finite: the first is the
+    mean of the entries)."""
+    x = np.ones((len(M), M.shape[1], 1))
+    best = np.full((len(M), 1, 1), -np.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a step that lands on 0
+        for _ in range(_POWER_STEPS):
+            y = M @ x
+            xt = x.transpose(0, 2, 1)
+            best = np.fmax(best, (xt @ y) / (xt @ x))
+            x = y / np.sqrt(y.transpose(0, 2, 1) @ y)
+    return best[:, 0, 0]
+
+
+def _proves_term(F: np.ndarray, s: float, a_min: float, a_max: float) -> bool:
+    """Whether lambda * a >= -s is proved for every eigenvalue lambda of F
+    (m x m, symmetric) and a in [a_min, a_max], a_max > 0.
+
+    With shift = s / a_max, the Cholesky of F + (shift - c) I succeeds only
+    if lambda_min(F) > -shift, where c bounds the rounding of forming and
+    factoring that matrix: the computed factor is exact for a perturbation of
+    2-norm at most gamma_{m+1} / (1 - gamma_{m+1}) times its trace (Higham,
+    Thm 10.3 with Cauchy-Schwarz; Rump, BIT 46 (2006)). With T a bound on
+    that trace, c = 2 (m + 4) u T also covers the rounding of the shift and
+    of the diagonal add, and m * tiny underflow. An a_min < 0 (a PSD A's
+    rounding) needs lambda_max(F) <= s / |a_min|: once lambda_min(F) >
+    -shift, lambda_max(F) <= trace + (m - 1) shift <= T. The shifted copy
+    and the factor live only inside this call."""
+    m = F.shape[0]
+    shift = s / a_max
+    T = float(np.abs(F.diagonal()).sum()) + m * shift
+    if 2.0 * T * max(-a_min, 0.0) > s:
+        return False
+    A = F.copy()
+    A.flat[::m + 1] += shift - (2 * (m + 4) * _UNIT_ROUNDOFF * T + m * np.finfo(float).tiny)
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _solve(M: np.ndarray, which: np.ndarray, lam: np.ndarray, vecs: dict | None = None):

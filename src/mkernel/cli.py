@@ -30,7 +30,7 @@ from .integral import discretization_gap, equivalence_harness
 from .kernels import as_points, build_kernel, json_array, json_number, spec_from_json
 from .spectral import nystrom_decompose, trace_functional
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def _load_config(path: str) -> dict:

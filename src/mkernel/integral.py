@@ -26,8 +26,8 @@ import numpy as np
 from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, _check_tolerance,
                       certify_psd, direct_quadform, random_search_witness)
 from .domains import Ball, QuadratureMeasure, in_closed_ball, region_mask
-from .kernels import (GramBlockMatrix, MatrixKernel, _row_slices, as_points, bound_estimate,
-                      gram_blocks, gram_matrix)
+from .kernels import (GramBlockMatrix, MatrixKernel, _largest_block_norm, _row_slices,
+                      as_points, gram_blocks, gram_matrix)
 
 
 def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
@@ -255,7 +255,10 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
     cnorms = np.linalg.norm(C, axis=1)
     annulus = np.multiply.outer(outer_masses, outer_masses) - np.multiply.outer(masses, masses)
     rel = annulus / np.multiply.outer(masses, masses)
-    sup_norm = bound_estimate(kernel, measure.nodes)
+    # bound_estimate over the nodes, read from the Gram held here
+    n = len(measure)
+    sup_norm = _largest_block_norm(np.ascontiguousarray(gram.blocks[rows])
+                                   for rows in _row_slices(n, n))
     remainder = float(np.einsum("ij,i,j->", rel, cnorms, cnorms) * sup_norm)
 
     continuity = 0.0
@@ -358,7 +361,9 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
 
     The discrete side hunts for a Gram eigen-witness over random point
     sets. The integral side decides the weighted measure Gram PSD at the
-    same tolerance; its witness is the lowest eigenfunction phi = v / sqrt(w)
+    same tolerance with `certify_psd`, so when a Cholesky proves it the
+    report's `min_eigenvalue` is None and its `max_eigenvalue` a lower bound
+    on lambda_max; its witness is the lowest eigenfunction phi = v / sqrt(w)
     at the measure nodes, with value B(phi, phi) (phi is 0 at a node of zero
     weight, which adds nothing to the form). With trials = 0 both sides are
     inconclusive.

@@ -3,7 +3,7 @@
 import numpy as np
 
 from mkernel.applications.estimation import EstimationDataset
-from mkernel.certify import DEFAULT_TOLERANCE, SearchReport, assemble_gram, certify_psd
+from mkernel.certify import DEFAULT_TOLERANCE, SearchReport, _certify, assemble_gram
 
 
 def gradient_descent_oracle(dataset: EstimationDataset, lam: float, causal: bool = False,
@@ -37,9 +37,11 @@ def gradient_descent_oracle(dataset: EstimationDataset, lam: float, causal: bool
 def random_search_oracle(kernel, domain, trials: int = 200, seed: int = 0,
                          n_range: tuple = (1, 8),
                          tolerance: float = DEFAULT_TOLERANCE) -> SearchReport:
-    """The witness search one trial at a time: one `certify_psd` of one
-    assembled Gram per trial, stopping at the first witness. The library's
-    search decides its trials in stacks and must report exactly this."""
+    """The witness search one trial at a time: one decision of one assembled
+    Gram per trial, by `certify_psd`'s rules on its eigenvalue-solving path
+    (the search's margin needs the exact extreme eigenvalues), stopping at
+    the first witness. The library's search decides its trials in stacks and
+    must report exactly this."""
     rng = np.random.default_rng(seed)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_hi < n_lo:
@@ -48,7 +50,7 @@ def random_search_oracle(kernel, domain, trials: int = 200, seed: int = 0,
     for t in range(trials):
         n = int(rng.integers(n_lo, n_hi + 1))
         points = domain.sample(rng, n)
-        report = certify_psd(assemble_gram(kernel, points), tolerance)
+        report = _certify(assemble_gram(kernel, points), tolerance, "eigvalsh")[0]
         margin = report.min_eigenvalue / max(1.0, report.max_eigenvalue)
         min_margin = min(min_margin, margin)
         if not report.certified:

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mkernel.certify import (
+    _certify,
     assemble_gram,
     certify_psd,
     complex_quadform,
@@ -18,9 +19,14 @@ from test_energy import _skewed_kernel
 def test_ones_matrix_eigenvalues():
     n = 4
     rep = certify_psd(np.ones((n, n)))
+    # a Cholesky decides: no least eigenvalue, and rho from the ones vector is n
     assert rep.verdict == "certified_psd"
+    assert rep.min_eigenvalue is None
     assert rep.max_eigenvalue == pytest.approx(n, abs=1e-12)
-    assert abs(rep.min_eigenvalue) <= 1e-12
+    exact = _certify(np.ones((n, n)), 1e-9, "eigvalsh")[0]
+    assert exact.verdict == "certified_psd"
+    assert exact.max_eigenvalue == pytest.approx(n, abs=1e-12)
+    assert abs(exact.min_eigenvalue) <= 1e-12
 
 
 def test_swap_matrix_witness():
@@ -220,6 +226,9 @@ def test_certified_gram_solves_without_eigenvectors(monkeypatch):
     gram = assemble_gram(k, np.linspace(0.0, 1.0, 12).reshape(-1, 1))
     eigh_calls, eigvalsh_calls = _spy(monkeypatch, "eigh"), _spy(monkeypatch, "eigvalsh")
     assert certify_psd(gram).certified
+    assert (len(eigh_calls), len(eigvalsh_calls)) == (0, 0)
+    # the eigenvalue-solving path solves the one factor once, without eigenvectors
+    assert _certify(gram, 1e-9, "eigvalsh")[0].certified
     assert (len(eigh_calls), len(eigvalsh_calls)) == (0, 1)
 
 
@@ -245,8 +254,16 @@ def test_verdict_matches_full_eigh_reference_on_zoo():
             assert rep.certified == ok, (entry.name, n)
             # two eigensolvers agree to a backward error of order eps * ||M||
             bound = 1e-12 * max(1.0, evals[-1])
-            assert rep.max_eigenvalue == pytest.approx(evals[-1], abs=bound)
-            assert rep.min_eigenvalue == pytest.approx(evals[0], abs=bound)
+            if rep.min_eigenvalue is None:  # a Cholesky decided: rho <= lambda_max
+                assert rep.certified
+                assert rep.max_eigenvalue <= evals[-1] + bound
+            else:
+                assert rep.max_eigenvalue == pytest.approx(evals[-1], abs=bound)
+                assert rep.min_eigenvalue == pytest.approx(evals[0], abs=bound)
+            exact = _certify(gram, 1e-9, "eigvalsh")[0]
+            assert exact.to_json()["witness"] == rep.to_json()["witness"]
+            assert exact.max_eigenvalue == pytest.approx(evals[-1], abs=bound)
+            assert exact.min_eigenvalue == pytest.approx(evals[0], abs=bound)
             if not ok:
                 # the witness comes from the same solve as the reference, with
                 # the sign that makes its largest entry positive
@@ -265,7 +282,11 @@ def test_eigenvalue_disagreement_gives_consistent_report(monkeypatch):
         evals[..., 0] = -1.0000001e-9 * max(1.0, evals[..., -1])
         return evals
 
+    def fails(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("forced: the eigensolve path decides")
+
     monkeypatch.setattr(np.linalg, "eigvalsh", pushed_below_threshold)
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
     eigh_calls = _spy(monkeypatch, "eigh")
     rep = certify_psd(M, tolerance=1e-9)
     evals = np.linalg.eigh(M)[0]
@@ -280,8 +301,12 @@ def test_asymmetric_input_is_symmetrized():
     rep = certify_psd(A)
     expected = np.linalg.eigvalsh(0.5 * (A + A.T))
     assert rep.certified
-    assert (rep.min_eigenvalue, rep.max_eigenvalue) == (float(expected[0]), float(expected[-1]))
+    assert rep.min_eigenvalue is None
+    assert rep.max_eigenvalue <= float(expected[-1]) * (1 + 1e-12)
     assert any("asymmetric" in w for w in rep.warnings)
+    exact = _certify(A, 1e-9, "eigvalsh")[0]
+    assert (exact.min_eigenvalue, exact.max_eigenvalue) == (float(expected[0]), float(expected[-1]))
+    assert exact.warnings == rep.warnings
 
 
 def test_asymmetric_callable_is_reported_not_mirrored():

@@ -31,7 +31,7 @@ def test_certify_gaussian_exits_zero(tmp_path, capsys):
     code, rep = _run(capsys, ["certify", "--config", cfg])
     assert code == 0
     assert rep["command"] == "certify"
-    assert rep["schema_version"] == "2"
+    assert rep["schema_version"] == "3"
     assert rep["result"]["verdict"] == "certified_psd"
     assert rep["config"]["tolerance"] == 1e-9
     assert len(rep["config"]["points"]) == 8
@@ -491,6 +491,22 @@ def test_module_entrypoint_runs(tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["result"]["verdict"] == "certified_psd"
+
+
+def test_import_loads_no_heavy_or_test_only_module():
+    """`import mkernel` (and its CLI) pulls in numpy and the standard library
+    it needs, nothing that would lengthen every command's start-up."""
+    path = [str(Path(mkernel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    banned = ("scipy", "mpmath", "sympy", "hypothesis", "fractions", "decimal")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mkernel, mkernel.cli; "
+         f"print(sorted(m for m in {banned!r} if m in sys.modules))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 LIFT = {"lift": {"scalar": {"gaussian": 0.5}, "matrix": [[2, 1], [1, 2]]}}

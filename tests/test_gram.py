@@ -10,8 +10,8 @@ from mkernel.applications.control import assemble_control_qp
 from mkernel.certify import GramBlockMatrix, assemble_gram, certify_psd
 from mkernel.domains import make_box_domain, make_measure
 from mkernel.integral import discretization_gap, measure_gram
-from mkernel.kernels import (Gaussian, Lift, NegDistance, bound_estimate, build_kernel,
-                             gram_blocks, kernel_zoo)
+from mkernel.kernels import (BlockDiag, Brownian, Conjugate, Gaussian, Lift, NegDistance,
+                             bound_estimate, build_kernel, gram_blocks, kernel_zoo)
 
 LIFT = Lift(Gaussian(0.5), ((2.0, 1.0), (1.0, 2.0)))
 
@@ -113,6 +113,30 @@ def test_gap_sup_norm_is_the_bound_estimate_over_the_nodes(entry):
     rep = discretization_gap(k, mu, [[0.3], [0.7]], np.ones((2, k.output_dim)), 0.05, 0.05)
     assert rep.sup_norm == bound_estimate(k, mu.nodes)
     assert rep.sup_norm == _reference_sup_norm(_reference_blocks(k, mu.nodes))
+
+
+def _random_block_kernels(count):
+    """Lifts of random PSD matrices and conjugates of a two-block BlockDiag,
+    with blocks of 2 to 4 components."""
+    rng = np.random.default_rng(31)
+    specs = []
+    for _ in range(count):
+        N = int(rng.integers(2, 5))
+        B = rng.normal(size=(N, N))
+        specs.append(Lift(Gaussian(float(rng.uniform(0.3, 3.0))), tuple(map(tuple, B @ B.T))))
+        specs.append(Conjugate(BlockDiag((Gaussian(1.0), Brownian())),
+                               tuple(map(tuple, rng.normal(size=(N, 2))))))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _random_block_kernels(6))
+def test_gap_sup_norm_is_the_bound_estimate_for_random_blocks(spec):
+    """The same bits as `bound_estimate` for any block entries, not only the
+    zoo's: the gap takes the same norm of the same contiguous blocks."""
+    k = build_kernel(spec)
+    mu = make_measure(make_box_domain([0.0], [1.0]), "trapezoid", 65)
+    rep = discretization_gap(k, mu, [[0.3], [0.7]], np.ones((2, k.output_dim)), 0.05, 0.05)
+    assert rep.sup_norm == bound_estimate(k, mu.nodes)
 
 
 def test_has_duplicates_in_two_dimensions():

@@ -4,8 +4,9 @@ A `Lift` Gram is G (x) A, a `Conjugate` of a one-term scalar-factor kernel
 k A is the lift G (x) B A B^T, and a `BlockDiag` Gram is the direct sum of
 its blocks' terms, so `certify_psd` solves only the factors. Every case here is
 checked against a dense solve of the formed block Gram `g.data`: the verdict
-is equal, the extreme eigenvalues agree within 1e-12 max(1, lambda_max), and
-a witness is negative and recomputed by a direct double sum.
+is equal, the extreme eigenvalues of the eigenvalue-solving path agree within
+1e-12 max(1, lambda_max), a Cholesky decision's rho is at most lambda_max,
+and a witness is negative and recomputed by a direct double sum.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mkernel.certify import DEFAULT_TOLERANCE, assemble_gram, certify_psd
+from mkernel.certify import DEFAULT_TOLERANCE, _certify, assemble_gram, certify_psd
 from mkernel.domains import make_box_domain, make_measure
 from mkernel.integral import measure_gram
 from mkernel.kernels import (
@@ -77,8 +78,14 @@ def _check_against_dense(spec, P):
     lo, hi, ok = _dense(g)
     bound = 1e-12 * max(1.0, hi)
     assert rep.certified == ok
-    assert abs(rep.min_eigenvalue - lo) <= bound
-    assert abs(rep.max_eigenvalue - hi) <= bound
+    exact = _certify(g, DEFAULT_TOLERANCE, "eigvalsh")[0]
+    assert exact.certified == ok
+    assert abs(exact.min_eigenvalue - lo) <= bound
+    assert abs(exact.max_eigenvalue - hi) <= bound
+    if rep.min_eigenvalue is None:  # a Cholesky decided: rho <= lambda_max
+        assert rep.certified and rep.max_eigenvalue <= hi + bound
+        return rep
+    assert (rep.min_eigenvalue, rep.max_eigenvalue) == (exact.min_eigenvalue, exact.max_eigenvalue)
     if not rep.certified:
         C = rep.witness.coefficients
         assert C.shape == (len(P), k.output_dim)
@@ -173,8 +180,9 @@ def test_formed_gram_equals_the_evaluated_blocks_bit_for_bit(spec):
 
 
 def _assert_verdict_never_forms_the_block_gram(spec):
-    """Assembling the Gram over 400 points and certifying it peaks below half
-    an (nN)^2 matrix under tracemalloc."""
+    """Assembling the Gram over 400 points and certifying it peaks below one
+    (nN)^2 matrix under tracemalloc: the factor, its shifted copy and its
+    Cholesky factor are each 1/N^2 of that."""
     k = build_kernel(spec)
     P = np.linspace(0.0, 1.0, 400).reshape(-1, 1)
     certify_psd(assemble_gram(k, P[:5]))  # warm up, so lazy set-up is not counted
@@ -186,7 +194,7 @@ def _assert_verdict_never_forms_the_block_gram(spec):
         tracemalloc.stop()
     assert rep.certified
     order = len(P) * k.output_dim
-    assert peak < 0.5 * order**2 * 8
+    assert peak < order**2 * 8
 
 
 def test_lift_verdict_never_forms_the_block_gram():
@@ -200,8 +208,11 @@ def test_conjugated_lift_verdict_never_forms_the_block_gram():
 
 @pytest.mark.parametrize("entry", [e for e in kernel_zoo() if e.is_pd], ids=lambda e: e.name)
 def test_the_verdict_copies_no_factor(entry):
-    """Certifying a Gram over 400 points peaks below half of its largest
-    factor under tracemalloc: no factor is copied or stacked with another."""
+    """Certifying a Gram over 400 points peaks below 2.1 times its largest
+    factor under tracemalloc: the only copies are one term's shifted factor
+    and its Cholesky factor, both dropped before the next term, so no two
+    terms' copies are held at once and no factor is stacked with another.
+    (`eigvalsh` copies its input too, in a buffer tracemalloc does not see.)"""
     k = build_kernel(entry.spec)
     P = np.linspace(0.0, 1.0, 400).reshape(-1, 1)
     certify_psd(assemble_gram(k, P[:5]))  # warm up, so lazy set-up is not counted
@@ -213,7 +224,7 @@ def test_the_verdict_copies_no_factor(entry):
     finally:
         tracemalloc.stop()
     assert rep.certified
-    assert peak < 0.5 * max(F.nbytes for F, _ in gram.factors)
+    assert peak < 2.1 * max(F.nbytes for F, _ in gram.factors)
 
 
 def test_block_diag_spectrum_matches_a_dense_solve():

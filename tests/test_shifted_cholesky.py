@@ -1,0 +1,136 @@
+"""The shifted-Cholesky decision of `certify_psd`.
+
+A Cholesky of each factor, shifted by the threshold and by a bound on its own
+rounding, proves the rule lambda_min >= -tolerance * max(1, lambda_max)
+without an eigensolve. Its verdicts must be those of a dense eigenvalue
+decision; when it certifies, the report's `min_eigenvalue` is None and its
+`max_eigenvalue` is rho <= lambda_max; and it must call no eigensolver on a
+PSD Gram, and no Cholesky on a Gram the pre-test refutes.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mkernel.certify import _certify, assemble_gram, certify_psd
+from mkernel.kernels import Gaussian, GramBlockMatrix, build_kernel, kernel_zoo
+from test_certify import _spy
+
+ZOO = kernel_zoo()
+
+
+def _dense_decision(M, tolerance):
+    """The rule on the eigenvalues of one dense solve of the whole matrix:
+    (verdict, distance of lambda_min from the threshold, lambda_max)."""
+    evals = np.linalg.eigvalsh(M)
+    lo, hi = float(evals[0]), float(evals[-1])
+    threshold = -tolerance * max(1.0, hi)
+    return lo >= threshold, lo - threshold, hi
+
+
+def _check(M, tolerance):
+    """certify_psd of M against a dense decision and against the
+    eigenvalue-solving path of the same rules; returns the report."""
+    rep = certify_psd(M, tolerance)
+    data = M.data if isinstance(M, GramBlockMatrix) else M
+    ok, margin, hi = _dense_decision(0.5 * (data + data.T), tolerance)
+    exact = _certify(M, tolerance, "eigvalsh")[0]
+    assert rep.certified == exact.certified
+    # the two eigensolvers differ by rounding: only a Gram that close to the
+    # threshold may be decided differently by the dense one
+    if abs(margin) > 1e-12 * max(1.0, hi):
+        assert rep.certified == ok
+    if rep.min_eigenvalue is None:
+        assert rep.certified and rep.max_eigenvalue <= hi * (1 + 1e-12)
+    else:
+        assert rep.to_json() == exact.to_json()
+    return rep
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 0.0])
+@pytest.mark.parametrize("entry", ZOO, ids=lambda e: e.name)
+def test_verdict_is_the_dense_decision_on_the_zoo(entry, tolerance):
+    k = build_kernel(entry.spec)
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5, 8, 16, 33, 64, 400):
+        _check(assemble_gram(k, rng.uniform(0.0, 1.0, size=(n, 1))), tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-6])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_verdict_at_the_threshold_of_a_diagonal(factor, tolerance):
+    rep = _check(np.diag([1.0, -factor * tolerance]), tolerance)
+    assert rep.certified == (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_verdict_at_a_threshold_set_by_lambda_max(factor):
+    # tolerance * lambda_max = 1e-3
+    rep = _check(np.diag([1e6, -factor * 1e-3]), 1e-9)
+    assert rep.certified == (factor < 1)
+
+
+def test_rotated_matrix_within_tolerance_is_proved():
+    Q = np.linalg.qr(np.random.default_rng(4).normal(size=(6, 6)))[0]
+    M = Q @ np.diag([-5e-10, 0.3, 0.5, 1.0, 2.0, 4.0]) @ Q.T
+    M = 0.5 * (M + M.T)
+    rep = _check(M, 1e-9)
+    assert rep.min_eigenvalue is None
+
+
+def test_gaussian_points_at_spacing_1e_4():
+    k = build_kernel(Gaussian(1.0))
+    P = 1e-4 * np.arange(200.0).reshape(-1, 1)
+    for tolerance in (1e-9, 0.0):
+        _check(assemble_gram(k, P), tolerance)
+
+
+def _mp_extremes(M):
+    with mpmath.workdps(40):
+        evals = mpmath.mp.eigsy(mpmath.matrix(M.tolist()), eigvals_only=True)
+        values = sorted(evals[i] for i in range(M.shape[0]))
+        return values[0], values[-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(-1.0, 3.0),
+       st.floats(-0.05, 0.05), st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_a_cholesky_certificate_holds_in_high_precision(m, seed, log_max, delta, tolerance):
+    """A symmetric matrix with lambda_min = -(1 + delta) * tolerance * max(1, lambda_max):
+    whenever a Cholesky certifies it, its exact spectrum passes the rule with
+    the reported rho, and rho is at most the exact lambda_max."""
+    rng = np.random.default_rng(seed)
+    top = 10.0**log_max
+    evals = np.concatenate([[-(1 + delta) * tolerance * max(1.0, top), top],
+                            rng.uniform(0.0, top, size=m - 2)])
+    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    M = (Q * evals) @ Q.T
+    M = 0.5 * (M + M.T)
+    rep = certify_psd(M, tolerance)
+    if rep.min_eigenvalue is None:
+        lo, hi = _mp_extremes(M)
+        assert lo >= -tolerance * max(1.0, rep.max_eigenvalue)
+        assert rep.max_eigenvalue <= hi * (1 + mpmath.mpf(1e-12))
+    else:
+        assert rep.to_json() == _certify(M, tolerance, "eigvalsh")[0].to_json()
+
+
+@pytest.mark.parametrize("entry", [e for e in ZOO if e.is_pd], ids=lambda e: e.name)
+def test_a_pd_zoo_gram_calls_no_eigensolver(entry, monkeypatch):
+    k = build_kernel(entry.spec)
+    gram = assemble_gram(k, np.linspace(0.0, 1.0, 400).reshape(-1, 1))
+    calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")]
+    rep = certify_psd(gram)
+    assert rep.certified and rep.min_eigenvalue is None
+    assert [len(c) for c in calls] == [0, 0, len(k.terms)]
+
+
+def test_a_refuted_gram_calls_one_eigh_and_no_cholesky(monkeypatch):
+    (entry,) = [e for e in ZOO if e.name == "neg_distance"]
+    gram = assemble_gram(build_kernel(entry.spec), np.linspace(0.0, 1.0, 400).reshape(-1, 1))
+    calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")]
+    rep = certify_psd(gram)
+    assert rep.verdict == "witness_found"
+    assert [len(c) for c in calls] == [1, 0, 0]
