@@ -10,10 +10,14 @@ The layers are: leaf kernel evaluation, Gram assembly, the PSD decision
 witness search, the equivalence harness, `nystrom_decompose`, the energy
 minimiser, the control solve and `mkernel certify` wall time, import
 included. Each entry is the best and the median of `--repeats` timed calls
-after one untimed call, with the size it was taken at. The file also records
-the numpy version, the BLAS build and the BLAS thread count, pinned and read
-back as the benchmark in `perfbench/run.py` does. Only the public API is
-used, so the script runs on any checkout that has it.
+after one untimed call, with the size it was taken at. The small verdicts
+(`decide.small`: `certify_psd` of a 4 x 4 SPD matrix and of a 24-point
+Gaussian Gram, and a 16-cell control solve) take tens of microseconds, so
+each of their repeats times 1,000 calls and reports the time per call. The
+file also records the numpy version, the BLAS build and the BLAS thread
+count, pinned and read back as the benchmark in `perfbench/run.py` does.
+Only the public API is used, so the script runs on any checkout that has
+it.
 """
 
 from __future__ import annotations
@@ -41,15 +45,20 @@ LIFT_GRID = 31
 CONTROL_CELLS = 512
 ENERGY_POINTS = 24
 ENERGY_ITERATIONS = 100
+SMALL_CALLS = 1000
+SMALL_POINTS = 24
+SMALL_CELLS = 16
 
 
-def _timed(fn, repeats: int) -> dict:
+def _timed(fn, repeats: int, calls: int = 1) -> dict:
+    """Best and median time per call of `repeats` runs of `calls` calls each."""
     fn()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        for _ in range(calls):
+            fn()
+        times.append((time.perf_counter() - t0) / calls)
     return {"best_s": min(times), "median_s": statistics.median(times)}
 
 
@@ -61,9 +70,9 @@ def layers(mk, np, repeats: int) -> dict:
     line = mk.make_measure(mk.make_box_domain([0.0], [1.0]), "trapezoid", HARNESS_NODES)
     out = {}
 
-    def add(name, size, fn):
-        out[name] = {"size": size, **_timed(fn, repeats)}
-        print(f"  {name:44s} {out[name]['best_s'] * 1e3:9.2f} ms  ({size})", flush=True)
+    def add(name, size, fn, calls=1):
+        out[name] = {"size": size, **_timed(fn, repeats, calls)}
+        print(f"  {name:44s} {out[name]['best_s'] * 1e3:10.3f} ms  ({size})", flush=True)
 
     gaussian = zoo["gaussian"][1]
     P = points["gaussian"]
@@ -84,6 +93,16 @@ def layers(mk, np, repeats: int) -> dict:
     g = mk.assemble_gram(zoo["neg_distance"][1], points["neg_distance"])
     add("decide.witness.neg_distance", f"order {GRAM_ORDER}", lambda: mk.certify_psd(g))
     del g
+    per_call = f"per call, {SMALL_CALLS} calls per repeat"
+    A = rng.normal(size=(4, 4))
+    spd = A @ A.T + 4.0 * np.eye(4)
+    add("decide.small.spd_4x4", f"4 x 4, {per_call}", lambda: mk.certify_psd(spd), SMALL_CALLS)
+    small = mk.assemble_gram(gaussian, rng.uniform(0.0, 1.0, size=(SMALL_POINTS, 1)))
+    add(f"decide.small.gaussian_{SMALL_POINTS}", f"{SMALL_POINTS} points, {per_call}",
+        lambda: mk.certify_psd(small), SMALL_CALLS)
+    qp = mk.assemble_control_qp(gaussian, np.linspace(0.0, 1.0, SMALL_CELLS + 1), 1.0)
+    add(f"decide.small.solve_qp_{SMALL_CELLS}", f"{SMALL_CELLS} cells, {per_call}",
+        lambda: mk.solve_control_qp(qp), SMALL_CALLS)
 
     for name, (_, k) in zoo.items():
         add(f"search.{name}", f"{SEARCH_TRIALS} trials",

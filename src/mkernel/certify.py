@@ -17,14 +17,15 @@ is negative, reproducible by a direct double sum. Every Gram matrix here is
 a `GramBlockMatrix`, the one block-Gram type that the integral and spectral
 sides also use for the Gram over measure nodes.
 
-The rules are written once, in `_decide_stack`, over a stack of Grams of the
-same terms: `certify_psd` decides a stack of one, and the random witness
-search the point sets of a chunk of trials, grouped by size, with each term
-evaluated once on the stacked points. The search solves its Grams for their
-eigenvalues, since it reports the least margin it saw, and takes the witness
-of the trial that ends it from the factors its stack holds, so no trial's
-kernel is evaluated twice; it reports what one eigenvalue-solving decision
-per trial would.
+The decision is three stages: both callers symmetrize their factors and
+pre-test them (`_evidently_indefinite`); `certify_psd` tries the Cholesky proof
+on its Gram's matrices; and the eigenvalue rule is written once, in
+`_decide_stack`, for a stack of Grams of the same terms: `certify_psd`'s as a
+stack of one, or a chunk of the random witness search's point sets, grouped by
+size, with each term evaluated once on the stacked points. The search solves
+its Grams for their eigenvalues, since it reports the least margin it saw, and
+builds the witness of the trial that ends it from its stack's factors: it
+reports what one eigenvalue-solving decision per trial would.
 """
 
 from __future__ import annotations
@@ -174,10 +175,11 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
 
 
 def _certify(gram, tolerance: float, first: str):
-    """`certify_psd`'s body, with its first solve named as in `_decide_stack`;
-    also returns, per term, the symmetrized factor it solved with the
-    eigenvalues and eigenvectors (None if not asked for and not needed) of
-    its last solve, or None when a Cholesky decided."""
+    """`certify_psd`'s body, with its first stage named: "cholesky" (if the
+    pre-test refutes no factor), "eigvalsh" (eigenvectors only where it does)
+    or "eigh" (eigenvectors for every factor). Also returns, per term, the
+    symmetrized factor with the eigenvalues and eigenvectors (None if not
+    needed) of its last solve, or None when a Cholesky decided."""
     _check_tolerance(tolerance)
     g = _as_gram(gram)
     if g.n_points == 0:
@@ -186,20 +188,25 @@ def _certify(gram, tolerance: float, first: str):
     if g.has_duplicates:
         warnings.append("duplicate points: Gram matrix is singular by construction")
     terms = [t for _, t in g.factors]
-    d = _decide_stack([F[None] for F, _ in g.factors], terms, tolerance, first)
-    sym_gap = max((gap[0] * np.max(np.abs(t.matrix)) for gap, t in zip(d.gaps, terms) if gap),
+    Ms, gaps = zip(*(_symmetrized(F) for F, _ in g.factors))
+    sym_gap = max((gap * np.max(np.abs(t.matrix)) for gap, t in zip(gaps, terms) if gap),
                   default=0.0)
     if sym_gap > 0:
         scale = max(np.max(np.abs(F)) * np.max(np.abs(t.matrix)) for F, t in g.factors)
         if sym_gap > 1e-12 * max(1.0, scale):
             warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
+    stacks = [M[None] for M in Ms]
+    vectors = [np.ones(1, bool) if first == "eigh" else _evidently_indefinite(S, tolerance)
+               for S in stacks]
+    if first == "cholesky" and not any(v[0] for v in vectors):
+        rho = _shifted_cholesky(Ms, terms, tolerance)
+        if rho is not None:
+            return PDReport("certified_psd", None, rho, tolerance, None, tuple(warnings)), None
+    d = _decide_stack(stacks, terms, tolerance, vectors)
     witness = None if d.ok[0] else _witness(d, 0, g)
     report = PDReport("certified_psd" if witness is None else "witness_found",
-                      None if d.lams is None else float(d.lo[0]), float(d.hi[0]), tolerance,
-                      witness, tuple(warnings))
-    if d.lams is None:
-        return report, None
-    return report, [(M[0], lam[0], V.get(0)) for M, lam, V in zip(d.Ms, d.lams, d.vecs)]
+                      float(d.lo[0]), float(d.hi[0]), tolerance, witness, tuple(warnings))
+    return report, [(M, lam[0], V.get(0)) for M, lam, V in zip(Ms, d.lams, d.vecs)]
 
 
 def _symmetrized(F: np.ndarray):
@@ -230,35 +237,22 @@ def _evidently_indefinite(M: np.ndarray, tolerance: float):
     return (a < 0).any(-1) | (a[..., :-1] * a[..., 1:] < M.diagonal(1, -2, -1) ** 2).any(-1)
 
 
-_Decided = namedtuple("_Decided", "Ms gaps lams vecs lo hi arg ok")
+_Decided = namedtuple("_Decided", "lams vecs lo hi arg ok")
 
 
-def _decide_stack(factors: list, terms: list, tolerance: float,
-                  first: str = "eigvalsh") -> _Decided:
-    """`certify_psd`'s rules over a stack of b Grams of the same terms, given
-    as term k's finite factors `factors[k]` (b, m, m). `first` names the
-    first solve: "eigvalsh" solves each factor for its eigenvalues (with
-    eigenvectors if the pre-test refutes it), "eigh" every factor with
-    eigenvectors, and "cholesky" tries `_shifted_cholesky` first when the
-    pre-test refutes no factor, going on as "eigvalsh" unless it proves every
-    Gram. Returns, per term, the symmetrized factors Ms, their symmetry gaps,
-    the ascending eigenvalues lams (b, m) of each last solve and vecs,
-    {Gram: eigenvectors} of the solves that kept them; per Gram, the least
-    and greatest product lo and hi, ranked as (value, term, i, j), the column
-    arg of the least (4 per term) and the verdict ok. When the Cholesky
-    decided, lams, vecs, lo and arg are None and hi is rho. A solve is one
-    call per term and kind; a stack solved whole is not copied."""
-    Ms, gaps = zip(*map(_symmetrized, factors))
-    if first == "eigh":
-        solved = [np.ones(len(M), bool) for M in Ms]
-    else:
-        solved = [_evidently_indefinite(M, tolerance) for M in Ms]
-        if first == "cholesky" and not any(s.any() for s in solved):
-            rho = _shifted_cholesky(Ms, terms, tolerance)
-            if rho is not None:
-                return _Decided(Ms, gaps, None, None, None, rho, None, np.ones(len(rho), bool))
+def _decide_stack(Ms: list, terms: list, tolerance: float, vectors: list) -> _Decided:
+    """`certify_psd`'s rule on the eigenvalues of a stack of b Grams of the
+    same terms, given as term k's symmetric finite factors Ms[k] (b, m, m).
+    Each is solved for its eigenvalues, with eigenvectors where the mask
+    vectors[k] (b,) is set; a term on which a Gram fails is solved again with
+    eigenvectors, setting its mask, and the Gram re-decided. Returns, per term,
+    the ascending eigenvalues lams (b, m) of each last solve and vecs, {Gram:
+    eigenvectors} of the solves that kept them; per Gram, the least and
+    greatest product lo and hi, ranked as (value, term, i, j), the column arg
+    of the least (4 per term) and the verdict ok. A solve is one call per term
+    and kind; a stack solved whole is not copied."""
     lams, vecs = [np.empty(M.shape[:2]) for M in Ms], [{} for _ in Ms]
-    for M, pre, lam, V in zip(Ms, solved, lams, vecs):
+    for M, pre, lam, V in zip(Ms, vectors, lams, vecs):
         _solve(M, ~pre, lam)
         _solve(M, pre, lam, V)
     ends, rows = [t.evals[[0, -1]] for t in terms], np.arange(len(Ms[0]))
@@ -268,17 +262,17 @@ def _decide_stack(factors: list, terms: list, tolerance: float,
         arg = P.argmin(1)
         lo, hi = P[rows, arg], P[rows, P.shape[1] - 1 - P[:, ::-1].argmax(1)]
         ok = _decide((lo, hi), tolerance)
-        redo = [] if ok.all() else [~ok & (arg // 4 == k) & ~s for k, s in enumerate(solved)]
+        redo = [] if ok.all() else [~ok & (arg // 4 == k) & ~s for k, s in enumerate(vectors)]
         if not any(r.any() for r in redo):
-            return _Decided(Ms, gaps, lams, vecs, lo, hi, arg, ok)
-        for M, lam, V, s, r in zip(Ms, lams, vecs, solved, redo):
+            return _Decided(lams, vecs, lo, hi, arg, ok)
+        for M, lam, V, s, r in zip(Ms, lams, vecs, vectors, redo):
             _solve(M, r, lam, V)
             s |= r
 
 
 def _shifted_cholesky(Ms, terms, tolerance: float):
-    """Per Gram of a stack, rho if one Cholesky per factor proves that the
-    Gram passes the rule, else None (then for the whole stack).
+    """rho if one Cholesky per symmetric factor Ms[k] (m, m) proves that the
+    Gram passes the rule, else None.
 
     rho = max over terms of rho_F * a_max, rho_F the largest Rayleigh
     quotient of _POWER_STEPS power steps on F from the ones vector and a_max
@@ -289,28 +283,22 @@ def _shifted_cholesky(Ms, terms, tolerance: float):
     lambda_max)."""
     if any(t.evals[-1] <= 0 for t in terms):
         return None
-    rho = np.max([_rayleigh(M) * t.evals[-1] for M, t in zip(Ms, terms)], axis=0)
-    s = tolerance * np.fmax(1.0, rho)
-    for M, t in zip(Ms, terms):
-        for F, s_e in zip(M, s.tolist()):
-            if not _proves_term(F, s_e, float(t.evals[0]), float(t.evals[-1])):
-                return None
-    return rho
+    rho = float(np.max([_rayleigh(M) * t.evals[-1] for M, t in zip(Ms, terms)]))
+    s = tolerance * max(1.0, rho)
+    ok = (_proves_term(M, s, float(t.evals[0]), float(t.evals[-1])) for M, t in zip(Ms, terms))
+    return rho if all(ok) else None
 
 
-def _rayleigh(M: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack (b, m, m), the largest Rayleigh quotient of
-    _POWER_STEPS power steps from the ones vector (finite: the first is the
-    mean of the entries)."""
-    x = np.ones((len(M), M.shape[1], 1))
-    best = np.full((len(M), 1, 1), -np.inf)
+def _rayleigh(M: np.ndarray) -> float:
+    """The largest Rayleigh quotient of _POWER_STEPS power steps on M (m, m)
+    from the ones vector (finite: the first is the mean of the entries)."""
+    x, best = np.ones(M.shape[0]), -np.inf
     with np.errstate(invalid="ignore", divide="ignore"):  # a step that lands on 0
         for _ in range(_POWER_STEPS):
             y = M @ x
-            xt = x.transpose(0, 2, 1)
-            best = np.fmax(best, (xt @ y) / (xt @ x))
-            x = y / np.sqrt(y.transpose(0, 2, 1) @ y)
-    return best[:, 0, 0]
+            best = np.fmax(best, (x @ y) / (x @ x))
+            x = y / np.sqrt(y @ y)
+    return best
 
 
 def _proves_term(F: np.ndarray, s: float, a_min: float, a_max: float) -> bool:
@@ -456,7 +444,9 @@ def _decide_chunk(kernel: MatrixKernel, chunk: list, tolerance: float) -> list:
                        .reshape(len(part), n * t.dim, n * t.dim) for t in kernel.terms]
             finite = np.logical_and.reduce([np.isfinite(F).all(axis=(1, 2)) for F in factors])
             cut = len(part) if finite.all() else int(finite.argmin())
-            d = _decide_stack([F[:cut] for F in factors], kernel.terms, tolerance)
+            Ms = [_symmetrized(F[:cut])[0] for F in factors]
+            d = _decide_stack(Ms, kernel.terms, tolerance,
+                              [_evidently_indefinite(M, tolerance) for M in Ms])
             margins = (d.lo / np.fmax(1.0, d.hi)).tolist() + [None] * (len(part) - cut)
             for e, (pos, margin) in enumerate(zip(part, margins)):
                 where[pos] = (margin, d, factors, e)

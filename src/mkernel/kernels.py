@@ -73,17 +73,18 @@ class KernelSpec:
     """A node of a kernel expression.
 
     Each node is a frozen dataclass that declares its JSON `key` and owns
-    `compile(allow_unbounded)`, which validates the node and returns it as
-    an unnamed `MatrixKernel`; combinators compile their children and read
-    the fields of theirs. Its `name` is the key followed by the names of its
-    sub-expressions in parentheses. Its JSON
-    form is {key: value}: the bare value of a node with one field, otherwise
-    an object of its fields ({} for none); matrices are lists of rows.
+    `compile()`, which validates the node and returns it as an unnamed
+    `MatrixKernel`; combinators compile their children and read the fields
+    of theirs, `unbounded_diagonal` included, which `build_kernel` checks.
+    Its `name` is the key followed by the names of its sub-expressions in
+    parentheses. Its JSON form is {key: value}: the bare value of a node with
+    one field, otherwise an object of its fields ({} for none); matrices are
+    lists of rows.
     """
 
     key: ClassVar[str]
 
-    def compile(self, allow_unbounded: bool) -> MatrixKernel:
+    def compile(self) -> MatrixKernel:
         raise NotImplementedError
 
     @property
@@ -107,7 +108,7 @@ class Gaussian(KernelSpec):
     key = "gaussian"
     gamma: float = 1.0
 
-    def compile(self, allow_unbounded):
+    def compile(self):
         g = self._param("gamma")
         if not g > 0:
             raise ValueError("gaussian rate gamma must be positive")
@@ -123,26 +124,21 @@ class Gaussian(KernelSpec):
 class Riesz(KernelSpec):
     """1 / (|x - y| + eta)^s, scalar.
 
-    Positive definite for every s > 0, eta > 0. With eta = 0 the kernel is
-    unbounded on the diagonal and may only be used where the diagonal is
-    excluded (pass allow_unbounded=True to build_kernel).
+    Positive definite for every s > 0, eta > 0. With eta = 0 its compiled
+    kernel is unbounded on the diagonal, which `build_kernel` accepts only
+    with allow_unbounded=True, for uses that exclude the diagonal.
     """
 
     key = "riesz"
     s: float
     eta: float = 0.0
 
-    def compile(self, allow_unbounded):
+    def compile(self):
         s, eta = self._param("s"), self._param("eta")
         if not s > 0:
             raise ValueError("riesz exponent s must be positive")
         if eta < 0:
             raise ValueError("riesz regularizer eta must be nonnegative")
-        if eta == 0 and not allow_unbounded:
-            raise ValueError(
-                "riesz with eta = 0 is unbounded on the diagonal; "
-                "build with allow_unbounded=True and exclude the diagonal"
-            )
 
         def f(X, Y, s=s, eta=eta):
             r = np.linalg.norm(X - Y, axis=-1)
@@ -159,7 +155,7 @@ class Brownian(KernelSpec):
 
     key = "brownian"
 
-    def compile(self, allow_unbounded):
+    def compile(self):
         def f(X, Y):
             return np.minimum(X[..., 0], Y[..., 0])[..., None, None]
 
@@ -172,7 +168,7 @@ class NegDistance(KernelSpec):
 
     key = "neg_distance"
 
-    def compile(self, allow_unbounded):
+    def compile(self):
         def f(X, Y):
             return -np.linalg.norm(X - Y, axis=-1)[..., None, None]
 
@@ -186,7 +182,7 @@ class Constant(KernelSpec):
     key = "constant"
     c: float = 1.0
 
-    def compile(self, allow_unbounded):
+    def compile(self):
         c = self._param("c")
 
         def f(X, Y, c=c):
@@ -204,8 +200,8 @@ class Lift(KernelSpec):
     scalar: KernelSpec
     matrix: Matrix
 
-    def compile(self, allow_unbounded):
-        inner = self.scalar.compile(allow_unbounded)
+    def compile(self):
+        inner = self.scalar.compile()
         if inner.output_dim != 1:
             raise ValueError("lift expects a scalar kernel")
         A = _as_matrix(self._param("matrix"))
@@ -238,8 +234,8 @@ class Conjugate(KernelSpec):
     inner: KernelSpec
     matrix: Matrix
 
-    def compile(self, allow_unbounded):
-        inner = self.inner.compile(allow_unbounded)
+    def compile(self):
+        inner = self.inner.compile()
         B = _as_matrix(self._param("matrix"))
         if B.shape[1] != inner.output_dim:
             raise ValueError(f"conjugation matrix has {B.shape[1]} columns, "
@@ -278,8 +274,8 @@ class Sum(KernelSpec):
     key = "sum"
     terms: Specs
 
-    def compile(self, allow_unbounded):
-        terms = [t.compile(allow_unbounded) for t in self.terms]
+    def compile(self):
+        terms = [t.compile() for t in self.terms]
         if not terms:
             raise ValueError("sum needs at least one term")
         dims = {t.output_dim for t in terms}
@@ -307,11 +303,11 @@ class Scale(KernelSpec):
     factor: float
     inner: KernelSpec
 
-    def compile(self, allow_unbounded):
+    def compile(self):
         a = self._param("factor")
         if a < 0:
             raise ValueError("scale factor must be nonnegative")
-        inner = self.inner.compile(allow_unbounded)
+        inner = self.inner.compile()
 
         def f(X, Y, inner_f=inner._batch, a=a):
             return a * inner_f(X, Y)
@@ -327,8 +323,8 @@ class BlockDiag(KernelSpec):
     key = "block_diag"
     blocks: Specs
 
-    def compile(self, allow_unbounded):
-        blocks = [b.compile(allow_unbounded) for b in self.blocks]
+    def compile(self):
+        blocks = [b.compile() for b in self.blocks]
         if not blocks:
             raise ValueError("block_diag needs at least one block")
         in_dims = {b.input_dim for b in blocks if b.input_dim is not None}
@@ -432,8 +428,11 @@ def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKerne
     negative scale factors, mismatched sizes, and (unless allow_unbounded
     is set) kernels that are unbounded on the diagonal.
     """
-    kernel = spec.compile(allow_unbounded)
+    kernel = spec.compile()
     kernel.name = spec.name
+    if kernel.unbounded_diagonal and not allow_unbounded:
+        raise ValueError(f"kernel {kernel.name!r} is unbounded on the diagonal; "
+                         "build with allow_unbounded=True and exclude the diagonal")
     return kernel
 
 

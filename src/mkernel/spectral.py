@@ -54,6 +54,8 @@ class SpectralDecomposition:
         return self.sigmas.size
 
     def to_json(self, max_rank: int | None = None) -> dict:
+        if max_rank is not None and max_rank < 0:
+            raise ValueError(f"rank must be >= 0, got {max_rank!r}")
         r = self.rank if max_rank is None else min(self.rank, int(max_rank))
         return {
             "sigmas": self.sigmas[:r].tolist(),
@@ -70,13 +72,16 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
                       drop_tolerance: float = DROP_TOLERANCE) -> SpectralDecomposition:
     """Eigendecompose the kernel operator discretized on a measure.
 
-    Keeps eigenvalues above drop_tolerance times the largest one; requires
-    strictly positive quadrature weights (the square-root rescaling divides
-    by them). Each scaled factor of `weighted_gram` is solved and its
-    eigenpairs are the products sigma mu with eigenvectors v (x) u in the
-    term's component slots. Each factor is freed once it is solved, so the
-    measure Gram is not held beside the eigensolver's copies.
+    Keeps eigenvalues above drop_tolerance (a finite number >= 0) times the
+    largest one; requires strictly positive quadrature weights (the
+    square-root rescaling divides by them). Each scaled factor of
+    `weighted_gram` is solved and its eigenpairs are the products sigma mu
+    with eigenvectors v (x) u in the term's component slots. Each factor is
+    freed once it is solved, so the measure Gram is not held beside the
+    eigensolver's copies.
     """
+    if not 0.0 <= drop_tolerance < np.inf:
+        raise ValueError(f"drop_tolerance must be a finite number >= 0, got {drop_tolerance!r}")
     if np.any(measure.weights <= 0):
         raise ValueError("spectral decomposition needs strictly positive weights")
     n, N = len(measure), kernel.output_dim
@@ -128,6 +133,8 @@ def reconstruct(decomp: SpectralDecomposition, ix: int, iy: int,
                 terms: int | None = None) -> np.ndarray:
     """Partial-sum reconstruction sum_k sigma_k phi_k(x_ix) phi_k(x_iy)^T."""
     m = decomp.rank if terms is None else int(terms)
+    if m < 0:
+        raise ValueError(f"terms must be >= 0, got {terms!r}")
     if m > decomp.rank:
         raise ValueError(f"decomposition retains only {decomp.rank} terms, asked for {m}")
     px = decomp.phis[:m, ix, :]

@@ -283,7 +283,7 @@ def test_control_makes_one_eigensolve(tmp_path, capsys, monkeypatch, kernel):
             return real(*args, **kwargs)
         return call
 
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     cfg = _write(tmp_path, "q.json", {"kernel": kernel, "partition": _dyadic(4), "beta": 1.0})
     assert main(["control", "--config", cfg]) in (0, 2)
@@ -413,6 +413,8 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     ("control", {"partition": [0, 1], "beta": [1.0, float("-inf")]},
      "config entry 'beta' must be finite, got -inf"),
     ("control", {"partition": [0, 1], "beta": 10**400}, "config entry 'beta' must be finite"),
+    ("spectrum", {"drop_tolerance": -1}, "drop_tolerance must be a finite number >= 0, got -1.0"),
+    ("spectrum", {"rank": -1}, "rank must be >= 0, got -1"),
 ])
 def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
     cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX, "centers": [0.5], "coefficients": [[1.0]]}

@@ -136,7 +136,8 @@ def test_a_trial_the_stack_fails_is_solved_again_with_eigenvectors(monkeypatch):
 
 def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
     real_eigvalsh, real_certify = np.linalg.eigvalsh, certify.certify_psd
-    solves, exact_calls = [], []
+    real_cholesky = np.linalg.cholesky
+    solves, exact_calls, factorisations = [], [], []
 
     def eigvalsh(*args, **kwargs):
         solves.append(1)
@@ -146,12 +147,19 @@ def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
         exact_calls.append(1)
         return real_certify(*args, **kwargs)
 
+    def cholesky(*args, **kwargs):
+        factorisations.append(1)
+        return real_cholesky(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     monkeypatch.setattr(certify, "certify_psd", certify_psd)
     report = random_search_witness(ZOO["gaussian"], LINE, trials=200, seed=0)
     assert not report.found and report.trials == 200
     # at most one stack per point-set size (8 of them) and chunk, not one per trial
     assert len(solves) <= 40 and not exact_calls
+    # the search reports margins, so it decides by eigenvalues and never factors
+    assert not factorisations
 
 
 def test_negative_trials_rejected():

@@ -122,9 +122,18 @@ def test_a_pd_zoo_gram_calls_no_eigensolver(entry, monkeypatch):
     k = build_kernel(entry.spec)
     gram = assemble_gram(k, np.linspace(0.0, 1.0, 400).reshape(-1, 1))
     calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")]
+    counted, ndims = np.linalg.cholesky, []
+
+    def cholesky(A, *args, **kwargs):
+        ndims.append(np.ndim(A))
+        return counted(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     rep = certify_psd(gram)
     assert rep.certified and rep.min_eigenvalue is None
     assert [len(c) for c in calls] == [0, 0, len(k.terms)]
+    # the proof factors one Gram's matrices, not stacks of them
+    assert ndims == [2] * len(k.terms)
 
 
 def test_a_refuted_gram_calls_one_eigh_and_no_cholesky(monkeypatch):

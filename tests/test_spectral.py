@@ -87,6 +87,23 @@ def test_reconstruction_exact_at_nodes(box):
         reconstruct(dec, 0, 0, terms=dec.rank + 1)
 
 
+def test_a_negative_rank_or_term_count_is_an_error(box):
+    dec = nystrom_decompose(build_kernel(Gaussian(1.0)), make_measure(box, "trapezoid", 9))
+    with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
+        dec.to_json(max_rank=-1)
+    with pytest.raises(ValueError, match="terms must be >= 0, got -1"):
+        reconstruct(dec, 0, 0, terms=-1)
+    assert dec.to_json(max_rank=0)["sigmas"] == []
+    assert np.array_equal(reconstruct(dec, 0, 0, terms=0), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("drop_tolerance", [-1.0, np.nan, np.inf])
+def test_drop_tolerance_must_be_finite_and_nonnegative(box, drop_tolerance):
+    mu = make_measure(box, "trapezoid", 9)
+    with pytest.raises(ValueError, match="drop_tolerance must be a finite number >= 0, got"):
+        nystrom_decompose(build_kernel(NegDistance()), mu, drop_tolerance=drop_tolerance)
+
+
 def test_truncated_reconstruction_error_decreases(box):
     mu = _measure(box, 65)
     k = build_kernel(Gaussian(4.0))
