@@ -8,28 +8,32 @@ F and of A: a `Lift` is decided on its scalar Gram and a `BlockDiag` on its
 blocks, without forming the (n N) x (n N) matrix.
 
 `certify_psd` first tries to prove the rule with one shifted Cholesky per
-factor (Rump's test, see `_shifted_cholesky`), which needs no spectrum. Only
-when a factorisation fails, or a factor is evidently indefinite, are the
-factors solved for their eigenvalues; a term that fails is solved again with
-eigenvectors, the verdict is re-decided on that solve and, on failure, a
-witness is returned: the points and coefficient vectors whose quadratic form
-is negative, reproducible by a direct double sum. Every Gram matrix here is
-a `GramBlockMatrix`, the one block-Gram type that the integral and spectral
-sides also use for the Gram over measure nodes.
+factor (Rump's test, see `_shifted_cholesky`), which needs no spectrum, and
+to refute it, when a factor is evidently indefinite, with the witness of its
+least 2 x 2 principal block (see `_pair_witness`), which needs none either.
+Only when neither settles it are the factors solved for their eigenvalues; a
+term that fails is solved again with eigenvectors, the verdict is re-decided
+on that solve and, on failure, a witness is returned: the points and
+coefficient vectors whose quadratic form is negative, reproducible by a
+direct double sum. Every Gram matrix here is a `GramBlockMatrix`, the one
+block-Gram type that the integral and spectral sides also use for the Gram
+over measure nodes.
 
 The decision is three stages: both callers symmetrize their factors and
-pre-test them (`_evidently_indefinite`); `certify_psd` tries the Cholesky proof
-on its Gram's matrices; and the eigenvalue rule is written once, in
-`_decide_stack`, for a stack of Grams of the same terms: `certify_psd`'s as a
-stack of one, or a chunk of the random witness search's point sets, grouped by
-size, with each term evaluated once on the stacked points. The search solves
-its Grams for their eigenvalues, since it reports the least margin it saw, and
-builds the witness of the trial that ends it from its stack's factors: it
-reports what one eigenvalue-solving decision per trial would.
+pre-test them (`_evidently_indefinite`); `certify_psd` tries the Cholesky proof,
+or the 2 x 2 block's witness, on its Gram's matrices; and the eigenvalue rule
+is written once, in `_decide_stack`, for a stack of Grams of the same terms:
+`certify_psd`'s as a stack of one, or a chunk of the random witness search's
+point sets, grouped by size, with each term evaluated once on the stacked
+points. The search solves its Grams for their eigenvalues, since it reports
+the least margin it saw, and builds the witness of the trial that ends it from
+its stack's factors: it reports what one eigenvalue-solving decision per trial
+would.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -42,7 +46,11 @@ DEFAULT_TOLERANCE = 1e-9
 # Power steps behind the lower bound rho on lambda_max that a Cholesky decision
 # sets its threshold by (see `_shifted_cholesky`).
 _POWER_STEPS = 8
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_EPS = np.finfo(float).eps
+_UNIT_ROUNDOFF = _EPS / 2
+
+# Order of the tiles that the exact-symmetry test compares (see `_is_symmetric`).
+_TILE = 128
 
 # Trials in the witness search's first chunk; each later chunk is four times
 # as large, so a kernel refuted early is decided on few Grams and one that is
@@ -101,9 +109,13 @@ class PDReport:
     """Outcome of a PSD certification.
 
     `min_eigenvalue` and `max_eigenvalue` are the exact extreme eigenvalues
-    when an eigensolve decided; when a Cholesky proved the rule without one,
+    when an eigensolve decided. When a Cholesky proved the rule without one,
     `min_eigenvalue` is None and `max_eigenvalue` the lower bound rho on
-    lambda_max that the threshold was set by.
+    lambda_max that the threshold was set by. When a 2 x 2 principal block's
+    witness refuted it without one, `min_eigenvalue` is the witness value, an
+    upper bound on lambda_min, and `max_eigenvalue` Gershgorin's upper bound
+    on lambda_max, so that min_eigenvalue < -tolerance * max(1,
+    max_eigenvalue) holds of the reported numbers.
     """
 
     verdict: str
@@ -150,7 +162,7 @@ def _decide(evals, tolerance: float):
 
 
 def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
-    """Certify a (block) Gram matrix PSD, or produce an eigen-witness.
+    """Certify a (block) Gram matrix PSD, or produce a witness.
 
     The matrix passes when its minimum eigenvalue is at least
     -tolerance * max(1, lambda_max). The spectrum is that of the Gram's
@@ -160,26 +172,32 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     is first factored by Cholesky, shifted so that success proves the rule
     (see `_shifted_cholesky`); then no eigensolve runs, the report's
     `min_eigenvalue` is None and its `max_eigenvalue` is rho <= lambda_max.
-    Otherwise each F is solved for its eigenvalues (with eigenvectors if the
-    pre-test refuted it), and a term on which the verdict fails is solved
-    again with eigenvectors: the verdict, both reported eigenvalues and the
-    witness all come from that solve, so a report never contradicts itself.
-    A failed factorisation costs time, never a verdict. The witness
-    coefficients are v (x) u for the most negative product, in the term's
-    component slots, signed so that the largest entry is positive and
-    reshaped to one coefficient vector per point; the witness value is
-    recomputed by a direct double sum. An empty matrix, or one with a
-    non-finite entry, is an error.
+    If the pre-test refutes a factor, the least such block gives a witness on
+    at most two adjacent points (see `_pair_witness`); when its value is below
+    the threshold set by Gershgorin's bound ub >= lambda_max by more than an
+    eigensolve's rounding, no eigensolve runs, `min_eigenvalue` is that value
+    (>= lambda_min, by interlacing) and `max_eigenvalue` is ub. Otherwise
+    each F is solved for its eigenvalues (with eigenvectors if the pre-test
+    refuted it), and a term on which the verdict fails is solved again with
+    eigenvectors: the verdict, both reported eigenvalues and the eigen-witness
+    all come from that solve. Either way a report satisfies its own rule, and
+    a failed factorisation or a witness too close to call costs time, never a
+    verdict. A witness's coefficients are v (x) u, v a unit eigenvector of F
+    or of its 2 x 2 block and u one of A, in the term's component slots,
+    signed so that the largest entry is positive and reshaped to one
+    coefficient vector per point; its value is recomputed by a direct double
+    sum. An empty matrix, or one with a non-finite entry, is an error.
     """
     return _certify(gram, tolerance, "cholesky")[0]
 
 
 def _certify(gram, tolerance: float, first: str):
-    """`certify_psd`'s body, with its first stage named: "cholesky" (if the
-    pre-test refutes no factor), "eigvalsh" (eigenvectors only where it does)
-    or "eigh" (eigenvectors for every factor). Also returns, per term, the
+    """`certify_psd`'s body, with its first stage named: "cholesky" (the
+    Cholesky proof if the pre-test refutes no factor, the 2 x 2 block's
+    witness if it does), "eigvalsh" (eigenvectors only where it does) or
+    "eigh" (eigenvectors for every factor). Also returns, per term, the
     symmetrized factor with the eigenvalues and eigenvectors (None if not
-    needed) of its last solve, or None when a Cholesky decided."""
+    needed) of its last solve, or None when no eigensolve decided."""
     _check_tolerance(tolerance)
     g = _as_gram(gram)
     if g.n_points == 0:
@@ -198,10 +216,18 @@ def _certify(gram, tolerance: float, first: str):
     stacks = [M[None] for M in Ms]
     vectors = [np.ones(1, bool) if first == "eigh" else _evidently_indefinite(S, tolerance)
                for S in stacks]
-    if first == "cholesky" and not any(v[0] for v in vectors):
-        rho = _shifted_cholesky(Ms, terms, tolerance)
-        if rho is not None:
-            return PDReport("certified_psd", None, rho, tolerance, None, tuple(warnings)), None
+    if first == "cholesky":
+        refuted = [bool(v[0]) for v in vectors]
+        if any(refuted):
+            found = _pair_witness(g, Ms, refuted, tolerance)
+            if found is not None:
+                value, ub, witness = found
+                return PDReport("witness_found", value, ub, tolerance, witness,
+                                tuple(warnings)), None
+        else:
+            rho = _shifted_cholesky(Ms, terms, tolerance)
+            if rho is not None:
+                return PDReport("certified_psd", None, rho, tolerance, None, tuple(warnings)), None
     d = _decide_stack(stacks, terms, tolerance, vectors)
     witness = None if d.ok[0] else _witness(d, 0, g)
     report = PDReport("certified_psd" if witness is None else "witness_found",
@@ -213,9 +239,9 @@ def _symmetrized(F: np.ndarray):
     """(M, gap) for a matrix F, or per matrix of a stack (..., m, m): M is F
     where F is exactly symmetric, its own symmetrization, and (F + F^T) / 2
     elsewhere; gap is the largest |F - F^T| (0 where symmetric)."""
-    Ft = np.swapaxes(F, -1, -2)
-    if (F == Ft).all():
+    if _is_symmetric(F):
         return F, 0.0
+    Ft = np.swapaxes(F, -1, -2)
     exact = (F == Ft).all(axis=(-2, -1))
     d = F - Ft
     np.abs(d, out=d)
@@ -224,6 +250,16 @@ def _symmetrized(F: np.ndarray):
     M = 0.5 * (F + Ft)
     M[exact] = F[exact]
     return M, gap
+
+
+def _is_symmetric(F: np.ndarray) -> bool:
+    """Whether F, or every matrix of a stack (..., m, m), equals its transpose:
+    _TILE x _TILE tiles of the upper triangle against their mirrors, so that
+    each transposed read stays within one tile."""
+    m = F.shape[-1]
+    return all((F[..., i:i + _TILE, j:j + _TILE]
+                == np.swapaxes(F[..., j:j + _TILE, i:i + _TILE], -1, -2)).all()
+               for i in range(0, m, _TILE) for j in range(i, m, _TILE))
 
 
 def _evidently_indefinite(M: np.ndarray, tolerance: float):
@@ -235,6 +271,93 @@ def _evidently_indefinite(M: np.ndarray, tolerance: float):
     a = d + tolerance * np.fmax(1.0, d.max(-1))[..., None]
     # [[d_i, e], [e, d_j]] + s I is PSD unless d_i + s < 0 or (d_i + s)(d_j + s) < e^2
     return (a < 0).any(-1) | (a[..., :-1] * a[..., 1:] < M.diagonal(1, -2, -1) ** 2).any(-1)
+
+
+def _pair_witness(g: GramBlockMatrix, Ms: list, refuted: list, tolerance: float):
+    """(value, ub, witness) from the least adjacent 2 x 2 principal block (the
+    diagonal entry of a factor of order 1) of the refuted symmetric factors
+    Ms[k] of g, or None if it does not refute the rule beyond an eigensolve's
+    rounding.
+
+    A block's lower eigenvalue times its term's a_max > 0 scores it. The
+    witness is v (x) u in that term's component slots, v the block's unit lower
+    eigenvector (zero off the block) and u A's top eigenvector, signed as
+    `_witness` signs it. Its value is summed with math.fsum over its support,
+    from g's own factor, so no (n N)^2 matrix is formed; by interlacing it is
+    at least lambda_min. ub >= lambda_max is Gershgorin's (see `_gershgorin`).
+    The witness is returned only if value < -tolerance * max(1, ub) by more
+    than an eigensolve's backward error, (n N) eps times the bound on
+    |lambda|, so that the eigenvalue rule refutes the Gram too."""
+    best = None
+    for k, (M, refute) in enumerate(zip(Ms, refuted)):
+        a_max = g.factors[k][1].evals[-1]
+        if refute and a_max > 0:
+            i, mu, v = _least_pair(M)
+            if best is None or mu * a_max < best[0]:
+                best = (mu * a_max, k, i, v)
+    if best is None:
+        return None
+    ub, norm = _gershgorin(Ms, [t for _, t in g.factors])
+    if not np.isfinite(4 * norm):  # the witness's terms sum to at most about norm
+        return None
+    _, k, i, v = best
+    F, t = g.factors[k]
+    a = t.matrix.shape[0]
+    support = np.arange(i, i + v.size)
+    pts, comps = np.divmod(support, t.dim)
+    slots = (pts[:, None], t.offset + comps[:, None] * a + np.arange(a))
+    C = np.zeros((g.n_points, g.block_dim))
+    C[slots] = np.multiply.outer(v, t.evecs[:, -1])
+    C *= np.sign(C.flat[np.argmax(np.abs(C))])
+    c, G = C[slots], np.multiply.outer(F[np.ix_(support, support)], t.matrix)
+    value = math.fsum((c[:, None, :, None] * G * c[None, :, None, :]).ravel().tolist())
+    if value >= -tolerance * max(1.0, ub) - g.n_points * g.block_dim * _EPS * norm:
+        return None
+    return value, ub, Witness(g.points, C, value)
+
+
+def _least_pair(M: np.ndarray):
+    """(i, mu, v): the adjacent 2 x 2 principal block of M (m, m) at rows i,
+    i + 1 with the least lower eigenvalue mu, and its unit lower eigenvector
+    v; for m = 1 the diagonal entry, with v = [1]. A block's lower eigenvalue
+    is at most both of its diagonal entries, so no entry scores below the
+    least block."""
+    if M.shape[0] == 1:
+        return 0, float(M[0, 0]), np.ones(1)
+    d, e = M.diagonal(), M.diagonal(1)
+    mid, half = 0.5 * d[:-1] + 0.5 * d[1:], 0.5 * d[:-1] - 0.5 * d[1:]
+    i = int(np.argmin(mid - np.hypot(half, e)))
+    h, f = half[i], e[i]
+    # (cos t, sin t), 2 t = atan2(f, h), is the upper eigenvector of the block
+    # and the lower one of its negative; each angle is taken where |2 t| <=
+    # pi / 2, so that a diagonal block gives an exact unit vector
+    if h < 0:
+        t = 0.5 * math.atan2(-f, -h)
+        v = [math.cos(t), math.sin(t)]
+    else:
+        t = 0.5 * math.atan2(f, h)
+        v = [-math.sin(t), math.cos(t)]
+    return i, float(mid[i] - math.hypot(h, f)), np.array(v)
+
+
+def _gershgorin(Ms: list, terms: list):
+    """(ub, norm): ub >= lambda_max and norm >= max |lambda| for the Gram of
+    the terms F (x) A with symmetric factors Ms. By Gershgorin each lambda(F)
+    lies in [lo_F, hi_F], lo_F = min_i F_ii - R_i and hi_F = max_i F_ii + R_i
+    with R_i the off-diagonal sum of |F| in row i, so each product lambda(F)
+    * a lies below the largest corner product of [lo_F, hi_F] x [a_min,
+    a_max]. The interval is widened by the rounding of the row sums, at most
+    (m + 2) u of the largest (Higham, Lemma 3.1), twice over, and each corner
+    by its own rounding."""
+    ub, norm = -np.inf, 0.0
+    for M, t in zip(Ms, terms):
+        d, r = M.diagonal(), np.abs(M).sum(1)  # r_i = R_i + |F_ii|
+        slack = 2 * (M.shape[0] + 2) * _UNIT_ROUNDOFF * r.max()
+        box = [(2 * np.fmax(d, 0) - r).min() - slack, (r + 2 * np.fmin(d, 0)).max() + slack]
+        P = np.multiply.outer(box, t.evals[[0, -1]])
+        big = np.abs(P).max() * (1 + 2 * _UNIT_ROUNDOFF)
+        ub, norm = max(ub, P.max() + 2 * _UNIT_ROUNDOFF * big), max(norm, big)
+    return float(ub), float(norm)
 
 
 _Decided = namedtuple("_Decided", "lams vecs lo hi arg ok")

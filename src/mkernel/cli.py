@@ -28,9 +28,9 @@ from .certify import assemble_gram, certify_psd
 from .domains import domain_from_json, load_points_csv, make_measure
 from .integral import discretization_gap, equivalence_harness
 from .kernels import as_points, build_kernel, json_array, json_number, spec_from_json
-from .spectral import nystrom_decompose, trace_functional
+from .spectral import check_rank, nystrom_decompose, trace_functional
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 def _load_config(path: str) -> dict:
@@ -88,6 +88,7 @@ def cmd_gap(args, cfg) -> tuple[dict, dict, int]:
 def cmd_spectrum(args, cfg) -> tuple[dict, dict, int]:
     rank = args.rank if args.rank is not None else _number(cfg, "rank", None, True)
     drop = _number(cfg, "drop_tolerance", 1e-12)
+    check_rank(rank)  # before the eigensolve, not after it
     decomp = nystrom_decompose(args.kernel, args.measure, drop_tolerance=drop)
     result = decomp.to_json(max_rank=rank)
     result["trace"] = trace_functional(args.kernel, args.measure)

@@ -361,11 +361,14 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
 
     The discrete side hunts for a Gram eigen-witness over random point
     sets. The integral side decides the weighted measure Gram PSD at the
-    same tolerance with `certify_psd`, so when a Cholesky proves it the
-    report's `min_eigenvalue` is None and its `max_eigenvalue` a lower bound
-    on lambda_max; its witness is the lowest eigenfunction phi = v / sqrt(w)
-    at the measure nodes, with value B(phi, phi) (phi is 0 at a node of zero
-    weight, which adds nothing to the form). With trials = 0 both sides are
+    same tolerance with `certify_psd`, and reports its fields as
+    `certify_psd` defines them: when a Cholesky proves it, `min_eigenvalue`
+    is None and `max_eigenvalue` a lower bound on lambda_max; when a 2 x 2
+    block refutes it, they are that witness's value and an upper bound on
+    lambda_max. Its witness is phi = v / sqrt(w) at the measure nodes for
+    `certify_psd`'s witness v (a pair of adjacent nodes, or the lowest
+    eigenvector), with value B(phi, phi) (phi is 0 at a node of zero weight,
+    which adds nothing to the form). With trials = 0 both sides are
     inconclusive.
     """
     _check_tolerance(tolerance)

@@ -54,8 +54,7 @@ class SpectralDecomposition:
         return self.sigmas.size
 
     def to_json(self, max_rank: int | None = None) -> dict:
-        if max_rank is not None and max_rank < 0:
-            raise ValueError(f"rank must be >= 0, got {max_rank!r}")
+        check_rank(max_rank)
         r = self.rank if max_rank is None else min(self.rank, int(max_rank))
         return {
             "sigmas": self.sigmas[:r].tolist(),
@@ -66,6 +65,12 @@ class SpectralDecomposition:
             "rank": self.rank,
             "drop_tolerance": self.drop_tolerance,
         }
+
+
+def check_rank(max_rank: int | None) -> None:
+    """Reject a negative `max_rank` of `SpectralDecomposition.to_json`."""
+    if max_rank is not None and max_rank < 0:
+        raise ValueError(f"rank must be >= 0, got {max_rank!r}")
 
 
 def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mkernel.certify import (
     _certify,
+    _is_symmetric,
+    _symmetrized,
     assemble_gram,
     certify_psd,
     complex_quadform,
@@ -209,6 +213,34 @@ def _reference_decision(gram, tolerance=1e-9):
     return lam_min >= -tolerance * max(1.0, lam_max), evals, evecs
 
 
+def _assert_pair_witness(rep, gram, tolerance, lo, hi):
+    """The contract of a witness that `certify_psd` took from a 2 x 2 principal
+    block without an eigensolve, against the exact extremes lo and hi of the
+    Gram's spectrum: at most two adjacent points carry coefficients; an exact
+    double sum over the formed Gram equals the value to rounding and is
+    negative; the value is `min_eigenvalue`, at least lo, and
+    `max_eigenvalue` is at least hi (up to an eigensolve's agreement bound);
+    and the report satisfies its own rule."""
+    bound = 1e-12 * max(1.0, hi)
+    assert rep.verdict == "witness_found"
+    assert rep.min_eigenvalue == rep.witness.value
+    C = rep.witness.coefficients
+    rows = np.flatnonzero(np.any(C != 0.0, axis=1))
+    assert 1 <= rows.size <= 2 and rows[-1] - rows[0] == rows.size - 1
+    data = gram.data if hasattr(gram, "data") else np.asarray(gram, dtype=float)
+    N = C.shape[1]
+    idx = (rows[:, None] * N + np.arange(N)).ravel()
+    c = C[rows].ravel()
+    terms = [Fraction(c[x]) * Fraction(data[idx[x], idx[y]]) * Fraction(c[y])
+             for x in range(idx.size) for y in range(idx.size)]
+    exact, magnitude = sum(terms), sum(map(abs, terms))
+    assert exact < 0
+    assert abs(exact - Fraction(rep.min_eigenvalue)) <= 2 * np.finfo(float).eps * magnitude
+    assert rep.min_eigenvalue >= lo - bound
+    assert rep.max_eigenvalue >= hi - bound
+    assert rep.min_eigenvalue < -tolerance * max(1.0, rep.max_eigenvalue)
+
+
 def _spy(monkeypatch, name):
     real = getattr(np.linalg, name)
     calls = []
@@ -235,10 +267,12 @@ def test_certified_gram_solves_without_eigenvectors(monkeypatch):
 def test_witness_gram_solves_with_eigenvectors_once(monkeypatch):
     gram = assemble_gram(build_kernel(NegDistance()), np.linspace(0.0, 1.0, 6).reshape(-1, 1))
     eigh_calls, eigvalsh_calls = _spy(monkeypatch, "eigh"), _spy(monkeypatch, "eigvalsh")
-    rep = certify_psd(gram)
-    assert rep.verdict == "witness_found"
-    # the zero diagonal and -|x - y| beside it fail a 2 x 2 principal block,
-    # so the Gram goes straight to the solve with eigenvectors
+    # the zero diagonal and -|x - y| beside it fail a 2 x 2 principal block:
+    # certify_psd returns that block's witness, and the eigenvalue-solving
+    # path goes straight to the solve with eigenvectors
+    assert certify_psd(gram).verdict == "witness_found"
+    assert (len(eigh_calls), len(eigvalsh_calls)) == (0, 0)
+    assert _certify(gram, 1e-9, "eigvalsh")[0].verdict == "witness_found"
     assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 0)
 
 
@@ -254,23 +288,24 @@ def test_verdict_matches_full_eigh_reference_on_zoo():
             assert rep.certified == ok, (entry.name, n)
             # two eigensolvers agree to a backward error of order eps * ||M||
             bound = 1e-12 * max(1.0, evals[-1])
+            exact = _certify(gram, 1e-9, "eigvalsh")[0]
             if rep.min_eigenvalue is None:  # a Cholesky decided: rho <= lambda_max
                 assert rep.certified
                 assert rep.max_eigenvalue <= evals[-1] + bound
+            elif rep.to_json() != exact.to_json():  # a 2 x 2 block's witness decided
+                _assert_pair_witness(rep, gram, 1e-9, evals[0], evals[-1])
             else:
                 assert rep.max_eigenvalue == pytest.approx(evals[-1], abs=bound)
                 assert rep.min_eigenvalue == pytest.approx(evals[0], abs=bound)
-            exact = _certify(gram, 1e-9, "eigvalsh")[0]
-            assert exact.to_json()["witness"] == rep.to_json()["witness"]
             assert exact.max_eigenvalue == pytest.approx(evals[-1], abs=bound)
             assert exact.min_eigenvalue == pytest.approx(evals[0], abs=bound)
             if not ok:
-                # the witness comes from the same solve as the reference, with
-                # the sign that makes its largest entry positive
+                # the eigen-witness comes from the same solve as the reference,
+                # with the sign that makes its largest entry positive
                 v = evecs[:, 0]
                 C = (v if v[np.argmax(np.abs(v))] > 0 else -v).reshape(n, N)
-                assert np.array_equal(rep.witness.coefficients, C)
-                assert rep.min_eigenvalue == float(evals[0])
+                assert np.array_equal(exact.witness.coefficients, C)
+                assert exact.min_eigenvalue == float(evals[0])
 
 
 def test_eigenvalue_disagreement_gives_consistent_report(monkeypatch):
@@ -307,6 +342,25 @@ def test_asymmetric_input_is_symmetrized():
     exact = _certify(A, 1e-9, "eigvalsh")[0]
     assert (exact.min_eigenvalue, exact.max_eigenvalue) == (float(expected[0]), float(expected[-1]))
     assert exact.warnings == rep.warnings
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (128, 128), (129, 129), (300, 300),
+                                   (7, 24, 24), (2, 260, 260)])
+def test_the_tiled_symmetry_test_is_the_elementwise_one(shape):
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    A = rng.normal(size=shape)
+    F = A + np.swapaxes(A, -1, -2)
+    F[..., 0, -1], F[..., -1, 0] = 0.0, -0.0  # equal as floats
+    cases = [F] + [F.copy() for _ in range(8)]
+    m = shape[-1]
+    for G in cases[1:]:
+        i, j = rng.integers(0, m, size=2)
+        G.reshape(-1, m, m)[-1, i, j] += 1.0  # in the last matrix, asymmetric off the diagonal
+    for G in cases:
+        symmetric = bool((G == np.swapaxes(G, -1, -2)).all())
+        assert _is_symmetric(G) == symmetric
+        M, gap = _symmetrized(G)
+        assert (M is G) == symmetric and bool(np.all(gap == 0.0)) == symmetric
 
 
 def test_asymmetric_callable_is_reported_not_mirrored():

@@ -31,7 +31,7 @@ def test_certify_gaussian_exits_zero(tmp_path, capsys):
     code, rep = _run(capsys, ["certify", "--config", cfg])
     assert code == 0
     assert rep["command"] == "certify"
-    assert rep["schema_version"] == "3"
+    assert rep["schema_version"] == "4"
     assert rep["result"]["verdict"] == "certified_psd"
     assert rep["config"]["tolerance"] == 1e-9
     assert len(rep["config"]["points"]) == 8
@@ -423,6 +423,17 @@ def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, messa
     assert captured.out == ""
     assert captured.err.startswith(f"mkernel {command}: error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,entries", [([], {"rank": -1}), (["--rank", "-1"], {})])
+def test_negative_rank_exits_one_before_the_eigensolve(tmp_path, capsys, monkeypatch,
+                                                       argv, entries):
+    calls = []
+    monkeypatch.setattr("mkernel.cli.nystrom_decompose", lambda *a, **k: calls.append(a))
+    cfg = _write(tmp_path, "r.json", {"kernel": {"gaussian": 1.0}, "domain": BOX, **entries})
+    assert main(["spectrum", "--config", cfg, *argv]) == 1
+    assert capsys.readouterr().err.startswith("mkernel spectrum: error: rank must be >= 0, got -1")
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag", ["0,nan,1", "0,inf"])

@@ -6,7 +6,8 @@ its blocks' terms, so `certify_psd` solves only the factors. Every case here is
 checked against a dense solve of the formed block Gram `g.data`: the verdict
 is equal, the extreme eigenvalues of the eigenvalue-solving path agree within
 1e-12 max(1, lambda_max), a Cholesky decision's rho is at most lambda_max,
-and a witness is negative and recomputed by a direct double sum.
+a witness taken from a 2 x 2 principal block bounds both extremes, and a
+witness is negative and recomputed by a direct double sum.
 """
 
 import math
@@ -37,6 +38,7 @@ from mkernel.kernels import (
     kernel_zoo,
 )
 from mkernel.spectral import nystrom_decompose, trace_functional
+from test_certify import _assert_pair_witness, _spy
 
 EPS = np.finfo(float).eps
 
@@ -85,16 +87,18 @@ def _check_against_dense(spec, P):
     if rep.min_eigenvalue is None:  # a Cholesky decided: rho <= lambda_max
         assert rep.certified and rep.max_eigenvalue <= hi + bound
         return rep
-    assert (rep.min_eigenvalue, rep.max_eigenvalue) == (exact.min_eigenvalue, exact.max_eigenvalue)
+    if rep.to_json() != exact.to_json():  # a 2 x 2 block's witness decided
+        _assert_pair_witness(rep, g, DEFAULT_TOLERANCE, lo, hi)
     if not rep.certified:
-        C = rep.witness.coefficients
-        assert C.shape == (len(P), k.output_dim)
-        assert np.linalg.norm(C) == pytest.approx(1.0, abs=1e-12)
-        direct, magnitude = _double_sum(k, P, C)
-        assert direct < 0
-        assert abs(rep.witness.value - direct) <= C.size**2 * EPS * magnitude
-        # the witness is a unit eigenvector of the least eigenvalue
-        assert abs(rep.witness.value - rep.min_eigenvalue) <= bound
+        for r in (rep, exact):
+            C = r.witness.coefficients
+            assert C.shape == (len(P), k.output_dim)
+            assert np.linalg.norm(C) == pytest.approx(1.0, abs=1e-12)
+            direct, magnitude = _double_sum(k, P, C)
+            assert direct < 0
+            assert abs(r.witness.value - direct) <= C.size**2 * EPS * magnitude
+        # the eigen-witness is a unit eigenvector of the least eigenvalue
+        assert abs(exact.witness.value - exact.min_eigenvalue) <= bound
     return rep
 
 
@@ -131,6 +135,37 @@ def test_block_diag_witness_sits_in_the_failing_block():
     assert np.all(C[:, 0] == 0.0) and np.any(C[:, 1] != 0.0)
     C = C[:, 1]
     assert C[np.argmax(np.abs(C))] > 0
+
+
+@pytest.mark.parametrize("spec", [
+    Lift(NegDistance(), _psd(3, 2, 2)),
+    BlockDiag((Gaussian(1.0), Lift(NegDistance(), _psd(3, 2, 2)), Brownian())),
+], ids=["lift", "block_diag"])
+def test_a_refuted_lift_witness_sits_in_its_slots_without_forming_the_gram(spec, monkeypatch):
+    """A refuted Lift, alone or as a block, is decided by the witness of its
+    scalar factor's least 2 x 2 block: no eigensolve, `data` never formed,
+    and the coefficients are v (x) u on two adjacent points, u A's top
+    eigenvector, in the lift's component slots."""
+    k = build_kernel(spec)
+    (t,) = [t for t in k.terms if t.matrix.shape == (2, 2)]
+    g = assemble_gram(k, np.linspace(0.0, 1.0, 400).reshape(-1, 1))
+    calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh")]
+    rep = certify_psd(g)
+    assert rep.verdict == "witness_found"
+    assert calls == [[], []]
+    assert "data" not in vars(g)
+    C = rep.witness.coefficients
+    inside = np.zeros(C.shape[1], bool)
+    inside[t.offset:t.offset + t.size] = True
+    assert np.all(C[:, ~inside] == 0.0)
+    rows = np.flatnonzero(np.any(C != 0.0, axis=1))
+    assert rows.size == 2 and rows[1] == rows[0] + 1
+    u = t.evecs[:, -1]
+    lifted = C[:, inside]
+    assert np.allclose(lifted - np.outer(lifted @ u, u), 0.0, atol=1e-15)
+    direct, magnitude = _double_sum(k, g.points[rows], C[rows])
+    assert abs(rep.witness.value - direct) <= 2 * EPS * magnitude
+    assert rep.witness.value == rep.min_eigenvalue < 0
 
 
 # Conjugates of a one-term scalar-factor kernel k A, each the lift k B A B^T.

@@ -5,7 +5,9 @@ rounding, proves the rule lambda_min >= -tolerance * max(1, lambda_max)
 without an eigensolve. Its verdicts must be those of a dense eigenvalue
 decision; when it certifies, the report's `min_eigenvalue` is None and its
 `max_eigenvalue` is rho <= lambda_max; and it must call no eigensolver on a
-PSD Gram, and no Cholesky on a Gram the pre-test refutes.
+PSD Gram, and no Cholesky on a Gram the pre-test refutes. A Gram the pre-test
+refutes is decided by the witness of its least 2 x 2 principal block, with
+no eigensolve, unless that witness lies within rounding of the threshold.
 """
 
 import mpmath
@@ -14,20 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkernel.certify import _certify, assemble_gram, certify_psd
+from mkernel.certify import _certify, _evidently_indefinite, assemble_gram, certify_psd
 from mkernel.kernels import Gaussian, GramBlockMatrix, build_kernel, kernel_zoo
-from test_certify import _spy
+from test_certify import _assert_pair_witness, _spy
 
 ZOO = kernel_zoo()
 
 
 def _dense_decision(M, tolerance):
     """The rule on the eigenvalues of one dense solve of the whole matrix:
-    (verdict, distance of lambda_min from the threshold, lambda_max)."""
+    (verdict, distance of lambda_min from the threshold, lambda_min, lambda_max)."""
     evals = np.linalg.eigvalsh(M)
     lo, hi = float(evals[0]), float(evals[-1])
     threshold = -tolerance * max(1.0, hi)
-    return lo >= threshold, lo - threshold, hi
+    return lo >= threshold, lo - threshold, lo, hi
 
 
 def _check(M, tolerance):
@@ -35,7 +37,7 @@ def _check(M, tolerance):
     eigenvalue-solving path of the same rules; returns the report."""
     rep = certify_psd(M, tolerance)
     data = M.data if isinstance(M, GramBlockMatrix) else M
-    ok, margin, hi = _dense_decision(0.5 * (data + data.T), tolerance)
+    ok, margin, lo, hi = _dense_decision(0.5 * (data + data.T), tolerance)
     exact = _certify(M, tolerance, "eigvalsh")[0]
     assert rep.certified == exact.certified
     # the two eigensolvers differ by rounding: only a Gram that close to the
@@ -44,8 +46,8 @@ def _check(M, tolerance):
         assert rep.certified == ok
     if rep.min_eigenvalue is None:
         assert rep.certified and rep.max_eigenvalue <= hi * (1 + 1e-12)
-    else:
-        assert rep.to_json() == exact.to_json()
+    elif rep.to_json() != exact.to_json():  # a 2 x 2 block's witness decided
+        _assert_pair_witness(rep, M, tolerance, lo, hi)
     return rep
 
 
@@ -109,12 +111,15 @@ def test_a_cholesky_certificate_holds_in_high_precision(m, seed, log_max, delta,
     M = (Q * evals) @ Q.T
     M = 0.5 * (M + M.T)
     rep = certify_psd(M, tolerance)
+    exact = _certify(M, tolerance, "eigvalsh")[0]
     if rep.min_eigenvalue is None:
         lo, hi = _mp_extremes(M)
         assert lo >= -tolerance * max(1.0, rep.max_eigenvalue)
         assert rep.max_eigenvalue <= hi * (1 + mpmath.mpf(1e-12))
-    else:
-        assert rep.to_json() == _certify(M, tolerance, "eigvalsh")[0].to_json()
+    elif rep.to_json() != exact.to_json():  # a 2 x 2 block's witness decided
+        assert not exact.certified
+        lo, hi = _mp_extremes(M)
+        _assert_pair_witness(rep, M, tolerance, float(lo), float(hi))
 
 
 @pytest.mark.parametrize("entry", [e for e in ZOO if e.is_pd], ids=lambda e: e.name)
@@ -136,10 +141,31 @@ def test_a_pd_zoo_gram_calls_no_eigensolver(entry, monkeypatch):
     assert ndims == [2] * len(k.terms)
 
 
-def test_a_refuted_gram_calls_one_eigh_and_no_cholesky(monkeypatch):
+def test_a_refuted_gram_calls_no_eigensolver_and_no_cholesky(monkeypatch):
     (entry,) = [e for e in ZOO if e.name == "neg_distance"]
     gram = assemble_gram(build_kernel(entry.spec), np.linspace(0.0, 1.0, 400).reshape(-1, 1))
     calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")]
     rep = certify_psd(gram)
     assert rep.verdict == "witness_found"
+    assert [len(c) for c in calls] == [0, 0, 0]
+    # the least adjacent block of -|x - y| on a uniform grid: its lower eigenvalue
+    # is -h, h the spacing, and the pair's coefficients are (1, 1) / sqrt(2)
+    C = rep.witness.coefficients
+    assert np.count_nonzero(C) == 2
+    assert rep.min_eigenvalue == pytest.approx(-1.0 / 399, rel=1e-12)
+
+
+def test_a_refutation_within_rounding_of_the_threshold_falls_back_to_an_eigensolve(monkeypatch):
+    """The 64 x 64 ones matrix with M[0, 0] lowered by 1e-8: its first 2 x 2
+    block fails the pre-test, but that block's value, about -5e-9, is above
+    -tolerance * max(1, ub) for the Gershgorin bound ub = 64; the eigenvalue
+    rule, whose lambda_min is about -1e-8 against a threshold of -6.4e-8,
+    certifies it."""
+    M = np.ones((64, 64))
+    M[0, 0] -= 1e-8
+    assert _evidently_indefinite(M[None], 1e-9)[0]
+    calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")]
+    rep = certify_psd(M)
+    assert rep.verdict == "certified_psd" and rep.witness is None
     assert [len(c) for c in calls] == [1, 0, 0]
+    assert rep.to_json() == _certify(M, 1e-9, "eigvalsh")[0].to_json()
