@@ -113,9 +113,10 @@ class PDReport:
     `min_eigenvalue` is None and `max_eigenvalue` the lower bound rho on
     lambda_max that the threshold was set by. When a 2 x 2 principal block's
     witness refuted it without one, `min_eigenvalue` is the witness value, an
-    upper bound on lambda_min, and `max_eigenvalue` Gershgorin's upper bound
-    on lambda_max, so that min_eigenvalue < -tolerance * max(1,
-    max_eigenvalue) holds of the reported numbers.
+    upper bound on lambda_min, and `max_eigenvalue` an upper bound on every
+    |lambda| (see `_pair_witness`), so that min_eigenvalue < -tolerance *
+    max(1, max_eigenvalue) holds of the reported numbers. A `witness_found`
+    report does not say whether its numbers are exact or bounds.
     """
 
     verdict: str
@@ -174,9 +175,9 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     `min_eigenvalue` is None and its `max_eigenvalue` is rho <= lambda_max.
     If the pre-test refutes a factor, the least such block gives a witness on
     at most two adjacent points (see `_pair_witness`); when its value is below
-    the threshold set by Gershgorin's bound ub >= lambda_max by more than an
-    eigensolve's rounding, no eigensolve runs, `min_eigenvalue` is that value
-    (>= lambda_min, by interlacing) and `max_eigenvalue` is ub. Otherwise
+    the threshold set by a bound ub >= |lambda| by more than an eigensolve's
+    rounding, no eigensolve runs, `min_eigenvalue` is that value (>=
+    lambda_min, by interlacing) and `max_eigenvalue` is ub. Otherwise
     each F is solved for its eigenvalues (with eigenvectors if the pre-test
     refuted it), and a term on which the verdict fails is solved again with
     eigenvectors: the verdict, both reported eigenvalues and the eigen-witness
@@ -184,9 +185,9 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     a failed factorisation or a witness too close to call costs time, never a
     verdict. A witness's coefficients are v (x) u, v a unit eigenvector of F
     or of its 2 x 2 block and u one of A, in the term's component slots,
-    signed so that the largest entry is positive and reshaped to one
-    coefficient vector per point; its value is recomputed by a direct double
-    sum. An empty matrix, or one with a non-finite entry, is an error.
+    signed so that the largest entry is positive, with no -0.0, and reshaped
+    to one coefficient vector per point; its value is recomputed by a direct
+    double sum. An empty matrix, or one with a non-finite entry, is an error.
     """
     return _certify(gram, tolerance, "cholesky")[0]
 
@@ -280,14 +281,15 @@ def _pair_witness(g: GramBlockMatrix, Ms: list, refuted: list, tolerance: float)
     rounding.
 
     A block's lower eigenvalue times its term's a_max > 0 scores it. The
-    witness is v (x) u in that term's component slots, v the block's unit lower
-    eigenvector (zero off the block) and u A's top eigenvector, signed as
-    `_witness` signs it. Its value is summed with math.fsum over its support,
-    from g's own factor, so no (n N)^2 matrix is formed; by interlacing it is
-    at least lambda_min. ub >= lambda_max is Gershgorin's (see `_gershgorin`).
-    The witness is returned only if value < -tolerance * max(1, ub) by more
-    than an eigensolve's backward error, (n N) eps times the bound on
-    |lambda|, so that the eigenvalue rule refutes the Gram too."""
+    witness is v (x) u in that term's component slots (see `_coefficients`),
+    v the block's unit lower eigenvector, zero off the block, and u A's top
+    eigenvector. Its value is summed with math.fsum over its support, from
+    g's own factor, so no (n N)^2 matrix is formed; by interlacing it is at
+    least lambda_min. ub bounds every |lambda|: each is a product lambda(F) *
+    a, and |lambda(F)| <= ||F||_F, widened here by the rounding of its sum of
+    squares. The witness is returned only if value < -tolerance * max(1, ub)
+    by more than an eigensolve's backward error, (n N) eps ub, so that the
+    eigenvalue rule refutes the Gram too."""
     best = None
     for k, (M, refute) in enumerate(zip(Ms, refuted)):
         a_max = g.factors[k][1].evals[-1]
@@ -297,21 +299,20 @@ def _pair_witness(g: GramBlockMatrix, Ms: list, refuted: list, tolerance: float)
                 best = (mu * a_max, k, i, v)
     if best is None:
         return None
-    ub, norm = _gershgorin(Ms, [t for _, t in g.factors])
-    if not np.isfinite(4 * norm):  # the witness's terms sum to at most about norm
+    ub = float(max(np.linalg.norm(M) * (1 + (M.size + 4) * _EPS) * np.abs(t.evals[[0, -1]]).max()
+                   for M, (_, t) in zip(Ms, g.factors)))
+    if not np.isfinite(4 * ub):  # the witness's terms sum to at most about ub
         return None
     _, k, i, v = best
     F, t = g.factors[k]
-    a = t.matrix.shape[0]
-    support = np.arange(i, i + v.size)
-    pts, comps = np.divmod(support, t.dim)
-    slots = (pts[:, None], t.offset + comps[:, None] * a + np.arange(a))
-    C = np.zeros((g.n_points, g.block_dim))
-    C[slots] = np.multiply.outer(v, t.evecs[:, -1])
-    C *= np.sign(C.flat[np.argmax(np.abs(C))])
-    c, G = C[slots], np.multiply.outer(F[np.ix_(support, support)], t.matrix)
+    s = slice(i, i + v.size)
+    v_full = np.zeros(F.shape[0])
+    v_full[s] = v
+    C = _coefficients(g, t, v_full, t.evecs[:, -1])
+    c = C[:, t.offset:t.offset + t.size].reshape(F.shape[0], -1)[s]
+    G = np.multiply.outer(F[s, s], t.matrix)
     value = math.fsum((c[:, None, :, None] * G * c[None, :, None, :]).ravel().tolist())
-    if value >= -tolerance * max(1.0, ub) - g.n_points * g.block_dim * _EPS * norm:
+    if value >= -tolerance * max(1.0, ub) - g.n_points * g.block_dim * _EPS * ub:
         return None
     return value, ub, Witness(g.points, C, value)
 
@@ -338,26 +339,6 @@ def _least_pair(M: np.ndarray):
         t = 0.5 * math.atan2(f, h)
         v = [-math.sin(t), math.cos(t)]
     return i, float(mid[i] - math.hypot(h, f)), np.array(v)
-
-
-def _gershgorin(Ms: list, terms: list):
-    """(ub, norm): ub >= lambda_max and norm >= max |lambda| for the Gram of
-    the terms F (x) A with symmetric factors Ms. By Gershgorin each lambda(F)
-    lies in [lo_F, hi_F], lo_F = min_i F_ii - R_i and hi_F = max_i F_ii + R_i
-    with R_i the off-diagonal sum of |F| in row i, so each product lambda(F)
-    * a lies below the largest corner product of [lo_F, hi_F] x [a_min,
-    a_max]. The interval is widened by the rounding of the row sums, at most
-    (m + 2) u of the largest (Higham, Lemma 3.1), twice over, and each corner
-    by its own rounding."""
-    ub, norm = -np.inf, 0.0
-    for M, t in zip(Ms, terms):
-        d, r = M.diagonal(), np.abs(M).sum(1)  # r_i = R_i + |F_ii|
-        slack = 2 * (M.shape[0] + 2) * _UNIT_ROUNDOFF * r.max()
-        box = [(2 * np.fmax(d, 0) - r).min() - slack, (r + 2 * np.fmin(d, 0)).max() + slack]
-        P = np.multiply.outer(box, t.evals[[0, -1]])
-        big = np.abs(P).max() * (1 + 2 * _UNIT_ROUNDOFF)
-        ub, norm = max(ub, P.max() + 2 * _UNIT_ROUNDOFF * big), max(norm, big)
-    return float(ub), float(norm)
 
 
 _Decided = namedtuple("_Decided", "lams vecs lo hi arg ok")
@@ -472,10 +453,21 @@ def _witness(d: _Decided, e: int, g: GramBlockMatrix) -> Witness:
     t = g.factors[k][1]
     v = d.vecs[k][e][:, (c >> 1) * (d.lams[k].shape[1] - 1)]
     u = t.evecs[:, (c & 1) * (t.evals.size - 1)]
-    C = np.zeros((g.n_points, g.block_dim))
-    C[:, t.offset:t.offset + t.size] = np.multiply.outer(v, u).reshape(g.n_points, t.size)
-    C *= np.sign(C.flat[np.argmax(np.abs(C))])  # largest entry positive, whatever LAPACK gave
+    C = _coefficients(g, t, v, u)
     return Witness(g.points, C, direct_quadform(g.blocks, C))
+
+
+def _coefficients(g: GramBlockMatrix, t, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (n, N) witness coefficients of v (x) u, v of the order of term t's
+    factor and u of its A's: in t's component slots, zero elsewhere, signed
+    so that the largest entry is positive, whatever LAPACK gave, and with no
+    -0.0 (x + 0.0 is 0.0 for x = -0.0), so that a report's zeros do not
+    depend on that sign either."""
+    c = np.multiply.outer(v, u)
+    c *= np.sign(c.flat[np.argmax(np.abs(c))])
+    C = np.zeros((g.n_points, g.block_dim))
+    C[:, t.offset:t.offset + t.size] = c.reshape(g.n_points, t.size) + 0.0
+    return C
 
 
 @dataclass(frozen=True)

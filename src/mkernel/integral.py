@@ -365,7 +365,7 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
     `certify_psd` defines them: when a Cholesky proves it, `min_eigenvalue`
     is None and `max_eigenvalue` a lower bound on lambda_max; when a 2 x 2
     block refutes it, they are that witness's value and an upper bound on
-    lambda_max. Its witness is phi = v / sqrt(w) at the measure nodes for
+    every |lambda|. Its witness is phi = v / sqrt(w) at the measure nodes for
     `certify_psd`'s witness v (a pair of adjacent nodes, or the lowest
     eigenvector), with value B(phi, phi) (phi is 0 at a node of zero weight,
     which adds nothing to the form). With trials = 0 both sides are

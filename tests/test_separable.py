@@ -97,6 +97,7 @@ def _check_against_dense(spec, P):
             direct, magnitude = _double_sum(k, P, C)
             assert direct < 0
             assert abs(r.witness.value - direct) <= C.size**2 * EPS * magnitude
+            assert not np.signbit(C[C == 0.0]).any()
         # the eigen-witness is a unit eigenvector of the least eigenvalue
         assert abs(exact.witness.value - exact.min_eigenvalue) <= bound
     return rep
@@ -145,9 +146,12 @@ def test_a_refuted_lift_witness_sits_in_its_slots_without_forming_the_gram(spec,
     """A refuted Lift, alone or as a block, is decided by the witness of its
     scalar factor's least 2 x 2 block: no eigensolve, `data` never formed,
     and the coefficients are v (x) u on two adjacent points, u A's top
-    eigenvector, in the lift's component slots."""
+    eigenvector, in the lift's component slots. The largest entry of u is
+    negative, so the witness is negated: its zeros must stay 0.0."""
     k = build_kernel(spec)
     (t,) = [t for t in k.terms if t.matrix.shape == (2, 2)]
+    u = t.evecs[:, -1]
+    assert u[np.argmax(np.abs(u))] < 0
     g = assemble_gram(k, np.linspace(0.0, 1.0, 400).reshape(-1, 1))
     calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh")]
     rep = certify_psd(g)
@@ -160,7 +164,7 @@ def test_a_refuted_lift_witness_sits_in_its_slots_without_forming_the_gram(spec,
     assert np.all(C[:, ~inside] == 0.0)
     rows = np.flatnonzero(np.any(C != 0.0, axis=1))
     assert rows.size == 2 and rows[1] == rows[0] + 1
-    u = t.evecs[:, -1]
+    assert not np.signbit(C[C == 0.0]).any()
     lifted = C[:, inside]
     assert np.allclose(lifted - np.outer(lifted @ u, u), 0.0, atol=1e-15)
     direct, magnitude = _double_sum(k, g.points[rows], C[rows])

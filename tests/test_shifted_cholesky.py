@@ -158,7 +158,7 @@ def test_a_refuted_gram_calls_no_eigensolver_and_no_cholesky(monkeypatch):
 def test_a_refutation_within_rounding_of_the_threshold_falls_back_to_an_eigensolve(monkeypatch):
     """The 64 x 64 ones matrix with M[0, 0] lowered by 1e-8: its first 2 x 2
     block fails the pre-test, but that block's value, about -5e-9, is above
-    -tolerance * max(1, ub) for the Gershgorin bound ub = 64; the eigenvalue
+    -tolerance * max(1, ub) for the Frobenius bound ub = 64; the eigenvalue
     rule, whose lambda_min is about -1e-8 against a threshold of -6.4e-8,
     certifies it."""
     M = np.ones((64, 64))
