@@ -7,7 +7,8 @@ Usage (from the root of a checkout):
 The layers are: leaf kernel evaluation, Gram assembly, the PSD decision
 (the dense PD zoo Grams of order 1,536, the zoo's weighted Grams over a
 257-node measure, and one `neg_distance` witness at order 1,536), the
-witness search, the equivalence harness, `nystrom_decompose`, the energy
+witness search (on each zoo kernel, and on a Python callable refuted late
+over ten seeds), the equivalence harness, `nystrom_decompose`, the energy
 minimiser, the control solve and `mkernel certify` wall time, import
 included. Each entry is the best and the median of `--repeats` timed calls
 after one untimed call, with the size it was taken at. The small verdicts
@@ -40,6 +41,7 @@ GRAM_ORDER = 1536
 DENSE_PD = ("gaussian", "brownian", "constant", "riesz_regularized", "sum_gaussian_constant")
 HARNESS_NODES = 257
 SEARCH_TRIALS = 200
+LATE_SEEDS = 10
 BROWNIAN_NODES = 1537
 LIFT_GRID = 31
 CONTROL_CELLS = 512
@@ -107,6 +109,14 @@ def layers(mk, np, repeats: int) -> dict:
     for name, (_, k) in zoo.items():
         add(f"search.{name}", f"{SEARCH_TRIALS} trials",
             lambda k=k: mk.random_search_witness(k, line.domain, trials=SEARCH_TRIALS))
+    # refuted at trials 36, 164, 75, 38, 30, 62, 3, none, 20, 133 of seeds 0-9: a
+    # Python callable pays per pair evaluated, also for trials past the refuting one
+    late = mk.kernel_from_callable(
+        mk.build_kernel(mk.Sum((mk.Scale(0.5, mk.Gaussian(0.1)), mk.NegDistance()))), 1,
+        "refuted_late")
+    add("search.refuted_late_callable", f"seeds 0-{LATE_SEEDS - 1}, {SEARCH_TRIALS} trials each",
+        lambda: [mk.random_search_witness(late, line.domain, trials=SEARCH_TRIALS, seed=s)
+                 for s in range(LATE_SEEDS)])
     for name, (_, k) in zoo.items():
         add(f"harness.{name}", f"{HARNESS_NODES} nodes, {SEARCH_TRIALS} trials",
             lambda k=k: mk.equivalence_harness(k, line, trials=SEARCH_TRIALS))

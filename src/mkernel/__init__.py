@@ -17,7 +17,6 @@ from .certify import (
     Witness,
     assemble_gram,
     certify_psd,
-    complex_quadform,
     direct_quadform,
     random_search_witness,
 )

@@ -25,10 +25,11 @@ or the 2 x 2 block's witness, on its Gram's matrices; and the eigenvalue rule
 is written once, in `_decide_stack`, for a stack of Grams of the same terms:
 `certify_psd`'s as a stack of one, or a chunk of the random witness search's
 point sets, grouped by size, with each term evaluated once on the stacked
-points. The search solves its Grams for their eigenvalues, since it reports
-the least margin it saw, and builds the witness of the trial that ends it from
-its stack's factors: it reports what one eigenvalue-solving decision per trial
-would.
+points. The search draws two chunks, its first _FIRST_CHUNK trials and then
+the rest, and stops evaluating a chunk's trials past the first that ends it.
+It solves its Grams for their eigenvalues, since it reports the least margin
+it saw, and builds the witness of the trial that ends it from its stack's
+factors: it reports what one eigenvalue-solving decision per trial would.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ _UNIT_ROUNDOFF = _EPS / 2
 # Order of the tiles that the exact-symmetry test compares (see `_is_symmetric`).
 _TILE = 128
 
-# Trials in the witness search's first chunk; each later chunk is four times
-# as large, so a kernel refuted early is decided on few Grams and one that is
-# not on few stacks.
+# Trials in the witness search's first chunk; the second holds all the others,
+# so a kernel refuted early is decided on few Grams and one that is not on few
+# stacks.
 _FIRST_CHUNK = 4
 
 
@@ -71,21 +72,20 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
 
 
-def _gram_points(kernel: MatrixKernel, points) -> np.ndarray:
-    """A point list as the (n, d) array a Gram of the kernel is taken over."""
+def _check_bounded(kernel: MatrixKernel) -> None:
     if kernel.unbounded_diagonal:
         raise ValueError(
             f"kernel {kernel.name!r} is unbounded on the diagonal; "
             "its Gram matrix contains infinite entries"
         )
-    P = kernel._check_points(points)
-    _require_finite(P, "points")
-    return P
 
 
 def assemble_gram(kernel: MatrixKernel, points) -> GramBlockMatrix:
     """Evaluate the block Gram matrix of a kernel over a point list."""
-    return gram_matrix(kernel, _gram_points(kernel, points))
+    _check_bounded(kernel)
+    P = kernel._check_points(points)
+    _require_finite(P, "points")
+    return gram_matrix(kernel, P)
 
 
 @dataclass(frozen=True)
@@ -506,11 +506,12 @@ def random_search_witness(
 
     Deterministic for a fixed seed. Stops at the first witness; otherwise
     reports the smallest relative eigenvalue margin seen (nonnegative means
-    every trial certified). The trials run in chunks of growing size: a
-    chunk draws its point sets in trial order and decides them in stacks by
-    `certify_psd`'s rules (see `_decide_chunk`), so the report, or the error
-    of a Gram with a non-finite entry, is the one that a `certify_psd` per
-    trial gives.
+    every trial certified). The trials run in two chunks, the first
+    _FIRST_CHUNK trials and then all the others: a chunk draws its point
+    sets in trial order and decides them in stacks by `certify_psd`'s rules,
+    up to the first trial that ends the search (see `_decide_chunk`), so the
+    report, or the error of a point set or Gram with a non-finite entry, is
+    the one that a `certify_psd` per trial gives.
     """
     rng = np.random.default_rng(seed)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
@@ -519,67 +520,71 @@ def random_search_witness(
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     _check_tolerance(tolerance)
-    min_margin, done, size = np.inf, 0, _FIRST_CHUNK
-    while done < trials:
-        chunk = []
-        for _ in range(min(size, trials - done)):
-            n = int(rng.integers(n_lo, n_hi + 1))
-            chunk.append(_gram_points(kernel, domain.sample(rng, n)))
-        for P, (margin, d, factors, e) in zip(chunk, _decide_chunk(kernel, chunk, tolerance)):
+    if trials:
+        _check_bounded(kernel)
+    min_margin, done = np.inf, 0
+    first = min(_FIRST_CHUNK, trials)
+    for size in (first, trials - first):
+        chunk = [domain.sample(rng, int(rng.integers(n_lo, n_hi + 1))) for _ in range(size)]
+        for P, margin, d, factors, e in _decide_chunk(kernel, chunk, tolerance):
             done += 1
             if margin is not None:
                 min_margin = min(min_margin, margin)
                 if d.ok[e]:
                     continue
-            # a failed Gram, or the first of its stack with a non-finite entry (_as_gram raises)
+            # a failed Gram, or the first of its stack with a non-finite point
+            # (_require_finite raises) or entry (_as_gram raises)
+            _require_finite(P, "points")
             g = _as_gram(GramBlockMatrix.from_factors(
                 P, kernel.output_dim, [(F[e], t) for F, t in zip(factors, kernel.terms)]))
             return SearchReport(True, done, float(min_margin), tolerance, _witness(d, e, g))
-        size *= 4
     if trials == 0:
         min_margin = np.nan
     return SearchReport(False, trials, float(min_margin), tolerance, None)
 
 
 def _decide_chunk(kernel: MatrixKernel, chunk: list, tolerance: float) -> list:
-    """Per point set, (margin, decided stack, its factors, position in it):
-    the margin lambda_min / max(1, lambda_max) of its Gram, None for its
-    stack's first Gram with a non-finite entry, past which the stack is not
-    decided. Point sets of one size are stacked, at most _BLOCK_PAIRS pairs
-    per stack (a larger set is a stack of one)."""
-    by_size, where = {}, [None] * len(chunk)
+    """Per point set, in trial order up to the first that ends the search,
+    (points, margin, decided stack, its factors, position in it): the points
+    as an (n, d) array, and the margin lambda_min / max(1, lambda_max) of
+    their Gram, None for the first set of its stack with a non-finite point
+    or Gram entry, past which the stack is not evaluated.
+
+    Point sets of one size are stacked, at most _BLOCK_PAIRS pairs per stack
+    (a larger set is a stack of one), and the stacks are taken in the order
+    their sizes first occur. Once a stack's Gram fails or is not finite at a
+    trial t, the later stacks are evaluated only on the trials before t."""
+    by_size, where, end = {}, [None] * len(chunk), len(chunk)
     for pos, P in enumerate(chunk):
         by_size.setdefault(len(P), []).append(pos)
     for n, positions in by_size.items():
         step = max(1, _BLOCK_PAIRS // (n * n))
         for s in range(0, len(positions), step):
-            part = positions[s:s + step]
-            P = np.stack([chunk[pos] for pos in part])
-            factors = [t.fn(P[:, :, None], P[:, None]).transpose(0, 1, 3, 2, 4)
-                       .reshape(len(part), n * t.dim, n * t.dim) for t in kernel.terms]
-            finite = np.logical_and.reduce([np.isfinite(F).all(axis=(1, 2)) for F in factors])
-            cut = len(part) if finite.all() else int(finite.argmin())
+            part = [pos for pos in positions[s:s + step] if pos < end]
+            if not part:
+                break
+            X = np.asarray([chunk[pos] for pos in part], dtype=float)
+            if X.ndim == 2:  # lists of one-dimensional points, as `as_points` reads them
+                X = X[..., None]
+            kernel._check_points(X[0])  # shape and dimension, with `assemble_gram`'s errors
+            b = _first_false(np.isfinite(X).all(axis=(1, 2)))
+            factors = [t.fn(X[:b, :, None], X[:b, None]).transpose(0, 1, 3, 2, 4)
+                       .reshape(b, n * t.dim, n * t.dim) for t in kernel.terms]
+            cut = _first_false(np.logical_and.reduce(
+                [np.isfinite(F).all(axis=(1, 2)) for F in factors]))
             Ms = [_symmetrized(F[:cut])[0] for F in factors]
             d = _decide_stack(Ms, kernel.terms, tolerance,
                               [_evidently_indefinite(M, tolerance) for M in Ms])
-            margins = (d.lo / np.fmax(1.0, d.hi)).tolist() + [None] * (len(part) - cut)
-            for e, (pos, margin) in enumerate(zip(part, margins)):
-                where[pos] = (margin, d, factors, e)
-    return where
+            stop = _first_false(d.ok)
+            margins = (d.lo / np.fmax(1.0, d.hi)).tolist() + [None]
+            for e in range(min(stop + 1, len(part))):
+                where[part[e]] = (X[e], margins[e], d, factors, e)
+            if stop < len(part):
+                end = part[stop]
+    return where[:end + 1]
 
 
-def complex_quadform(gram, Z) -> tuple[float, float]:
-    """Quadratic form sum conj(z_i)^T K(x_i, x_j) z_j for complex coefficients.
+def _first_false(mask: np.ndarray) -> int:
+    """The index of the first False of a 1-D mask, its length if none is."""
+    return len(mask) if mask.all() else int(mask.argmin())
 
-    Returns (real part, |imaginary part|). For a transpose-symmetric kernel
-    the imaginary part cancels, so a PD kernel gives a nonnegative real part
-    and an imaginary residual at rounding level.
-    """
-    g = _as_gram(gram)
-    z = np.asarray(Z, dtype=complex).reshape(-1)
-    if z.size != g.data.shape[0]:
-        raise ValueError(
-            f"coefficient vector has length {z.size}, Gram matrix has size {g.data.shape[0]}"
-        )
-    val = complex(np.conj(z) @ (g.data @ z))
-    return val.real, abs(val.imag)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from mkernel.applications.estimation import EstimationDataset
-from mkernel.certify import DEFAULT_TOLERANCE, SearchReport, _certify, assemble_gram
+from mkernel.certify import DEFAULT_TOLERANCE, SearchReport, _as_gram, _certify, assemble_gram
 
 
 def gradient_descent_oracle(dataset: EstimationDataset, lam: float, causal: bool = False,
@@ -58,3 +58,20 @@ def random_search_oracle(kernel, domain, trials: int = 200, seed: int = 0,
     if trials == 0:
         min_margin = np.nan
     return SearchReport(False, trials, float(min_margin), tolerance, None)
+
+
+def complex_quadform(gram, Z) -> tuple[float, float]:
+    """Quadratic form sum conj(z_i)^T K(x_i, x_j) z_j for complex coefficients.
+
+    Returns (real part, |imaginary part|). For a transpose-symmetric kernel
+    the imaginary part cancels, so a PD kernel gives a nonnegative real part
+    and an imaginary residual at rounding level.
+    """
+    g = _as_gram(gram)
+    z = np.asarray(Z, dtype=complex).reshape(-1)
+    if z.size != g.data.shape[0]:
+        raise ValueError(
+            f"coefficient vector has length {z.size}, Gram matrix has size {g.data.shape[0]}"
+        )
+    val = complex(np.conj(z) @ (g.data @ z))
+    return val.real, abs(val.imag)

@@ -24,7 +24,7 @@ from mkernel.applications.estimation import (
     save_dataset_csv,
     simulate_volterra_dataset,
 )
-from mkernel.certify import assemble_gram, certify_psd, complex_quadform
+from mkernel.certify import assemble_gram, certify_psd
 from mkernel.cli import main
 from mkernel.domains import Box, make_box_domain, make_circle_domain, make_measure
 from mkernel.integral import (
@@ -47,7 +47,7 @@ from mkernel.kernels import (
 )
 from mkernel.spectral import nystrom_decompose, quadform_via_spectrum
 
-from oracles import gradient_descent_oracle
+from oracles import complex_quadform, gradient_descent_oracle
 
 # dense res-1025 brownian eigensolve, frozen before the library was built
 BROWNIAN_EIGS_1025 = [

@@ -10,13 +10,13 @@ from mkernel.certify import (
     _symmetrized,
     assemble_gram,
     certify_psd,
-    complex_quadform,
     direct_quadform,
     random_search_witness,
 )
 from mkernel.domains import make_box_domain, make_circle_domain
 from mkernel.kernels import (Gaussian, Lift, NegDistance, Riesz, build_kernel,
                              kernel_from_callable, kernel_zoo)
+from oracles import complex_quadform
 from test_energy import _skewed_kernel
 
 

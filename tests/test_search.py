@@ -1,11 +1,14 @@
 """The random witness search, decided in stacks, against its one-trial-at-a-time oracle.
 
-`random_search_witness` draws a chunk of point sets and decides the Grams of
-each size as one stack, by the rules `certify_psd` applies to a stack of one;
-it takes the witness of the trial that ends it from the factors its stack
+`random_search_witness` draws two chunks of point sets, its first four trials
+and then the rest, and decides the Grams of each size as one stack, by the
+rules `certify_psd` applies to a stack of one; once a stack ends the search at
+some trial, the chunk's later stacks are evaluated only on the trials before
+it. It takes the witness of the trial that ends it from the factors its stack
 holds. Its `SearchReport`, and the harness report built on it, must equal byte
 for byte what `oracles.random_search_oracle` (one `certify_psd` of one
-assembled Gram per trial) gives, and each trial's kernel is evaluated once.
+assembled Gram per trial) gives, and each trial's kernel is evaluated at most
+once.
 """
 
 import json
@@ -156,8 +159,9 @@ def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
     monkeypatch.setattr(certify, "certify_psd", certify_psd)
     report = random_search_witness(ZOO["gaussian"], LINE, trials=200, seed=0)
     assert not report.found and report.trials == 200
-    # at most one stack per point-set size (8 of them) and chunk, not one per trial
-    assert len(solves) <= 40 and not exact_calls
+    # at most one stack per point-set size (8 of them) in each of the two
+    # chunks, not one per trial
+    assert len(solves) <= 16 and not exact_calls
     # the search reports margins, so it decides by eigenvalues and never factors
     assert not factorisations
 
@@ -177,14 +181,20 @@ def test_tolerance_checked_without_trials(tolerance):
         equivalence_harness(ZOO["gaussian"], MEASURE, trials=0, tolerance=tolerance)
 
 
-def test_the_search_evaluates_each_trial_once():
+def _counted_refuted_late():
+    """SPECIAL["refuted_late"] as a Python callable, and the list that each of
+    its calls appends to."""
     calls = []
 
     def counted(x, y):
         calls.append(1)
         return SPECIAL["refuted_late"](x, y)
 
-    kernel = kernel_from_callable(counted, 1, "counted")
+    return kernel_from_callable(counted, 1, "counted"), calls
+
+
+def test_the_search_evaluates_each_trial_once():
+    kernel, calls = _counted_refuted_late()
     for seed in (0, 6):
         found = random_search_witness(kernel, LINE, seed=seed).trials
         calls.clear()
@@ -193,6 +203,19 @@ def test_the_search_evaluates_each_trial_once():
         rng = np.random.default_rng(seed)
         sizes = [len(LINE.sample(rng, int(rng.integers(1, 9)))) for _ in range(found)]
         assert len(calls) == sum(n * n for n in sizes)
+
+
+def test_a_late_refuted_callable_is_evaluated_only_up_to_the_cut():
+    # the stacks decided before the one that ends the search evaluate all their
+    # trials; the stacks after it, only the trials before the one it ends at
+    kernel, calls = _counted_refuted_late()
+    counts = []
+    for seed in range(10):
+        calls.clear()
+        got = _json(random_search_witness(kernel, LINE, trials=200, seed=seed))
+        counts.append(len(calls))
+        assert got == _json(random_search_oracle(kernel, LINE, trials=200, seed=seed))
+    assert counts == [1397, 5121, 3382, 2959, 3521, 2615, 66, 4799, 2834, 4304]
 
 
 def test_a_non_finite_gram_fails_where_the_oracle_fails():
@@ -216,3 +239,41 @@ def test_a_non_finite_gram_fails_where_the_oracle_fails():
         assert results[0] == results[1]
         outcomes.append(results[0].startswith("non-finite"))
     assert any(outcomes) and not all(outcomes)
+
+
+class _NanNear:
+    """LINE, with every sampled point within `radius` of `centre` made NaN."""
+
+    def __init__(self, centre, radius):
+        self.centre, self.radius = centre, radius
+
+    def sample(self, rng, n):
+        P = LINE.sample(rng, n)
+        P[np.abs(P - self.centre) < self.radius] = np.nan
+        return P
+
+
+def _outcome(search, kernel, domain, **kw):
+    try:
+        return _json(search(kernel, domain, **kw))
+    except ValueError as err:
+        return str(err)
+
+
+def test_point_errors_are_the_oracles():
+    # some seeds reach a non-finite point before the first witness, the others
+    # find the witness first; the error names the index within the trial's set
+    kernel, domain, outcomes = SPECIAL["refuted_late"], _NanNear(0.3, 0.002), []
+    for seed in range(10):
+        got = _outcome(random_search_witness, kernel, domain, seed=seed)
+        assert got == _outcome(random_search_oracle, kernel, domain, seed=seed)
+        outcomes.append(got.startswith("non-finite value nan in points at index ("))
+    assert any(outcomes) and not all(outcomes)
+    plane = Box([0.0, 0.0], [1.0, 1.0])
+    on_line = kernel_from_callable(lambda x, y: np.exp(-(x - y) ** 2), 1, "on_line", 1)
+    got = _outcome(random_search_witness, on_line, plane)
+    assert got == _outcome(random_search_oracle, on_line, plane)
+    assert got == "kernel 'on_line' expects 1-dimensional points, got dimension 2"
+    riesz = build_kernel(Riesz(1.0, 0.0), allow_unbounded=True)
+    assert "unbounded on the diagonal" in _outcome(random_search_witness, riesz, LINE, trials=1)
+    assert not random_search_witness(riesz, LINE, trials=0).found
