@@ -5,8 +5,8 @@ kernels both discretely (block Gram eigenvalues, with witnesses) and
 integrally (quadratic forms against quadrature measures), links the two
 views through Urysohn bump test functions and a Nystrom spectral
 decomposition, and ships three application pipelines: Riesz-type energy
-minimization with capacity estimates, partition discretization of
-quadratic control functionals, and ridge estimation of Volterra kernels.
+minimization, partition discretization of quadratic control functionals,
+and ridge estimation of Volterra kernels.
 """
 
 from .certify import (
@@ -31,7 +31,6 @@ from .domains import (
     make_circle_domain,
     make_measure,
     restrict_measure,
-    save_points_csv,
 )
 from .integral import (
     GapReport,
@@ -45,7 +44,6 @@ from .integral import (
     mercer_test_function,
     quadform,
     random_test_functions,
-    truncation_study,
     weighted_gram,
 )
 from .kernels import (
@@ -71,11 +69,8 @@ from .kernels import (
 )
 from .spectral import (
     SpectralDecomposition,
-    eigenfunction_gram,
     nystrom_decompose,
-    nystrom_extension,
     quadform_via_spectrum,
-    reconstruct,
     spectral_coefficients,
     trace_functional,
 )
@@ -89,10 +84,8 @@ from .applications.control import (
     solve_qp,
 )
 from .applications.energy import (
-    CapacityReport,
     Configuration,
     EnergyResult,
-    capacity_estimate,
     discrete_energy,
     make_configuration,
     minimize_energy,

@@ -1,4 +1,4 @@
-"""Discrete energy minimization and capacity estimation.
+"""Discrete energy minimization.
 
 The discrete energy of an N-point configuration under a scalar kernel is
 the mean of K over ordered distinct pairs, (1/N^2) sum_{i != j} K(x_i, x_j).
@@ -161,41 +161,3 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
             converged = True
             break
     return EnergyResult(Configuration(P, E), np.asarray(trace), it, restarts, converged)
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """Energies and reciprocal-energy capacities over a schedule of N."""
-
-    records: list
-    non_monotone: bool
-
-    def to_json(self) -> dict:
-        return {
-            "records": [
-                {"n": n, "energy": e, "capacity": c} for (n, e, c) in self.records
-            ],
-            "non_monotone": self.non_monotone,
-        }
-
-
-def capacity_estimate(kernel: MatrixKernel, domain, schedule,
-                      iterations: int = 500, seed: int = 0) -> CapacityReport:
-    """Minimize the energy for each N in an increasing schedule and report
-    (N, energy, 1/energy).
-
-    Capacity is None when the minimized energy is not positive (possible
-    away from Riesz-type kernels). The energy sequence is expected to be
-    non-decreasing in N; the report flags violations rather than failing.
-    """
-    ns = [int(n) for n in schedule]
-    if any(b <= a for a, b in zip(ns, ns[1:])) or any(n < 2 for n in ns):
-        raise ValueError("schedule must be strictly increasing with every N >= 2")
-    records = []
-    for n in ns:
-        res = minimize_energy(kernel, domain, n, iterations=iterations, seed=seed)
-        e = res.configuration.energy
-        records.append((n, e, 1.0 / e if e > 0 else None))
-    energies = [r[1] for r in records]
-    non_monotone = any(b < a - 1e-12 for a, b in zip(energies, energies[1:]))
-    return CapacityReport(records, non_monotone)

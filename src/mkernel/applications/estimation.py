@@ -144,4 +144,8 @@ def load_dataset_csv(path) -> EstimationDataset:
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
     if not len(rows) or len(rows) % 2:
         raise ValueError(f"{path}: expected an even number of rows (u-row then y-row pairs)")
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: row {i + 1} has a non-finite entry {float(rows[i, j])!r}")
     return EstimationDataset(rows[0::2], rows[1::2])

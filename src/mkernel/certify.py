@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _BLOCK_PAIRS, GramBlockMatrix, MatrixKernel, gram_matrix
+from .kernels import _BLOCK_PAIRS, GramBlockMatrix, MatrixKernel, _term_gram, gram_matrix
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -568,8 +568,7 @@ def _decide_chunk(kernel: MatrixKernel, chunk: list, tolerance: float) -> list:
                 X = X[..., None]
             kernel._check_points(X[0])  # shape and dimension, with `assemble_gram`'s errors
             b = _first_false(np.isfinite(X).all(axis=(1, 2)))
-            factors = [t.fn(X[:b, :, None], X[:b, None]).transpose(0, 1, 3, 2, 4)
-                       .reshape(b, n * t.dim, n * t.dim) for t in kernel.terms]
+            factors = [_term_gram(t.fn, X[:b], t.dim) for t in kernel.terms]
             cut = _first_false(np.logical_and.reduce(
                 [np.isfinite(F).all(axis=(1, 2)) for F in factors]))
             Ms = [_symmetrized(F[:cut])[0] for F in factors]

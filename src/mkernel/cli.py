@@ -109,6 +109,9 @@ def cmd_control(args, cfg) -> tuple[dict, dict, int]:
     if args.partition:
         partition = [json_number(float(t), "--partition") for t in args.partition.split(",")]
     else:
+        if not isinstance(cfg["partition"], list):
+            raise ValueError(f"config entry 'partition' must be a list of breakpoints, "
+                             f"got {json.dumps(cfg['partition'])}")
         partition = [json_number(t, "config entry 'partition'") for t in cfg["partition"]]
     if "linear_term" in cfg:
         linear = _array(cfg, "linear_term")
@@ -136,6 +139,8 @@ def cmd_estimate(args, cfg) -> tuple[dict, dict, int]:
     data_path = args.data if args.data is not None else cfg.get("data")
     if not data_path:
         raise ValueError("estimate needs --data or a 'data' config entry")
+    if not isinstance(data_path, str):
+        raise ValueError(f"config entry 'data' must be a file path, got {json.dumps(data_path)}")
     lam = args.lam if args.lam is not None else _number(cfg, "lambda", None)
     if lam is None:
         raise ValueError("estimate needs --lambda or a 'lambda' config entry")

@@ -323,20 +323,15 @@ def make_measure(domain: Domain, rule: str, resolution) -> QuadratureMeasure:
     raise ValueError(f"unsupported domain kind {domain!r}")
 
 
-def region_mask(nodes: np.ndarray, region) -> np.ndarray:
-    """Boolean mask of the nodes lying in a closed ball or box region."""
-    if not isinstance(region, (Ball, Box)):
-        raise ValueError("region must be a Ball or a Box")
-    return region.contains(nodes)
-
-
 def restrict_measure(measure: QuadratureMeasure, region) -> QuadratureMeasure:
     """Restrict a measure to a closed ball or sub-box.
 
     Retains exactly the nodes inside the region with unchanged weights; an
     empty restriction yields a mass-0 measure whose ``empty`` is true.
     """
-    keep = region_mask(measure.nodes, region)
+    if not isinstance(region, (Ball, Box)):
+        raise ValueError("region must be a Ball or a Box")
+    keep = region.contains(measure.nodes)
     return replace(measure, nodes=measure.nodes[keep], weights=measure.weights[keep])
 
 
@@ -372,11 +367,3 @@ def load_points_csv(path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no points")
     return np.asarray(rows, dtype=float)
-
-
-def save_points_csv(path, points: np.ndarray) -> None:
-    points = as_points(points, "points")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(points.shape[1])])
-        writer.writerows(points.tolist())

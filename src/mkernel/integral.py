@@ -12,9 +12,9 @@ W the node weights, B(f, f) = v^T (W^{1/2} G W^{1/2}) v for v = W^{1/2} f,
 so the kernel is integrally PD on the measure exactly when that weighted
 Gram is PSD: one decision, `certify_psd(weighted_gram(kernel, measure))`.
 The module provides that decision beside the discrete one in a harness,
-test functions, the Urysohn bump construction that converts a discrete
+test functions, and the Urysohn bump construction that converts a discrete
 witness into an integral one with a quantified gap to its discrete
-counterpart, and a truncation study over nested regions.
+counterpart.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, _check_tolerance,
                       certify_psd, direct_quadform, random_search_witness)
-from .domains import Ball, QuadratureMeasure, in_closed_ball, region_mask
+from .domains import Ball, QuadratureMeasure, in_closed_ball
 from .kernels import (GramBlockMatrix, MatrixKernel, _largest_block_norm, _row_slices,
                       as_points, gram_blocks, gram_matrix)
 
@@ -383,45 +383,3 @@ def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,
         phi = np.divide(v, sw, out=np.zeros_like(v), where=sw > 0)
         integral = replace(integral, witness=Witness(measure.nodes, phi, integral.witness.value))
     return HarnessReport(discrete, integral, discrete.found == (not integral.certified))
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Quadratic forms of one function over a nested family of truncations."""
-
-    values: list
-    masses: list
-    full_value: float
-    full_mass: float
-
-    def to_json(self) -> dict:
-        return {
-            "values": self.values,
-            "masses": self.masses,
-            "full_value": self.full_value,
-            "full_mass": self.full_mass,
-        }
-
-
-def truncation_study(kernel: MatrixKernel, fn: TestFunction,
-                     measure: QuadratureMeasure, regions) -> TruncationReport:
-    """Evaluate B(f, f) on measure restrictions to nested regions.
-
-    Regions must be increasing (each retained node set contains the previous
-    one); the report records the truncated values and masses alongside the
-    untruncated ones.
-    """
-    _require_components(fn.output_dim, kernel)
-    masks = [region_mask(measure.nodes, r) for r in regions]
-    for a, b in zip(masks, masks[1:]):
-        if not np.all(b[a]):
-            raise ValueError("truncation regions must be nested, smallest first")
-    G = measure_gram(kernel, measure).data
-    w, F = measure.weights, fn.values_on(measure.nodes)
-    full = _weighted_form(G, w, F)
-    values, masses = [], []
-    for mask in masks:
-        keep = np.repeat(mask, kernel.output_dim)
-        values.append(_weighted_form(G[np.ix_(keep, keep)], w[mask], F[mask]))
-        masses.append(float(w[mask].sum()))
-    return TruncationReport(values, masses, full, measure.total_mass)

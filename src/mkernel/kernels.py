@@ -26,6 +26,7 @@ A new kernel family is one `KernelSpec` dataclass with a JSON `key` and a
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
@@ -456,10 +457,10 @@ def kernel_from_callable(
 
 
 def _blocks_view(data: np.ndarray, block_dim: int) -> np.ndarray:
-    """The (m, n, N, N) block view of an (m N) x (n N) matrix; block (i, j)
-    holds rows i N .. i N + N - 1 and columns j N .. j N + N - 1."""
-    m, n = data.shape[0] // block_dim, data.shape[1] // block_dim
-    return data.reshape(m, block_dim, n, block_dim).transpose(0, 2, 1, 3)
+    """The (..., m, n, N, N) block view of (...,) (m N) x (n N) matrices; block
+    (i, j) holds rows i N .. i N + N - 1 and columns j N .. j N + N - 1."""
+    m, n = data.shape[-2] // block_dim, data.shape[-1] // block_dim
+    return data.reshape(data.shape[:-2] + (m, block_dim, n, block_dim)).swapaxes(-3, -2)
 
 
 class GramBlockMatrix:
@@ -559,15 +560,20 @@ def gram_matrix(kernel: MatrixKernel, points) -> GramBlockMatrix:
     hold the callable's values.
     """
     P = kernel._check_points(points)
-    n = P.shape[0]
-    factors = []
-    for t in kernel.terms:
-        F = np.empty((n * t.dim, n * t.dim))
-        blocks = _blocks_view(F, t.dim)
-        for start, values in _row_blocks(t.fn, P, P):
-            blocks[start:start + len(values)] = values
-        factors.append((F, t))
+    factors = [(_term_gram(t.fn, P, t.dim), t) for t in kernel.terms]
     return GramBlockMatrix.from_factors(P, kernel.output_dim, factors)
+
+
+def _term_gram(fn, X: np.ndarray, dim: int) -> np.ndarray:
+    """The Gram of a term's evaluator `fn` over each point set in X: points
+    (..., n, d) give (..., n dim, n dim). Each block is evaluated and written
+    straight into it, about _BLOCK_PAIRS pairs at a time."""
+    n = X.shape[-2]
+    F = np.empty(X.shape[:-2] + (n * dim, n * dim))
+    blocks = _blocks_view(F, dim)
+    for rows in _row_slices(n, math.prod(X.shape[:-1])):  # all the points of all sets
+        blocks[..., rows, :, :, :] = fn(X[..., rows, None, :], X[..., None, :, :])
+    return F
 
 
 def gram_blocks(kernel: MatrixKernel, points) -> np.ndarray:

@@ -128,25 +128,6 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
     )
 
 
-def eigenfunction_gram(decomp: SpectralDecomposition) -> np.ndarray:
-    """L^2(mu) inner products <phi_k, phi_l>_mu; identity when orthonormal."""
-    wphi = decomp.weights[None, :, None] * decomp.phis
-    return np.einsum("knc,lnc->kl", wphi, decomp.phis)
-
-
-def reconstruct(decomp: SpectralDecomposition, ix: int, iy: int,
-                terms: int | None = None) -> np.ndarray:
-    """Partial-sum reconstruction sum_k sigma_k phi_k(x_ix) phi_k(x_iy)^T."""
-    m = decomp.rank if terms is None else int(terms)
-    if m < 0:
-        raise ValueError(f"terms must be >= 0, got {terms!r}")
-    if m > decomp.rank:
-        raise ValueError(f"decomposition retains only {decomp.rank} terms, asked for {m}")
-    px = decomp.phis[:m, ix, :]
-    py = decomp.phis[:m, iy, :]
-    return np.einsum("k,ka,kb->ab", decomp.sigmas[:m], px, py)
-
-
 def trace_functional(kernel: MatrixKernel, measure: QuadratureMeasure) -> float:
     """Weighted diagonal trace sum_a w_a Tr K(x_a, x_a).
 
@@ -179,15 +160,3 @@ def quadform_via_spectrum(decomp: SpectralDecomposition, fn: TestFunction,
     if return_terms:
         return total, terms
     return total
-
-
-def nystrom_extension(decomp: SpectralDecomposition, kernel: MatrixKernel, x) -> np.ndarray:
-    """Eigenfunction values at an off-node point x, shape (rank, N).
-
-    phi_k(x) = (1 / sigma_k) sum_a w_a K(x, x_a) phi_k(x_a).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    Kx = kernel.eval_pairwise(x, decomp.nodes)[0]
-    wphi = decomp.weights[None, :, None] * decomp.phis
-    vals = np.einsum("nab,knb->ka", Kx, wphi)
-    return vals / decomp.sigmas[:, None]

@@ -17,7 +17,7 @@ from mkernel.applications.control import (
     refine_partition_study,
     solve_control_qp,
 )
-from mkernel.applications.energy import capacity_estimate, minimize_energy
+from mkernel.applications.energy import minimize_energy
 from mkernel.applications.estimation import (
     objective,
     ridge_estimate,
@@ -26,14 +26,19 @@ from mkernel.applications.estimation import (
 )
 from mkernel.certify import assemble_gram, certify_psd
 from mkernel.cli import main
-from mkernel.domains import Box, make_box_domain, make_circle_domain, make_measure
+from mkernel.domains import (
+    Box,
+    make_box_domain,
+    make_circle_domain,
+    make_measure,
+    restrict_measure,
+)
 from mkernel.integral import (
     constant_function,
     discretization_gap,
     equivalence_harness,
     quadform,
     random_test_functions,
-    truncation_study,
 )
 from mkernel.kernels import (
     Brownian,
@@ -44,6 +49,7 @@ from mkernel.kernels import (
     Riesz,
     build_kernel,
     kernel_zoo,
+    spec_to_json,
 )
 from mkernel.spectral import nystrom_decompose, quadform_via_spectrum
 
@@ -165,20 +171,19 @@ def test_criterion_05_truncation_convergence():
     measure = make_measure(domain, "trapezoid", 65)
     kernel = build_kernel(Constant(1.0))
     f = constant_function(np.array([1.0]))
-    regions = [Box([0.0], [1.0 - 1.0 / s]) for s in (2, 4, 8, 16)]
-    rep = truncation_study(kernel, f, measure, regions)
-    masses = np.asarray(rep.masses)
-    values = np.asarray(rep.values)
+    parts = [restrict_measure(measure, Box([0.0], [1.0 - 1.0 / s])) for s in (2, 4, 8, 16)]
+    masses = np.array([part.total_mass for part in parts])
+    values = np.array([quadform(kernel, f, part) for part in parts])
     match = np.max(np.abs(values - masses**2)) <= 1e-12
     increasing = bool(np.all(np.diff(values) > 0))
     approaching = bool(np.all(np.diff(np.abs(values - 1.0)) < 0)) and abs(
-        rep.full_value - 1.0
+        quadform(kernel, f, measure) - 1.0
     ) <= 1e-12
     nonneg = True
     for spec in (Gaussian(1.0), Lift(Gaussian(0.5), ((2.0, 1.0), (1.0, 2.0)))):
         k = build_kernel(spec)
         g = constant_function(np.ones(k.output_dim))
-        vals = truncation_study(k, g, measure, regions).values
+        vals = [quadform(k, g, part) for part in parts]
         nonneg = nonneg and all(v >= -1e-9 for v in vals)
     ok = match and increasing and approaching and nonneg
     _report(
@@ -188,7 +193,7 @@ def test_criterion_05_truncation_convergence():
     )
 
 
-def test_criterion_06_riesz_energy_minimization():
+def test_criterion_06_riesz_energy_minimization(tmp_path, capsys):
     kernel = build_kernel(Riesz(1.0, 0.0), allow_unbounded=True)
     domain = make_circle_domain(1.0)
     res = minimize_energy(kernel, domain, 4, iterations=500, seed=0)
@@ -200,9 +205,16 @@ def test_criterion_06_riesz_energy_minimization():
     closed_form = (2 * np.sqrt(2) + 1) / 8
     energy_err = abs(res.configuration.energy - closed_form)
     non_increasing = bool(np.all(np.diff(res.trace) <= 0))
-    cap = capacity_estimate(kernel, domain, [2, 3, 4], iterations=500, seed=0)
-    cap_exact = all(c == 1.0 / e for (_, e, c) in cap.records)
-    reproduced = cap.records[-1][1] == res.configuration.energy
+    # `mkernel energy` for N = 2, 3, 4 reports each capacity as 1 / energy
+    cfg = tmp_path / "energy.json"
+    cfg.write_text(json.dumps({"kernel": spec_to_json(Riesz(1.0, 0.0)),
+                               "domain": domain.to_json(), "iterations": 500, "seed": 0}))
+    caps = []
+    for n in (2, 3, 4):
+        assert main(["energy", "--config", str(cfg), "--n", str(n)]) == 0
+        caps.append(json.loads(capsys.readouterr().out)["result"])
+    cap_exact = all(c["capacity"] == 1.0 / c["energy"] for c in caps)
+    reproduced = caps[-1]["energy"] == res.configuration.energy
     ok = (
         spacing_var <= 1e-4
         and energy_err <= 1e-4

@@ -317,6 +317,18 @@ def test_estimate_command(tmp_path, capsys):
     assert rep["config"]["lambda"] == 1e-8
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_estimate_rejects_non_finite_data(tmp_path, capsys, entry):
+    data = tmp_path / "d.csv"
+    data.write_text(f"1.0,2.0\n0.5,{entry}\n2.0,1.0\n1.0,0.5\n")
+    cfg = _write(tmp_path, "est.json", {"data": str(data), "lambda": 0.1})
+    assert main(["estimate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"mkernel estimate: error: {data}: "
+                            f"row 2 has a non-finite entry {entry}\n")
+
+
 def test_estimate_requires_data(tmp_path, capsys):
     cfg = _write(tmp_path, "est.json", {})
     code = main(["estimate", "--config", cfg, "--lambda", "0.1"])
@@ -415,6 +427,8 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     ("control", {"partition": [0, 1], "beta": 10**400}, "config entry 'beta' must be finite"),
     ("spectrum", {"drop_tolerance": -1}, "drop_tolerance must be a finite number >= 0, got -1.0"),
     ("spectrum", {"rank": -1}, "rank must be >= 0, got -1"),
+    ("control", {"partition": 5}, "config entry 'partition' must be a list of breakpoints, got 5"),
+    ("estimate", {"lambda": 0.1, "data": 5}, "config entry 'data' must be a file path, got 5"),
 ])
 def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
     cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX, "centers": [0.5], "coefficients": [[1.0]]}
@@ -520,6 +534,22 @@ def test_import_loads_no_heavy_or_test_only_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_example_runs():
+    """The README's library example runs against this tree's package and
+    prints what its comments say."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["certified_psd None", "True"]
 
 
 LIFT = {"lift": {"scalar": {"gaussian": 0.5}, "matrix": [[2, 1], [1, 2]]}}

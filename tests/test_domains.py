@@ -19,9 +19,7 @@ from mkernel.domains import (
     make_box_domain,
     make_circle_domain,
     make_measure,
-    region_mask,
     restrict_measure,
-    save_points_csv,
 )
 
 
@@ -176,12 +174,13 @@ def test_restrict_measure_ball_and_box():
 
 
 def test_region_mask_boundary_tolerance():
-    nodes = np.array([[0.5], [0.75]])
+    m = QuadratureMeasure(make_box_domain([0.0], [1.0]), np.array([[0.5], [0.75]]),
+                          np.array([1.0, 2.0]), 0.25)
     # node exactly on the closed-ball boundary is kept
-    mask = region_mask(nodes, Ball([0.5], 0.25))
-    assert mask.tolist() == [True, True]
-    mask = region_mask(nodes, Ball([0.5], 0.25 - 1e-6))
-    assert mask.tolist() == [True, False]
+    assert restrict_measure(m, Ball([0.5], 0.25)).weights.tolist() == [1.0, 2.0]
+    assert restrict_measure(m, Ball([0.5], 0.25 - 1e-6)).weights.tolist() == [1.0]
+    with pytest.raises(ValueError, match="region must be a Ball or a Box"):
+        restrict_measure(m, Circle(1.0))
 
 
 def test_measure_validation():
@@ -210,16 +209,14 @@ def test_domain_json_roundtrip():
 def test_points_csv_roundtrip(tmp_path):
     pts = np.random.default_rng(2).uniform(size=(7, 3))
     path = tmp_path / "pts.csv"
-    save_points_csv(path, pts)
+    path.write_text("x1,x2,x3\n" + "".join(",".join(map(repr, p)) + "\n" for p in pts.tolist()))
     back = load_points_csv(path)
     assert_allclose(back, pts, rtol=0, atol=0)
-    assert path.read_text().splitlines()[0] == "x1,x2,x3"
 
 
 def test_points_csv_1d_list_is_one_point_per_row(tmp_path):
     path = tmp_path / "pts.csv"
-    save_points_csv(path, [0.1, 0.9])
-    assert path.read_text().splitlines() == ["x1", "0.1", "0.9"]
+    path.write_text("x1\n0.1\n0.9\n")
     assert load_points_csv(path).tolist() == [[0.1], [0.9]]
 
 
@@ -273,7 +270,7 @@ def test_boundary_tolerance_membership():
 
 
 # Per-point reference copies of the membership rules that `contains` applies
-# row-wise: the box, the circle and region_mask's closed ball.
+# row-wise: the box, the circle and restrict_measure's closed ball.
 def _box_rule(box, p):
     if p.size != box.dimension:
         return False
@@ -354,8 +351,6 @@ def test_contains_rows_match_the_per_point_rule(region, rule):
     assert region.contains(np.zeros((0, d))).shape == (0,)
     assert region.contains(np.zeros((5, d + 1))).tolist() == [False] * 5
     assert not region.contains(np.zeros(d + 1))
-    if not isinstance(region, Circle):
-        assert region_mask(P, region).tolist() == expected
 
 
 def _reference_measure(domain, rule, res):

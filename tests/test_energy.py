@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from mkernel.applications.energy import (
     _energy_gradient,
-    capacity_estimate,
     discrete_energy,
     make_configuration,
     minimize_energy,
@@ -105,26 +104,11 @@ def test_minimizer_validation():
 
 def test_capacity_schedule():
     dom = make_circle_domain(1.0)
-    rep = capacity_estimate(_riesz(), dom, [2, 3, 4], iterations=400, seed=0)
-    ns = [r[0] for r in rep.records]
-    energies = [r[1] for r in rep.records]
-    caps = [r[2] for r in rep.records]
-    assert ns == [2, 3, 4]
+    energies = [minimize_energy(_riesz(), dom, n, iterations=400, seed=0).configuration.energy
+                for n in (2, 3, 4)]
+    # two antipodal points: (1/N^2) sum over the 2 ordered pairs of 1/|x - y| = (2/2) / 4
     assert energies[0] == pytest.approx(0.25, abs=1e-8)
     assert energies == sorted(energies)
-    assert not rep.non_monotone
-    for e, c in zip(energies, caps):
-        assert c == pytest.approx(1.0 / e)
-    doc = rep.to_json()
-    assert doc["records"][0]["n"] == 2
-
-
-def test_capacity_rejects_bad_schedule():
-    dom = make_circle_domain(1.0)
-    with pytest.raises(ValueError, match="increasing"):
-        capacity_estimate(_riesz(), dom, [4, 3])
-    with pytest.raises(ValueError, match=">= 2"):
-        capacity_estimate(_riesz(), dom, [1, 2])
 
 
 def test_gaussian_energy_minimization_spreads_points():

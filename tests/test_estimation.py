@@ -153,6 +153,14 @@ def test_csv_ragged_row_rejected(tmp_path):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_csv_non_finite_entry_rejected(tmp_path, entry):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0,2.0\n0.5,1.0\n2.0,1.0\n1.0,{entry}\n")
+    with pytest.raises(ValueError, match=f"bad.csv: row 4 has a non-finite entry {entry}$"):
+        load_dataset_csv(path)
+
+
 def test_result_json_uses_lambda_key():
     ds = simulate_volterra_dataset(np.eye(3), 10, seed=1)
     doc = ridge_estimate(ds, 0.1).to_json()

@@ -20,7 +20,6 @@ from mkernel.integral import (
     mercer_test_function,
     quadform,
     random_test_functions,
-    truncation_study,
 )
 from mkernel.kernels import (
     BlockDiag,
@@ -250,28 +249,21 @@ def test_truncation_monotone(unit_box):
     mu = make_measure(unit_box, "trapezoid", 65)
     k = build_kernel(Constant(1.0))
     f = constant_function(np.array([1.0]))
-    regions = [Ball([0.5], r) for r in (0.26, 0.38, 0.45)]
-    rep = truncation_study(k, f, mu, regions)
-    assert_allclose(rep.values, np.asarray(rep.masses) ** 2, rtol=1e-12)
-    assert rep.full_value == pytest.approx(1.0, abs=1e-12)
-    assert rep.values[0] < rep.values[-1] < rep.full_value
-    assert list(rep.masses) == sorted(rep.masses)
-
-
-def test_truncation_requires_nested(unit_box):
-    mu = make_measure(unit_box, "trapezoid", 65)
-    k = build_kernel(Gaussian(1.0))
-    f = constant_function(np.array([1.0]))
-    regions = [Ball([0.2], 0.15), Ball([0.8], 0.15)]
-    with pytest.raises(ValueError, match="nested"):
-        truncation_study(k, f, mu, regions)
+    parts = [restrict_measure(mu, Ball([0.5], r)) for r in (0.26, 0.38, 0.45)]
+    masses = [part.total_mass for part in parts]
+    values = [quadform(k, f, part) for part in parts]
+    assert_allclose(values, np.asarray(masses) ** 2, rtol=1e-12)
+    full_value = quadform(k, f, mu)
+    assert full_value == pytest.approx(1.0, abs=1e-12)
+    assert values[0] < values[-1] < full_value
+    assert masses == sorted(masses)
 
 
 def test_truncation_requires_matching_components(unit_box):
-    mu = make_measure(unit_box, "trapezoid", 9)
+    sub = restrict_measure(make_measure(unit_box, "trapezoid", 9), Ball([0.5], 0.3))
     f = constant_function(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="function has 2 components, kernel size is 1"):
-        truncation_study(build_kernel(Gaussian(1.0)), f, mu, [Ball([0.5], 0.3)])
+        quadform(build_kernel(Gaussian(1.0)), f, sub)
 
 
 def test_restrict_and_quadform_consistent(unit_box):
@@ -279,5 +271,9 @@ def test_restrict_and_quadform_consistent(unit_box):
     sub = restrict_measure(mu, Ball([0.5], 0.3))
     k = build_kernel(Gaussian(1.0))
     f = constant_function(np.array([1.0]))
-    rep = truncation_study(k, f, mu, [Ball([0.5], 0.3)])
-    assert rep.values[0] == pytest.approx(quadform(k, f, sub), rel=1e-12)
+    keep = np.abs(mu.nodes[:, 0] - 0.5) <= 0.3
+    x, w = mu.nodes[keep, 0], mu.weights[keep]
+    # the double sum over the retained nodes, with their unchanged weights
+    direct = w @ np.exp(-np.subtract.outer(x, x) ** 2) @ w
+    assert len(sub) == keep.sum() and 0 < len(sub) < len(mu)
+    assert quadform(k, f, sub) == pytest.approx(direct, rel=1e-12)

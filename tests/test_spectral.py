@@ -21,11 +21,8 @@ from mkernel.kernels import (
     kernel_zoo,
 )
 from mkernel.spectral import (
-    eigenfunction_gram,
     nystrom_decompose,
-    nystrom_extension,
     quadform_via_spectrum,
-    reconstruct,
     spectral_coefficients,
     trace_functional,
 )
@@ -52,7 +49,8 @@ def test_brownian_eigenvalues_match_closed_form(box):
 def test_orthonormality(box):
     mu = _measure(box, 129)
     dec = nystrom_decompose(build_kernel(Gaussian(1.0)), mu)
-    G = eigenfunction_gram(dec)
+    # the L^2(mu) inner products <phi_k, phi_l>_mu
+    G = np.einsum("n,knc,lnc->kl", dec.weights, dec.phis, dec.phis)
     r = dec.rank
     assert np.max(np.abs(G - np.eye(r))) <= 1e-10
 
@@ -82,19 +80,16 @@ def test_reconstruction_exact_at_nodes(box):
     for i in range(0, len(mu), 7):
         for j in range(0, len(mu), 11):
             exact = k(mu.nodes[i], mu.nodes[j])
-            assert_allclose(reconstruct(dec, i, j), exact, atol=1e-9)
-    with pytest.raises(ValueError, match="terms"):
-        reconstruct(dec, 0, 0, terms=dec.rank + 1)
+            # sum_k sigma_k phi_k(x_i) phi_k(x_j)^T
+            rebuilt = np.einsum("k,ka,kb->ab", dec.sigmas, dec.phis[:, i], dec.phis[:, j])
+            assert_allclose(rebuilt, exact, atol=1e-9)
 
 
-def test_a_negative_rank_or_term_count_is_an_error(box):
+def test_a_negative_rank_is_an_error(box):
     dec = nystrom_decompose(build_kernel(Gaussian(1.0)), make_measure(box, "trapezoid", 9))
     with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
         dec.to_json(max_rank=-1)
-    with pytest.raises(ValueError, match="terms must be >= 0, got -1"):
-        reconstruct(dec, 0, 0, terms=-1)
     assert dec.to_json(max_rank=0)["sigmas"] == []
-    assert np.array_equal(reconstruct(dec, 0, 0, terms=0), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("drop_tolerance", [-1.0, np.nan, np.inf])
@@ -113,7 +108,9 @@ def test_truncated_reconstruction_error_decreases(box):
         worst = 0.0
         for i in range(0, len(mu), 13):
             for j in range(0, len(mu), 13):
-                err = np.abs(reconstruct(dec, i, j, terms=terms) - k(mu.nodes[i], mu.nodes[j]))
+                rebuilt = np.einsum("k,ka,kb->ab", dec.sigmas[:terms], dec.phis[:terms, i],
+                                    dec.phis[:terms, j])
+                err = np.abs(rebuilt - k(mu.nodes[i], mu.nodes[j]))
                 worst = max(worst, float(err.max()))
         errs.append(worst)
     assert errs[0] > errs[1] > errs[2]
@@ -176,21 +173,6 @@ def test_positive_weights_required(box):
     )
     with pytest.raises(ValueError, match="positive"):
         nystrom_decompose(k, zeroed)
-
-
-def test_extension_matches_eigenvectors_at_nodes(box):
-    mu = _measure(box, 129)
-    k = build_kernel(Gaussian(1.0))
-    dec = nystrom_decompose(k, mu)
-    # only the well-separated top of the spectrum: division by tiny sigmas
-    # amplifies rounding error in the tail
-    top = min(5, dec.rank)
-    for i in (0, 5, 64):
-        ext = nystrom_extension(dec, k, mu.nodes[i])
-        assert_allclose(ext[:top], dec.phis[:top, i, :], atol=1e-7)
-    off = nystrom_extension(dec, k, np.array([0.319]))
-    assert off.shape == (dec.rank, 1)
-    assert np.all(np.isfinite(off))
 
 
 def test_decomposition_json_shape(box):
