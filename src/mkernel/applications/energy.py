@@ -103,10 +103,11 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
     iteration costs O(N^2 d) kernel evaluations, not O(N^3 d).
 
     A step (0.1 * diameter / N at first) is accepted only if it strictly
-    decreases the full energy, with the step halved up to a cap otherwise,
-    so the trace is non-increasing by construction. Collisions (non-finite
-    energy or gradient) trigger a small jitter restart, counted in the
-    result. Deterministic per seed.
+    decreases the full energy, with the step halved up to a cap otherwise.
+    Collisions (non-finite energy or gradient) trigger a small jitter
+    restart, counted in the result, which may raise the energy: the trace is
+    the lowest energy seen so far, and the result the configuration with the
+    lowest. Deterministic per seed.
     """
     if n_points < 2:
         raise ValueError("a configuration needs at least 2 points")
@@ -127,6 +128,7 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
         if restarts > 50:
             raise ValueError("could not find a finite-energy starting configuration")
 
+    best = Configuration(P, E)
     trace = [E]
     step = 0.1 * diam / n_points
     converged = False
@@ -138,26 +140,26 @@ def minimize_energy(kernel: MatrixKernel, domain, n_points: int,
             P = domain.project(P + jitter * rng.normal(size=P.shape))
             E = discrete_energy(kernel, P)
             restarts += 1
-            trace.append(min(E, trace[-1]) if np.isfinite(E) else trace[-1])
-            continue
-        gnorm = float(np.linalg.norm(g))
-        if gnorm * diam < 1e-15 * max(1.0, abs(E)):
-            converged = True
-            break
-        s = step
-        accepted = False
-        for _ in range(60):
-            Pn = domain.project(P - s * g)
-            En = discrete_energy(kernel, Pn)
-            if np.isfinite(En) and En < E:
-                P, E = Pn, En
-                accepted = True
-                # grow the step back after an accept so progress never stalls
-                step = min(s * 2.0, diam)
+        else:
+            gnorm = float(np.linalg.norm(g))
+            if gnorm * diam < 1e-15 * max(1.0, abs(E)):
+                converged = True
                 break
-            s *= 0.5
-        trace.append(E)
-        if not accepted:
-            converged = True
+            s = step
+            for _ in range(60):
+                Pn = domain.project(P - s * g)
+                En = discrete_energy(kernel, Pn)
+                if np.isfinite(En) and En < E:
+                    P, E = Pn, En
+                    # grow the step back after an accept so progress never stalls
+                    step = min(s * 2.0, diam)
+                    break
+                s *= 0.5
+            else:  # no step accepted
+                converged = True
+        if E < best.energy:
+            best = Configuration(P, E)
+        trace.append(best.energy)
+        if converged:
             break
-    return EnergyResult(Configuration(P, E), np.asarray(trace), it, restarts, converged)
+    return EnergyResult(best, np.asarray(trace), it, restarts, converged)

@@ -8,9 +8,10 @@ F and of A: a `Lift` is decided on its scalar Gram and a `BlockDiag` on its
 blocks, without forming the (n N) x (n N) matrix.
 
 `certify_psd` first tries to prove the rule with one shifted Cholesky per
-factor (Rump's test, see `_shifted_cholesky`), which needs no spectrum, and
-to refute it, when a factor is evidently indefinite, with the witness of its
-least 2 x 2 principal block (see `_pair_witness`), which needs none either.
+factor (Rump's test, see `_shifted_cholesky`), with its threshold set by a
+lower bound on lambda_max read off each factor in one pass, and, when a
+factor is evidently indefinite, to refute it with the witness of its least
+2 x 2 principal block (see `_pair_witness`); neither needs the spectrum.
 Only when neither settles it are the factors solved for their eigenvalues; a
 term that fails is solved again with eigenvectors, the verdict is re-decided
 on that solve and, on failure, a witness is returned: the points and
@@ -40,13 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _BLOCK_PAIRS, GramBlockMatrix, MatrixKernel, _term_gram, gram_matrix
+from .kernels import _BLOCK_PAIRS, GramBlockMatrix, MatrixKernel, Term, _term_gram, gram_matrix
 
 DEFAULT_TOLERANCE = 1e-9
 
-# Power steps behind the lower bound rho on lambda_max that a Cholesky decision
-# sets its threshold by (see `_shifted_cholesky`).
-_POWER_STEPS = 8
 _EPS = np.finfo(float).eps
 _UNIT_ROUNDOFF = _EPS / 2
 
@@ -111,11 +109,12 @@ class PDReport:
     `min_eigenvalue` and `max_eigenvalue` are the exact extreme eigenvalues
     when an eigensolve decided. When a Cholesky proved the rule without one,
     `min_eigenvalue` is None and `max_eigenvalue` the lower bound rho on
-    lambda_max that the threshold was set by. When a 2 x 2 principal block's
-    witness refuted it without one, `min_eigenvalue` is the witness value, an
-    upper bound on lambda_min, and `max_eigenvalue` an upper bound on every
-    |lambda| (see `_pair_witness`), so that min_eigenvalue < -tolerance *
-    max(1, max_eigenvalue) holds of the reported numbers. A `witness_found`
+    lambda_max, read off the factors, that the threshold was set by (see
+    `_shifted_cholesky`). When a 2 x 2 principal block's witness refuted it
+    without one, `min_eigenvalue` is the witness value, an upper bound on
+    lambda_min, and `max_eigenvalue` an upper bound on every |lambda| (see
+    `_pair_witness`), so that min_eigenvalue < -tolerance * max(1,
+    max_eigenvalue) holds of the reported numbers. A `witness_found`
     report does not say whether its numbers are exact or bounds.
     """
 
@@ -151,7 +150,7 @@ def _as_gram(gram) -> GramBlockMatrix:
         M = np.asarray(gram, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("expected a GramBlockMatrix or a square matrix")
-        gram = GramBlockMatrix(None, 1, M.reshape(M.shape[0], M.shape[0], 1, 1))
+        gram = GramBlockMatrix.from_factors(None, 1, [(M, Term(None, 1))])
     for F, _ in gram.factors:
         _require_finite(F, "matrix")
     return gram
@@ -351,9 +350,9 @@ def _decide_stack(Ms: list, terms: list, tolerance: float, vectors: list) -> _De
     vectors[k] (b,) is set; a term on which a Gram fails is solved again with
     eigenvectors, setting its mask, and the Gram re-decided. Returns, per term,
     the ascending eigenvalues lams (b, m) of each last solve and vecs, {Gram:
-    eigenvectors} of the solves that kept them; per Gram, the least and
-    greatest product lo and hi, ranked as (value, term, i, j), the column arg
-    of the least (4 per term) and the verdict ok. A solve is one call per term
+    eigenvectors} of the solves that kept them; per Gram, the least product
+    lo, ranked as (value, term, i, j), and its column arg (4 per term), the
+    greatest product hi and the verdict ok. A solve is one call per term
     and kind; a stack solved whole is not copied."""
     lams, vecs = [np.empty(M.shape[:2]) for M in Ms], [{} for _ in Ms]
     for M, pre, lam, V in zip(Ms, vectors, lams, vecs):
@@ -364,7 +363,7 @@ def _decide_stack(Ms: list, terms: list, tolerance: float, vectors: list) -> _De
         P = np.concatenate([np.multiply.outer(lam[:, [0, -1]], m).reshape(-1, 4)
                             for lam, m in zip(lams, ends)], axis=1)
         arg = P.argmin(1)
-        lo, hi = P[rows, arg], P[rows, P.shape[1] - 1 - P[:, ::-1].argmax(1)]
+        lo, hi = P[rows, arg], P.max(1)
         ok = _decide((lo, hi), tolerance)
         redo = [] if ok.all() else [~ok & (arg // 4 == k) & ~s for k, s in enumerate(vectors)]
         if not any(r.any() for r in redo):
@@ -378,31 +377,21 @@ def _shifted_cholesky(Ms, terms, tolerance: float):
     """rho if one Cholesky per symmetric factor Ms[k] (m, m) proves that the
     Gram passes the rule, else None.
 
-    rho = max over terms of rho_F * a_max, rho_F the largest Rayleigh
-    quotient of _POWER_STEPS power steps on F from the ones vector and a_max
-    the largest eigenvalue of A. So rho <= lambda_max (up to the rounding of
-    a Rayleigh quotient), and s = tolerance * max(1, rho) is at most the
-    rule's threshold. Each term must show every product lambda(F) * a >= -s
-    (see `_proves_term`); then lambda_min >= -s >= -tolerance * max(1,
+    rho = max over terms of rho_F * a_max, a_max the largest eigenvalue of A
+    and rho_F the larger of two Rayleigh quotients of F (m, m), each one
+    pass over it: its largest diagonal entry, at a unit vector, and the mean
+    of its entries, 1^T F 1 / m at the ones vector. So rho <= lambda_max (up
+    to the rounding of that mean), and s = tolerance * max(1, rho) is at most
+    the rule's threshold. Each term must show every product lambda(F) * a >=
+    -s (see `_proves_term`); then lambda_min >= -s >= -tolerance * max(1,
     lambda_max)."""
     if any(t.evals[-1] <= 0 for t in terms):
         return None
-    rho = float(np.max([_rayleigh(M) * t.evals[-1] for M, t in zip(Ms, terms)]))
+    rho = float(max(max(M.diagonal().max(), M.sum() / len(M)) * t.evals[-1]
+                    for M, t in zip(Ms, terms))) + 0.0  # a report prints no -0.0
     s = tolerance * max(1.0, rho)
     ok = (_proves_term(M, s, float(t.evals[0]), float(t.evals[-1])) for M, t in zip(Ms, terms))
     return rho if all(ok) else None
-
-
-def _rayleigh(M: np.ndarray) -> float:
-    """The largest Rayleigh quotient of _POWER_STEPS power steps on M (m, m)
-    from the ones vector (finite: the first is the mean of the entries)."""
-    x, best = np.ones(M.shape[0]), -np.inf
-    with np.errstate(invalid="ignore", divide="ignore"):  # a step that lands on 0
-        for _ in range(_POWER_STEPS):
-            y = M @ x
-            best = np.fmax(best, (x @ y) / (x @ x))
-            x = y / np.sqrt(y @ y)
-    return best
 
 
 def _proves_term(F: np.ndarray, s: float, a_min: float, a_max: float) -> bool:

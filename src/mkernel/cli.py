@@ -27,7 +27,7 @@ from .applications.estimation import load_dataset_csv, ridge_estimate
 from .certify import assemble_gram, certify_psd
 from .domains import domain_from_json, load_points_csv, make_measure
 from .integral import discretization_gap, equivalence_harness
-from .kernels import as_points, build_kernel, json_array, json_number, spec_from_json
+from .kernels import as_points, build_kernel, config_entry, json_array, json_number, spec_from_json
 from .spectral import check_rank, nystrom_decompose, trace_functional
 
 SCHEMA_VERSION = "4"
@@ -109,10 +109,11 @@ def cmd_control(args, cfg) -> tuple[dict, dict, int]:
     if args.partition:
         partition = [json_number(float(t), "--partition") for t in args.partition.split(",")]
     else:
-        if not isinstance(cfg["partition"], list):
+        partition = config_entry(cfg, "partition")
+        if not isinstance(partition, list):
             raise ValueError(f"config entry 'partition' must be a list of breakpoints, "
-                             f"got {json.dumps(cfg['partition'])}")
-        partition = [json_number(t, "config entry 'partition'") for t in cfg["partition"]]
+                             f"got {json.dumps(partition)}")
+        partition = [json_number(t, "config entry 'partition'") for t in partition]
     if "linear_term" in cfg:
         linear = _array(cfg, "linear_term")
         linear_echo = {"linear_term": linear.tolist()}
@@ -192,21 +193,18 @@ _COMMANDS = {
 
 def _number(cfg: dict, name: str, default=..., integer: bool = False):
     """A numeric config entry; without a default (which may be None) it is required."""
-    value = cfg[name] if default is ... else cfg.get(name, default)
+    value = config_entry(cfg, name, default)
     return None if value is None else json_number(value, f"config entry {name!r}", integer)
 
 
 def _array(cfg: dict, name: str, default=...) -> np.ndarray:
     """A config entry of numbers (a number or nested lists); required without a default."""
-    return json_array(cfg[name] if default is ... else cfg.get(name, default),
-                      f"config entry {name!r}")
+    return json_array(config_entry(cfg, name, default), f"config entry {name!r}")
 
 
-def _object_entry(cfg: dict, name: str, default=None) -> dict:
+def _object_entry(cfg: dict, name: str, default=...) -> dict:
     """A config entry that must be a JSON object; required unless a default is given."""
-    if name not in cfg and default is None:
-        raise ValueError(f"config is missing the {name!r} entry")
-    value = cfg.get(name, default)
+    value = config_entry(cfg, name, default)
     if not isinstance(value, dict):
         raise ValueError(f"config entry {name!r} must be a JSON object, got {json.dumps(value)}")
     return value

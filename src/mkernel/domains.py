@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import as_points, json_array, json_number
+from .kernels import as_points, config_entry, json_array, json_number
 
 # Closed-ball / membership slack at boundaries, to avoid floating-point
 # flapping for points generated exactly on a boundary.
@@ -338,10 +338,10 @@ def restrict_measure(measure: QuadratureMeasure, region) -> QuadratureMeasure:
 def domain_from_json(doc: dict) -> Domain:
     kind = doc.get("kind")
     if kind == "box":
-        return Box(json_array(doc["lower"], "domain lower"),
-                   json_array(doc["upper"], "domain upper"))
+        return Box(json_array(config_entry(doc, "lower"), "domain lower"),
+                   json_array(config_entry(doc, "upper"), "domain upper"))
     if kind == "circle":
-        return Circle(json_number(doc["radius"], "domain radius"))
+        return Circle(json_number(config_entry(doc, "radius"), "domain radius"))
     raise ValueError(f"unknown domain kind {kind!r}")
 
 

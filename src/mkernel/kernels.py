@@ -663,6 +663,13 @@ def _field_from_json(key: str, f, value):
         raise ValueError(f"{key} expects {form} for {f.name}") from None
 
 
+def config_entry(doc: dict, name: str, default=...):
+    """doc[name]; without a default (which may be None) the entry is required."""
+    if name not in doc and default is ...:
+        raise ValueError(f"config is missing the {name!r} entry")
+    return doc.get(name, default)
+
+
 def json_number(value, name: str, integer: bool = False):
     """A finite config number, as an int for a count; rejects bools, strings and non-integers."""
     kind = numbers.Integral if integer else numbers.Real

@@ -391,7 +391,7 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     ("certify", {"points": [[0.5], ["0.7"]]}, "config entry 'points' must be a number, got '0.7'"),
     ("gap", {"delta": 0.1, "epsilon": 0.05, "centers": [True]},
      "config entry 'centers' must be a number, got True"),
-    ("gap", {"delta": 0.1, "epsilon": 0.05, "coefficients": [["1"]]},
+    ("gap", {"delta": 0.1, "epsilon": 0.05, "centers": [0.5], "coefficients": [["1"]]},
      "config entry 'coefficients' must be a number, got '1'"),
     ("control", {"partition": ["0", True]}, "config entry 'partition' must be a number, got '0'"),
     ("control", {"partition": [0, 1], "beta": True},
@@ -429,9 +429,18 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     ("spectrum", {"rank": -1}, "rank must be >= 0, got -1"),
     ("control", {"partition": 5}, "config entry 'partition' must be a list of breakpoints, got 5"),
     ("estimate", {"lambda": 0.1, "data": 5}, "config entry 'data' must be a file path, got 5"),
+    ("control", {}, "config is missing the 'partition' entry"),
+    ("gap", {"epsilon": 0.05}, "config is missing the 'delta' entry"),
+    ("gap", {"delta": 0.1}, "config is missing the 'epsilon' entry"),
+    ("gap", {"delta": 0.1, "epsilon": 0.05}, "config is missing the 'centers' entry"),
+    ("gap", {"delta": 0.1, "epsilon": 0.05, "centers": [0.5]},
+     "config is missing the 'coefficients' entry"),
+    ("certify", {"domain": {"kind": "box", "upper": [1]}}, "config is missing the 'lower' entry"),
+    ("certify", {"domain": {"kind": "box", "lower": [0]}}, "config is missing the 'upper' entry"),
+    ("certify", {"domain": {"kind": "circle"}}, "config is missing the 'radius' entry"),
 ])
 def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
-    cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX, "centers": [0.5], "coefficients": [[1.0]]}
+    cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX}
     assert main([command, "--config", _write(tmp_path, "t.json", {**cfg, **entries})]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

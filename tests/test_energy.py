@@ -10,7 +10,7 @@ from mkernel.applications.energy import (
     make_configuration,
     minimize_energy,
 )
-from mkernel.domains import make_box_domain, make_circle_domain
+from mkernel.domains import Box, make_box_domain, make_circle_domain
 from mkernel.kernels import (
     Gaussian,
     Lift,
@@ -196,3 +196,20 @@ def test_minimizer_reaches_equally_spaced_optimum_n24(seed):
     assert res.trace[-1] == E
     assert E == discrete_energy(_riesz(), res.configuration.points)
     assert abs(E - optimum) <= 1e-5 * optimum
+
+
+class _CollidingBox(Box):
+    """A box whose sample is two points exactly h = 1e-6 * diameter apart, so
+    that the first gradient evaluates K(x, x) and the run restarts."""
+
+    def sample(self, rng, n):
+        return np.array([[0.5], [0.5 + 1e-6 * self.diameter]])
+
+
+@pytest.mark.parametrize("iterations", [1, 5])
+def test_a_restart_returns_the_lowest_energy_configuration_seen(iterations):
+    res = minimize_energy(_riesz(), _CollidingBox([0.0], [1.0]), 2, iterations=iterations)
+    assert res.restarts == 1
+    assert res.configuration.energy == res.trace[-1] == res.trace.min()
+    assert np.all(np.diff(res.trace) <= 0)
+    assert res.configuration.energy == discrete_energy(_riesz(), res.configuration.points)

@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkernel.certify import _certify, _evidently_indefinite, assemble_gram, certify_psd
-from mkernel.kernels import Gaussian, GramBlockMatrix, build_kernel, kernel_zoo
+from mkernel.certify import (_EPS, _certify, _evidently_indefinite, _shifted_cholesky,
+                             assemble_gram, certify_psd)
+from mkernel.domains import make_box_domain, make_measure
+from mkernel.integral import weighted_gram
+from mkernel.kernels import Gaussian, GramBlockMatrix, Lift, Term, build_kernel, kernel_zoo
 from test_certify import _assert_pair_witness, _spy
 
 ZOO = kernel_zoo()
@@ -122,10 +125,44 @@ def test_a_cholesky_certificate_holds_in_high_precision(m, seed, log_max, delta,
         _assert_pair_witness(rep, M, tolerance, float(lo), float(hi))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_rho_is_at_most_lambda_max_of_a_symmetric_matrix(m, seed, log_scale):
+    """rho of a symmetric matrix with entries of either sign is at most its
+    exact lambda_max, up to the rounding of the mean of its entries (m eps
+    times their absolute sum) and of a product. A tolerance of 1e6 shifts
+    past every lambda_min here, so the Cholesky succeeds and returns rho."""
+    B = 10.0**log_scale * np.random.default_rng(seed).normal(size=(m, m))
+    M = B + B.T
+    rho = _shifted_cholesky([M], [Term(None, 1)], 1e6)
+    assert rho is not None
+    assert rho <= _mp_extremes(M)[1] + (m + 2) * _EPS * np.abs(M).sum()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0))
+def test_rho_of_a_lift_is_at_most_lambda_max(n, a, seed, log_gamma):
+    """A Gaussian lifted by A = B B^T, B with entries of either sign: the
+    Cholesky proves its Gram, and the reported rho = rho_F * a_max is at
+    most the dense lambda_max of the (n a) x (n a) Gram."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(a, a))
+    k = build_kernel(Lift(Gaussian(10.0**log_gamma), tuple(map(tuple, (B @ B.T).tolist()))))
+    gram = assemble_gram(k, rng.uniform(0.0, 1.0, size=(n, 1)))
+    rep = certify_psd(gram)
+    assert rep.certified and rep.min_eigenvalue is None
+    assert rep.max_eigenvalue <= np.linalg.eigvalsh(gram.data)[-1] * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("entry", [e for e in ZOO if e.is_pd], ids=lambda e: e.name)
 def test_a_pd_zoo_gram_calls_no_eigensolver(entry, monkeypatch):
+    """On 400 points of [0, 1], and weighted over the 257-node trapezoid
+    measure of [0, 1], as the equivalence harness weights it; the reported
+    rho is at most the dense lambda_max."""
     k = build_kernel(entry.spec)
-    gram = assemble_gram(k, np.linspace(0.0, 1.0, 400).reshape(-1, 1))
+    line = make_measure(make_box_domain([0.0], [1.0]), "trapezoid", 257)
+    grams = [assemble_gram(k, np.linspace(0.0, 1.0, 400).reshape(-1, 1)), weighted_gram(k, line)]
+    tops = [np.linalg.eigvalsh(g.data)[-1] for g in grams]
     calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")]
     counted, ndims = np.linalg.cholesky, []
 
@@ -134,11 +171,13 @@ def test_a_pd_zoo_gram_calls_no_eigensolver(entry, monkeypatch):
         return counted(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    rep = certify_psd(gram)
-    assert rep.certified and rep.min_eigenvalue is None
-    assert [len(c) for c in calls] == [0, 0, len(k.terms)]
+    for gram, top in zip(grams, tops):
+        rep = certify_psd(gram)
+        assert rep.certified and rep.min_eigenvalue is None
+        assert rep.max_eigenvalue <= top * (1 + 1e-12)
+    assert [len(c) for c in calls] == [0, 0, 2 * len(k.terms)]
     # the proof factors one Gram's matrices, not stacks of them
-    assert ndims == [2] * len(k.terms)
+    assert ndims == [2] * (2 * len(k.terms))
 
 
 def test_a_refuted_gram_calls_no_eigensolver_and_no_cholesky(monkeypatch):
