@@ -8,12 +8,14 @@ The layers are: leaf kernel evaluation, Gram assembly, the PSD decision
 (the dense PD zoo Grams of order 1,536, the zoo's weighted Grams over a
 257-node measure, and one `neg_distance` witness at order 1,536), the
 witness search (on each zoo kernel, and on a Python callable refuted late
-over ten seeds), the equivalence harness, `nystrom_decompose`, the energy
-minimiser, the control solve and `mkernel certify` wall time, import
-included. Each entry is the best and the median of `--repeats` timed calls
-after one untimed call, with the size it was taken at. The small verdicts
+and a two-term kernel refuted early, over ten seeds each), the equivalence
+harness, `nystrom_decompose`, the energy minimiser, the control solve and
+`mkernel certify` wall time, import included. Each entry is the best and the
+median of `--repeats` timed calls after one untimed call, with the size it
+was taken at. The small verdicts
 (`decide.small`: `certify_psd` of a 4 x 4 SPD matrix and of a 24-point
-Gaussian Gram, and a 16-cell control solve) take tens of microseconds, so
+Gaussian Gram, a 16-cell control solve, and, in `decide.fallback`, a 64 x 64
+Gram that the eigenvalue rule decides) take tens of microseconds, so
 each of their repeats times 1,000 calls and reports the time per call. The
 file also records the numpy version, the BLAS build and the BLAS thread
 count, pinned and read back as the benchmark in `perfbench/run.py` does.
@@ -50,6 +52,7 @@ ENERGY_ITERATIONS = 100
 SMALL_CALLS = 1000
 SMALL_POINTS = 24
 SMALL_CELLS = 16
+FALLBACK_ORDER = 64
 
 
 def _timed(fn, repeats: int, calls: int = 1) -> dict:
@@ -105,6 +108,12 @@ def layers(mk, np, repeats: int) -> dict:
     qp = mk.assemble_control_qp(gaussian, np.linspace(0.0, 1.0, SMALL_CELLS + 1), 1.0)
     add(f"decide.small.solve_qp_{SMALL_CELLS}", f"{SMALL_CELLS} cells, {per_call}",
         lambda: mk.solve_control_qp(qp), SMALL_CALLS)
+    # the 2 x 2 scan refutes its first block, but that witness is within rounding
+    # of the threshold: the eigenvalue rule decides, and certifies it
+    ones = np.ones((FALLBACK_ORDER, FALLBACK_ORDER))
+    ones[0, 0] -= 1e-8
+    add(f"decide.fallback.ones_{FALLBACK_ORDER}", f"order {FALLBACK_ORDER}, {per_call}",
+        lambda: mk.certify_psd(ones), SMALL_CALLS)
 
     for name, (_, k) in zoo.items():
         add(f"search.{name}", f"{SEARCH_TRIALS} trials",
@@ -116,6 +125,12 @@ def layers(mk, np, repeats: int) -> dict:
         "refuted_late")
     add("search.refuted_late_callable", f"seeds 0-{LATE_SEEDS - 1}, {SEARCH_TRIALS} trials each",
         lambda: [mk.random_search_witness(late, line.domain, trials=SEARCH_TRIALS, seed=s)
+                 for s in range(LATE_SEEDS)])
+    # a two-term kernel refuted on its first trials: a failing trial is solved
+    # again with eigenvectors on both terms
+    block_neg = mk.build_kernel(mk.BlockDiag((mk.Gaussian(1.0), mk.NegDistance())))
+    add("search.block_diag_neg", f"seeds 0-{LATE_SEEDS - 1}, {SEARCH_TRIALS} trials each",
+        lambda: [mk.random_search_witness(block_neg, line.domain, trials=SEARCH_TRIALS, seed=s)
                  for s in range(LATE_SEEDS)])
     for name, (_, k) in zoo.items():
         add(f"harness.{name}", f"{HARNESS_NODES} nodes, {SEARCH_TRIALS} trials",

@@ -7,30 +7,29 @@ Kronecker terms F (x) A, whose spectrum is the products of the eigenvalues of
 F and of A: a `Lift` is decided on its scalar Gram and a `BlockDiag` on its
 blocks, without forming the (n N) x (n N) matrix.
 
-`certify_psd` first tries to prove the rule with one shifted Cholesky per
-factor (Rump's test, see `_shifted_cholesky`), with its threshold set by a
-lower bound on lambda_max read off each factor in one pass, and, when a
-factor is evidently indefinite, to refute it with the witness of its least
-2 x 2 principal block (see `_pair_witness`); neither needs the spectrum.
-Only when neither settles it are the factors solved for their eigenvalues; a
-term that fails is solved again with eigenvectors, the verdict is re-decided
-on that solve and, on failure, a witness is returned: the points and
-coefficient vectors whose quadratic form is negative, reproducible by a
-direct double sum. Every Gram matrix here is a `GramBlockMatrix`, the one
-block-Gram type that the integral and spectral sides also use for the Gram
-over measure nodes.
+`certify_psd` first scans each factor's adjacent 2 x 2 principal blocks once
+(see `_least_pair`). If none shows a factor indefinite, it tries to prove the
+rule with one shifted Cholesky per factor (Rump's test, see
+`_shifted_cholesky`), with its threshold set by a lower bound on lambda_max
+read off each factor in one pass; if one does, it tries to refute the rule
+with the witness of the least such block (see `_pair_witness`). Neither needs
+the spectrum. Only when neither settles it is the eigenvalue rule applied:
+the factors are solved for their eigenvalues and, if the Gram fails, solved
+once more with eigenvectors, the verdict is re-decided on that solve and, on
+failure, a witness is returned: the points and coefficient vectors whose
+quadratic form is negative, reproducible by a direct double sum. Every Gram
+matrix here is a `GramBlockMatrix`, the one block-Gram type that the
+integral and spectral sides also use for the Gram over measure nodes.
 
-The decision is three stages: both callers symmetrize their factors and
-pre-test them (`_evidently_indefinite`); `certify_psd` tries the Cholesky proof,
-or the 2 x 2 block's witness, on its Gram's matrices; and the eigenvalue rule
-is written once, in `_decide_stack`, for a stack of Grams of the same terms:
-`certify_psd`'s as a stack of one, or a chunk of the random witness search's
-point sets, grouped by size, with each term evaluated once on the stacked
-points. The search draws two chunks, its first _FIRST_CHUNK trials and then
-the rest, and stops evaluating a chunk's trials past the first that ends it.
-It solves its Grams for their eigenvalues, since it reports the least margin
-it saw, and builds the witness of the trial that ends it from its stack's
-factors: it reports what one eigenvalue-solving decision per trial would.
+The eigenvalue rule is written once, in `_decide_stack`, for a stack of Grams
+of the same terms: `certify_psd`'s as a stack of one, or a chunk of the
+random witness search's point sets, grouped by size, with each term
+evaluated once on the stacked points. The search draws two chunks, its first
+_FIRST_CHUNK trials and then the rest, and stops evaluating a chunk's trials
+past the first that ends it. It applies that rule alone, with no 2 x 2 scan,
+since it reports the least margin it saw, and builds the witness of the
+trial that ends it from its stack's factors: it reports what one
+eigenvalue-rule decision per trial would.
 """
 
 from __future__ import annotations
@@ -167,18 +166,18 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     The matrix passes when its minimum eigenvalue is at least
     -tolerance * max(1, lambda_max). The spectrum is that of the Gram's
     terms F (x) A: the products of the eigenvalues of F and of A, over every
-    term, so only the factors are decided. Unless a diagonal entry or an
-    adjacent 2 x 2 principal block already shows a factor indefinite, each F
-    is first factored by Cholesky, shifted so that success proves the rule
-    (see `_shifted_cholesky`); then no eigensolve runs, the report's
+    term, so only the factors are decided. Unless a factor's least adjacent
+    2 x 2 principal block (or diagonal entry) has its lower eigenvalue below
+    -tolerance * max(1, largest diagonal entry), each F is first factored by
+    Cholesky, shifted so that success proves the rule (see
+    `_shifted_cholesky`); then no eigensolve runs, the report's
     `min_eigenvalue` is None and its `max_eigenvalue` is rho <= lambda_max.
-    If the pre-test refutes a factor, the least such block gives a witness on
+    If that scan refutes a factor, the least such block gives a witness on
     at most two adjacent points (see `_pair_witness`); when its value is below
     the threshold set by a bound ub >= |lambda| by more than an eigensolve's
     rounding, no eigensolve runs, `min_eigenvalue` is that value (>=
-    lambda_min, by interlacing) and `max_eigenvalue` is ub. Otherwise
-    each F is solved for its eigenvalues (with eigenvectors if the pre-test
-    refuted it), and a term on which the verdict fails is solved again with
+    lambda_min, by interlacing) and `max_eigenvalue` is ub. Otherwise each F
+    is solved for its eigenvalues and, if the verdict fails, once more with
     eigenvectors: the verdict, both reported eigenvalues and the eigen-witness
     all come from that solve. Either way a report satisfies its own rule, and
     a failed factorisation or a witness too close to call costs time, never a
@@ -186,18 +185,20 @@ def certify_psd(gram, tolerance: float = DEFAULT_TOLERANCE) -> PDReport:
     or of its 2 x 2 block and u one of A, in the term's component slots,
     signed so that the largest entry is positive, with no -0.0, and reshaped
     to one coefficient vector per point; its value is recomputed by a direct
-    double sum. An empty matrix, or one with a non-finite entry, is an error.
+    double sum. An empty matrix, one with a non-finite entry, or one whose
+    lambda_max (or rho) overflows a float, is an error.
     """
     return _certify(gram, tolerance, "cholesky")[0]
 
 
 def _certify(gram, tolerance: float, first: str):
     """`certify_psd`'s body, with its first stage named: "cholesky" (the
-    Cholesky proof if the pre-test refutes no factor, the 2 x 2 block's
-    witness if it does), "eigvalsh" (eigenvectors only where it does) or
-    "eigh" (eigenvectors for every factor). Also returns, per term, the
-    symmetrized factor with the eigenvalues and eigenvectors (None if not
-    needed) of its last solve, or None when no eigensolve decided."""
+    Cholesky proof if the 2 x 2 scan refutes no factor, the least block's
+    witness if it does), "eigvalsh" (the eigenvalue rule alone, eigenvectors
+    only for a Gram that fails it) or "eigh" (eigenvectors for every factor).
+    Also returns, per term, the symmetrized factor with the eigenvalues and
+    eigenvectors (None if not needed) of its last solve, or None when no
+    eigensolve decided."""
     _check_tolerance(tolerance)
     g = _as_gram(gram)
     if g.n_points == 0:
@@ -213,22 +214,18 @@ def _certify(gram, tolerance: float, first: str):
         scale = max(np.max(np.abs(F)) * np.max(np.abs(t.matrix)) for F, t in g.factors)
         if sym_gap > 1e-12 * max(1.0, scale):
             warnings.append(f"asymmetric input symmetrized (max gap {sym_gap:.3e})")
-    stacks = [M[None] for M in Ms]
-    vectors = [np.ones(1, bool) if first == "eigh" else _evidently_indefinite(S, tolerance)
-               for S in stacks]
     if first == "cholesky":
-        refuted = [bool(v[0]) for v in vectors]
-        if any(refuted):
-            found = _pair_witness(g, Ms, refuted, tolerance)
-            if found is not None:
-                value, ub, witness = found
-                return PDReport("witness_found", value, ub, tolerance, witness,
-                                tuple(warnings)), None
-        else:
+        pairs = [_least_pair(M) for M in Ms]
+        pairs = [p if p[1] < -tolerance * max(1.0, M.diagonal().max()) else None
+                 for M, p in zip(Ms, pairs)]
+        if not any(pairs):
             rho = _shifted_cholesky(Ms, terms, tolerance)
             if rho is not None:
                 return PDReport("certified_psd", None, rho, tolerance, None, tuple(warnings)), None
-    d = _decide_stack(stacks, terms, tolerance, vectors)
+        elif (found := _pair_witness(g, Ms, pairs, tolerance)) is not None:
+            value, ub, witness = found
+            return PDReport("witness_found", value, ub, tolerance, witness, tuple(warnings)), None
+    d = _decide_stack([M[None] for M in Ms], terms, tolerance, first == "eigh")
     witness = None if d.ok[0] else _witness(d, 0, g)
     report = PDReport("certified_psd" if witness is None else "witness_found",
                       float(d.lo[0]), float(d.hi[0]), tolerance, witness, tuple(warnings))
@@ -262,22 +259,11 @@ def _is_symmetric(F: np.ndarray) -> bool:
                for i in range(0, m, _TILE) for j in range(i, m, _TILE))
 
 
-def _evidently_indefinite(M: np.ndarray, tolerance: float):
-    """Whether a diagonal entry, or the lower eigenvalue of an adjacent 2 x 2
-    principal block, lies below -s, s = tolerance * max(1, largest diagonal
-    entry); per matrix for a stack (..., m, m). By interlacing, lambda_min
-    lies below each of them. O(m) per matrix."""
-    d = M.diagonal(0, -2, -1)
-    a = d + tolerance * np.fmax(1.0, d.max(-1))[..., None]
-    # [[d_i, e], [e, d_j]] + s I is PSD unless d_i + s < 0 or (d_i + s)(d_j + s) < e^2
-    return (a < 0).any(-1) | (a[..., :-1] * a[..., 1:] < M.diagonal(1, -2, -1) ** 2).any(-1)
-
-
-def _pair_witness(g: GramBlockMatrix, Ms: list, refuted: list, tolerance: float):
-    """(value, ub, witness) from the least adjacent 2 x 2 principal block (the
-    diagonal entry of a factor of order 1) of the refuted symmetric factors
-    Ms[k] of g, or None if it does not refute the rule beyond an eigensolve's
-    rounding.
+def _pair_witness(g: GramBlockMatrix, Ms: list, pairs: list, tolerance: float):
+    """(value, ub, witness) from the least of the blocks pairs[k] =
+    `_least_pair(Ms[k])` of g's refuted symmetric factors Ms[k] (None for the
+    others), or None if it does not refute the rule beyond an eigensolve's
+    rounding; it does not scan the factors again.
 
     A block's lower eigenvalue times its term's a_max > 0 scores it. The
     witness is v (x) u in that term's component slots (see `_coefficients`),
@@ -290,10 +276,10 @@ def _pair_witness(g: GramBlockMatrix, Ms: list, refuted: list, tolerance: float)
     by more than an eigensolve's backward error, (n N) eps ub, so that the
     eigenvalue rule refutes the Gram too."""
     best = None
-    for k, (M, refute) in enumerate(zip(Ms, refuted)):
+    for k, pair in enumerate(pairs):
         a_max = g.factors[k][1].evals[-1]
-        if refute and a_max > 0:
-            i, mu, v = _least_pair(M)
+        if pair is not None and a_max > 0:
+            i, mu, v = pair
             if best is None or mu * a_max < best[0]:
                 best = (mu * a_max, k, i, v)
     if best is None:
@@ -343,34 +329,39 @@ def _least_pair(M: np.ndarray):
 _Decided = namedtuple("_Decided", "lams vecs lo hi arg ok")
 
 
-def _decide_stack(Ms: list, terms: list, tolerance: float, vectors: list) -> _Decided:
+def _decide_stack(Ms: list, terms: list, tolerance: float, vectors: bool) -> _Decided:
     """`certify_psd`'s rule on the eigenvalues of a stack of b Grams of the
     same terms, given as term k's symmetric finite factors Ms[k] (b, m, m).
-    Each is solved for its eigenvalues, with eigenvectors where the mask
-    vectors[k] (b,) is set; a term on which a Gram fails is solved again with
-    eigenvectors, setting its mask, and the Gram re-decided. Returns, per term,
-    the ascending eigenvalues lams (b, m) of each last solve and vecs, {Gram:
-    eigenvectors} of the solves that kept them; per Gram, the least product
-    lo, ranked as (value, term, i, j), and its column arg (4 per term), the
-    greatest product hi and the verdict ok. A solve is one call per term
-    and kind; a stack solved whole is not copied."""
-    lams, vecs = [np.empty(M.shape[:2]) for M in Ms], [{} for _ in Ms]
-    for M, pre, lam, V in zip(Ms, vectors, lams, vecs):
-        _solve(M, ~pre, lam)
-        _solve(M, pre, lam, V)
+    Each term is solved in one call over the stack, with eigenvectors if
+    `vectors`; if not, the Grams that fail are solved again with
+    eigenvectors, every term in one call, and re-decided once on that solve.
+    Returns, per term, the ascending eigenvalues lams (b, m) of each last
+    solve and vecs, {Gram: eigenvectors} of the solves that kept them; per
+    Gram, the least product lo, ranked as (value, term, i, j), and its column
+    arg (4 per term), the greatest product hi and the verdict ok. A greatest
+    product that overflows sets no threshold, so it is an error. A stack
+    solved whole is not copied."""
+    lams, vecs = [], []
+    for M in Ms:
+        lam, V = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), ())
+        lams.append(lam)
+        vecs.append(dict(enumerate(V)))
     ends, rows = [t.evals[[0, -1]] for t in terms], np.arange(len(Ms[0]))
-    while True:
+    for _ in range(2):  # the second pass has eigenvectors and returns
         P = np.concatenate([np.multiply.outer(lam[:, [0, -1]], m).reshape(-1, 4)
                             for lam, m in zip(lams, ends)], axis=1)
         arg = P.argmin(1)
         lo, hi = P[rows, arg], P.max(1)
+        if not np.isfinite(hi).all():
+            raise ValueError("the Gram's largest eigenvalue overflows a float")
         ok = _decide((lo, hi), tolerance)
-        redo = [] if ok.all() else [~ok & (arg // 4 == k) & ~s for k, s in enumerate(vectors)]
-        if not any(r.any() for r in redo):
+        fail = (~ok).nonzero()[0]
+        if vectors or not fail.size:
             return _Decided(lams, vecs, lo, hi, arg, ok)
-        for M, lam, V, s, r in zip(Ms, lams, vecs, vectors, redo):
-            _solve(M, r, lam, V)
-            s |= r
+        vectors = True
+        for M, lam, V in zip(Ms, lams, vecs):
+            lam[fail], W = np.linalg.eigh(M if fail.size == len(M) else M[fail])
+            V.update(zip(fail.tolist(), W))
 
 
 def _shifted_cholesky(Ms, terms, tolerance: float):
@@ -389,6 +380,8 @@ def _shifted_cholesky(Ms, terms, tolerance: float):
         return None
     rho = float(max(max(M.diagonal().max(), M.sum() / len(M)) * t.evals[-1]
                     for M, t in zip(Ms, terms))) + 0.0  # a report prints no -0.0
+    if not np.isfinite(rho):
+        raise ValueError(f"the Gram's largest eigenvalue overflows a float (rho = {rho})")
     s = tolerance * max(1.0, rho)
     ok = (_proves_term(M, s, float(t.evals[0]), float(t.evals[-1])) for M, t in zip(Ms, terms))
     return rho if all(ok) else None
@@ -420,19 +413,6 @@ def _proves_term(F: np.ndarray, s: float, a_min: float, a_max: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _solve(M: np.ndarray, which: np.ndarray, lam: np.ndarray, vecs: dict | None = None):
-    """Solve the matrices of a stack M that `which` selects, in one call,
-    into their rows of `lam`, and into `vecs` with eigenvectors if given."""
-    rows = which.nonzero()[0]
-    if rows.size:
-        sub = M if rows.size == len(M) else M[rows]
-        if vecs is None:
-            lam[rows] = np.linalg.eigvalsh(sub)
-        else:
-            lam[rows], V = np.linalg.eigh(sub)
-            vecs.update(zip(rows.tolist(), V))
 
 
 def _witness(d: _Decided, e: int, g: GramBlockMatrix) -> Witness:
@@ -561,8 +541,7 @@ def _decide_chunk(kernel: MatrixKernel, chunk: list, tolerance: float) -> list:
             cut = _first_false(np.logical_and.reduce(
                 [np.isfinite(F).all(axis=(1, 2)) for F in factors]))
             Ms = [_symmetrized(F[:cut])[0] for F in factors]
-            d = _decide_stack(Ms, kernel.terms, tolerance,
-                              [_evidently_indefinite(M, tolerance) for M in Ms])
+            d = _decide_stack(Ms, kernel.terms, tolerance, False)
             stop = _first_false(d.ok)
             margins = (d.lo / np.fmax(1.0, d.hi)).tolist() + [None]
             for e in range(min(stop + 1, len(part))):

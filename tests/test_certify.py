@@ -178,12 +178,20 @@ def test_non_finite_points_rejected(bad):
         assemble_gram(build_kernel(Gaussian(1.0)), pts)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, 1.7e308])
 def test_non_finite_matrix_rejected(bad):
-    M = np.eye(3)
+    # a finite 1e308 or 1.7e308 beside a diagonal of 1e308 makes lambda_max
+    # (2e308 or 2.7e308) overflow: the Cholesky proof's rho is inf for the
+    # first, and the pre-test sends the second, which is indefinite, to an
+    # eigensolve; neither may set a threshold of -inf
+    M = 1e308 * np.eye(3)
     M[1, 2] = M[2, 1] = bad
-    with pytest.raises(ValueError, match=r"non-finite value .* in matrix at index \(1, 2\)"):
+    message = ("largest eigenvalue overflows a float" if np.isfinite(bad)
+               else r"non-finite value .* in matrix at index \(1, 2\)")
+    with pytest.raises(ValueError, match=message):
         certify_psd(M)
+    with pytest.raises(ValueError, match=message):
+        _certify(M, 1e-9, "eigvalsh")
 
 
 def test_non_finite_block_gram_rejected():
@@ -269,11 +277,11 @@ def test_witness_gram_solves_with_eigenvectors_once(monkeypatch):
     eigh_calls, eigvalsh_calls = _spy(monkeypatch, "eigh"), _spy(monkeypatch, "eigvalsh")
     # the zero diagonal and -|x - y| beside it fail a 2 x 2 principal block:
     # certify_psd returns that block's witness, and the eigenvalue-solving
-    # path goes straight to the solve with eigenvectors
+    # path solves without eigenvectors, then once with them for the witness
     assert certify_psd(gram).verdict == "witness_found"
     assert (len(eigh_calls), len(eigvalsh_calls)) == (0, 0)
     assert _certify(gram, 1e-9, "eigvalsh")[0].verdict == "witness_found"
-    assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 0)
+    assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 1)
 
 
 def test_verdict_matches_full_eigh_reference_on_zoo():

@@ -26,6 +26,7 @@ from mkernel.certify import random_search_witness
 from mkernel.domains import Box, Circle, make_measure
 from mkernel.integral import equivalence_harness
 from mkernel.kernels import (
+    BlockDiag,
     Brownian,
     Conjugate,
     Gaussian,
@@ -74,8 +75,9 @@ def test_plane_domains_sizes_and_trial_counts_match_the_oracle(domain, n_range, 
 
 
 # a dense Conjugate (its inner kernel is a Sum), an asymmetric callable that
-# takes the symmetrization path, and a kernel refuted late (trials 36, 164,
-# 75, 38, 30, 62, 3, none, 20, 133 for seeds 0-9)
+# takes the symmetrization path, a kernel refuted late (trials 36, 164, 75,
+# 38, 30, 62, 3, none, 20, 133 for seeds 0-9), and a two-term kernel whose
+# failing trials are solved again with eigenvectors on both terms
 SPECIAL = {
     "dense_conjugate": build_kernel(Conjugate(
         Sum((Lift(Gaussian(1.0), ((2.0, 1.0), (1.0, 2.0))),
@@ -84,6 +86,7 @@ SPECIAL = {
     "asymmetric_callable": kernel_from_callable(
         lambda x, y: np.exp(-np.sum((x - y) ** 2)) + 0.01 * (x[0] - y[0]), 1, "asym"),
     "refuted_late": build_kernel(Sum((Scale(0.5, Gaussian(0.1)), NegDistance()))),
+    "block_diag_neg": build_kernel(BlockDiag((Gaussian(1.0), NegDistance()))),
 }
 
 
@@ -139,8 +142,8 @@ def test_a_trial_the_stack_fails_is_solved_again_with_eigenvectors(monkeypatch):
 
 def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
     real_eigvalsh, real_certify = np.linalg.eigvalsh, certify.certify_psd
-    real_cholesky = np.linalg.cholesky
-    solves, exact_calls, factorisations = [], [], []
+    real_cholesky, real_least_pair = np.linalg.cholesky, certify._least_pair
+    solves, exact_calls, factorisations, pre_tests = [], [], [], []
 
     def eigvalsh(*args, **kwargs):
         solves.append(1)
@@ -154,16 +157,22 @@ def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
         factorisations.append(1)
         return real_cholesky(*args, **kwargs)
 
+    def least_pair(*args, **kwargs):
+        pre_tests.append(1)
+        return real_least_pair(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     monkeypatch.setattr(certify, "certify_psd", certify_psd)
+    monkeypatch.setattr(certify, "_least_pair", least_pair)
     report = random_search_witness(ZOO["gaussian"], LINE, trials=200, seed=0)
     assert not report.found and report.trials == 200
     # at most one stack per point-set size (8 of them) in each of the two
     # chunks, not one per trial
     assert len(solves) <= 16 and not exact_calls
-    # the search reports margins, so it decides by eigenvalues and never factors
-    assert not factorisations
+    # the search reports margins, so it decides by eigenvalues: it never
+    # factors, and runs no 2 x 2 pre-test
+    assert not factorisations and not pre_tests
 
 
 def test_negative_trials_rejected():

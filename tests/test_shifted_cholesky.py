@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkernel.certify import (_EPS, _certify, _evidently_indefinite, _shifted_cholesky,
-                             assemble_gram, certify_psd)
+from mkernel.certify import (_EPS, _certify, _least_pair, _shifted_cholesky, assemble_gram,
+                             certify_psd)
 from mkernel.domains import make_box_domain, make_measure
 from mkernel.integral import weighted_gram
 from mkernel.kernels import Gaussian, GramBlockMatrix, Lift, Term, build_kernel, kernel_zoo
@@ -202,9 +202,9 @@ def test_a_refutation_within_rounding_of_the_threshold_falls_back_to_an_eigensol
     certifies it."""
     M = np.ones((64, 64))
     M[0, 0] -= 1e-8
-    assert _evidently_indefinite(M[None], 1e-9)[0]
+    assert _least_pair(M)[1] < -1e-9 * max(1.0, M.diagonal().max())
     calls = [_spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")]
     rep = certify_psd(M)
     assert rep.verdict == "certified_psd" and rep.witness is None
-    assert [len(c) for c in calls] == [1, 0, 0]
+    assert [len(c) for c in calls] == [0, 1, 0]
     assert rep.to_json() == _certify(M, 1e-9, "eigvalsh")[0].to_json()
