@@ -4,15 +4,16 @@ Usage (from the root of a checkout):
 
     python3 bench/layers.py --out BENCH_<n>.json [--repeats 5]
 
-The layers are: leaf kernel evaluation, Gram assembly, the PSD decision
-(the dense PD zoo Grams of order 1,536, the zoo's weighted Grams over a
-257-node measure, and one `neg_distance` witness at order 1,536), the
-witness search (on each zoo kernel, and on a Python callable refuted late
-and a two-term kernel refuted early, over ten seeds each), the equivalence
-harness, `nystrom_decompose`, the energy minimiser, the control solve and
-`mkernel certify` wall time, import included. Each entry is the best and the
-median of `--repeats` timed calls after one untimed call, with the size it
-was taken at. The small verdicts
+The layers are: leaf kernel evaluation (a Gaussian cross evaluation, and
+Riesz on the 2,208 paired 2-D points of one 24-point energy gradient), Gram
+assembly, the PSD decision (the dense PD zoo Grams of order 1,536, the zoo's
+weighted Grams over a 257-node measure, and one `neg_distance` witness at
+order 1,536), the witness search (on each zoo kernel, and on a Python
+callable refuted late and a two-term kernel refuted early, over ten seeds
+each), the equivalence harness, `nystrom_decompose`, the energy minimiser,
+the control solve and `mkernel certify` wall time, import included. Each
+entry is the best and the median of `--repeats` timed calls after one untimed
+call, with the size it was taken at. The Riesz leaf and the small verdicts
 (`decide.small`: `certify_psd` of a 4 x 4 SPD matrix and of a 24-point
 Gaussian Gram, a 16-cell control solve, and, in `decide.fallback`, a 64 x 64
 Gram that the eigenvalue rule decides) take tens of microseconds, so
@@ -49,6 +50,7 @@ LIFT_GRID = 31
 CONTROL_CELLS = 512
 ENERGY_POINTS = 24
 ENERGY_ITERATIONS = 100
+RIESZ_PAIRS = 2 * ENERGY_POINTS * 2 * (ENERGY_POINTS - 1)  # the pairs of one gradient
 SMALL_CALLS = 1000
 SMALL_POINTS = 24
 SMALL_CELLS = 16
@@ -74,6 +76,7 @@ def layers(mk, np, repeats: int) -> dict:
               for name, (_, k) in zoo.items()}
     line = mk.make_measure(mk.make_box_domain([0.0], [1.0]), "trapezoid", HARNESS_NODES)
     out = {}
+    per_call = f"per call, {SMALL_CALLS} calls per repeat"
 
     def add(name, size, fn, calls=1):
         out[name] = {"size": size, **_timed(fn, repeats, calls)}
@@ -83,6 +86,11 @@ def layers(mk, np, repeats: int) -> dict:
     P = points["gaussian"]
     add("leaf.gaussian_eval_pairwise", f"{len(P)} x {len(P)} pairs",
         lambda: gaussian.eval_pairwise(P, P))
+    riesz = mk.build_kernel(mk.Riesz(1.0, 0.0), allow_unbounded=True)
+    # drawn from a generator of its own, so the later rows' inputs stay as they were
+    X, Y = np.random.default_rng(1).normal(size=(2, RIESZ_PAIRS, 2))
+    add("leaf.riesz_eval_pairs_2d", f"{RIESZ_PAIRS} pairs of 2-D points, {per_call}",
+        lambda: riesz.eval_pairs(X, Y), SMALL_CALLS)
     for name, (_, k) in zoo.items():
         add(f"assemble.{name}", f"order {GRAM_ORDER}",
             lambda k=k, P=points[name]: mk.assemble_gram(k, P))
@@ -98,7 +106,6 @@ def layers(mk, np, repeats: int) -> dict:
     g = mk.assemble_gram(zoo["neg_distance"][1], points["neg_distance"])
     add("decide.witness.neg_distance", f"order {GRAM_ORDER}", lambda: mk.certify_psd(g))
     del g
-    per_call = f"per call, {SMALL_CALLS} calls per repeat"
     A = rng.normal(size=(4, 4))
     spd = A @ A.T + 4.0 * np.eye(4)
     add("decide.small.spd_4x4", f"4 x 4, {per_call}", lambda: mk.certify_psd(spd), SMALL_CALLS)
@@ -150,7 +157,6 @@ def layers(mk, np, repeats: int) -> dict:
         add(f"control.solve.{name}", f"{CONTROL_CELLS} cells",
             lambda qp=qp: mk.solve_control_qp(qp))
 
-    riesz = mk.build_kernel(mk.Riesz(1.0, 0.0), allow_unbounded=True)
     add("energy.riesz_circle", f"{ENERGY_POINTS} points, {ENERGY_ITERATIONS} iterations",
         lambda: mk.minimize_energy(riesz, mk.make_circle_domain(1.0), ENERGY_POINTS,
                                    iterations=ENERGY_ITERATIONS))

@@ -10,10 +10,19 @@ the continuous equilibrium energy, whose reciprocal is the capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..kernels import MatrixKernel, as_points
+
+
+@lru_cache
+def _off_diagonal(n: int) -> tuple:
+    """The ordered pairs i != j of n points, row by row, as read-only index arrays."""
+    iu, ju = np.nonzero(~np.eye(n, dtype=bool))
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def discrete_energy(kernel: MatrixKernel, points) -> float:
@@ -24,8 +33,7 @@ def discrete_energy(kernel: MatrixKernel, points) -> float:
     n = P.shape[0]
     if n < 2:
         raise ValueError("a configuration needs at least 2 points")
-    mask = ~np.eye(n, dtype=bool)
-    iu, ju = np.where(mask)
+    iu, ju = _off_diagonal(n)
     vals = kernel.eval_pairs(P[iu], P[ju])[:, 0, 0]
     return float(vals.sum() / n**2)
 
@@ -55,20 +63,17 @@ def _energy_gradient(kernel: MatrixKernel, P: np.ndarray, h: float) -> np.ndarra
             = (1/N^2) sum_{j != i} [K(x_i+, x_j) + K(x_j, x_i+)
                                     - K(x_i-, x_j) - K(x_j, x_i-)]
 
-    with x_i+- = x_i +- h e_k. All 2 N d (N - 1) shifted pairs go to the
-    kernel in one `eval_pairs` call per argument order. Both orders are
-    summed because a kernel from a callable runs as given and need not be
-    symmetric; a compiled kernel is symmetric by construction.
+    with x_i+- = x_i +- h e_k. The shifted points (2, N, d, 1, d) and their
+    partners (1, N, 1, N - 1, d) go to the kernel's evaluator, which
+    broadcasts them to all 2 N d (N - 1) pairs, once per argument order: a
+    callable runs as given and need not be symmetric.
     """
+    P = kernel._check_points(P)
     n, d = P.shape
-    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-    # shifted[s, i, k] = x_i + (h, -h)[s] e_k
-    shifted = P[None, :, None, :] + np.array([h, -h])[:, None, None, None] * np.eye(d)
-    shape = (2, n, d, n - 1, d)
-    X = np.broadcast_to(shifted[:, :, :, None, :], shape).reshape(-1, d)
-    Y = np.broadcast_to(P[others][None, :, None, :, :], shape).reshape(-1, d)
-    vals = kernel.eval_pairs(X, Y)[:, 0, 0] + kernel.eval_pairs(Y, X)[:, 0, 0]
-    vals = vals.reshape(2, n, d, n - 1)
+    # X[s, i, k, 0] = x_i + (h, -h)[s] e_k; Y[0, i, 0, j'] = the j'-th x_j with j != i
+    X = P[None, :, None, None, :] + np.multiply.outer([h, -h], np.eye(d)[None, :, None])
+    Y = P[_off_diagonal(n)[1].reshape(n, n - 1)][None, :, None, :, :]
+    vals = kernel._batch(X, Y)[..., 0, 0] + kernel._batch(Y, X)[..., 0, 0]
     return (vals[0] - vals[1]).sum(axis=-1) / (2 * h * n**2)
 
 

@@ -284,8 +284,9 @@ def _pair_witness(g: GramBlockMatrix, Ms: list, pairs: list, tolerance: float):
                 best = (mu * a_max, k, i, v)
     if best is None:
         return None
-    ub = float(max(np.linalg.norm(M) * (1 + (M.size + 4) * _EPS) * np.abs(t.evals[[0, -1]]).max()
-                   for M, (_, t) in zip(Ms, g.factors)))
+    with np.errstate(over="ignore"):  # an overflowing ub declines the witness below
+        ub = float(max(np.linalg.norm(M) * (1 + (M.size + 4) * _EPS)
+                       * np.abs(t.evals[[0, -1]]).max() for M, (_, t) in zip(Ms, g.factors)))
     if not np.isfinite(4 * ub):  # the witness's terms sum to at most about ub
         return None
     _, k, i, v = best
@@ -378,8 +379,9 @@ def _shifted_cholesky(Ms, terms, tolerance: float):
     lambda_max)."""
     if any(t.evals[-1] <= 0 for t in terms):
         return None
-    rho = float(max(max(M.diagonal().max(), M.sum() / len(M)) * t.evals[-1]
-                    for M, t in zip(Ms, terms))) + 0.0  # a report prints no -0.0
+    with np.errstate(over="ignore"):  # an overflowing rho is rejected below
+        rho = float(max(max(M.diagonal().max(), M.sum() / len(M)) * t.evals[-1]
+                        for M, t in zip(Ms, terms))) + 0.0  # a report prints no -0.0
     if not np.isfinite(rho):
         raise ValueError(f"the Gram's largest eigenvalue overflows a float (rho = {rho})")
     s = tolerance * max(1.0, rho)

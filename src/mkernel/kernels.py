@@ -115,8 +115,7 @@ class Gaussian(KernelSpec):
             raise ValueError("gaussian rate gamma must be positive")
 
         def f(X, Y, g=g):
-            d2 = ((X - Y) ** 2).sum(axis=-1)
-            return np.exp(-g * d2)[..., None, None]
+            return np.exp(-g * _sq_dist(X, Y))[..., None, None]
 
         return MatrixKernel(1, f)
 
@@ -142,7 +141,7 @@ class Riesz(KernelSpec):
             raise ValueError("riesz regularizer eta must be nonnegative")
 
         def f(X, Y, s=s, eta=eta):
-            r = np.linalg.norm(X - Y, axis=-1)
+            r = np.sqrt(_sq_dist(X, Y))
             with np.errstate(divide="ignore"):
                 v = (r + eta) ** (-s)
             return v[..., None, None]
@@ -171,7 +170,7 @@ class NegDistance(KernelSpec):
 
     def compile(self):
         def f(X, Y):
-            return -np.linalg.norm(X - Y, axis=-1)[..., None, None]
+            return -np.sqrt(_sq_dist(X, Y))[..., None, None]
 
         return MatrixKernel(1, f)
 
@@ -350,14 +349,26 @@ class BlockDiag(KernelSpec):
 _FAMILIES = {cls.key: cls for cls in KernelSpec.__subclasses__()}
 
 
+def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """|x - y|^2 over (..., d) arrays that broadcast, summed in order one coordinate's
+    difference at a time over the broadcast shape: numpy's sum (under sqrt,
+    np.linalg.norm) bit for bit for d <= 7, and exactly symmetric for every d."""
+    s = (X[..., 0] - Y[..., 0]) ** 2
+    for k in range(1, X.shape[-1]):
+        s += (X[..., k] - Y[..., k]) ** 2
+    return s
+
+
 def as_points(x, what: str) -> np.ndarray:
-    """A point list as an (n, d) float array, one point per row: a 1-D list is n
-    one-dimensional points; any other shape but (n, d) is an error naming `what`."""
+    """A point list as an (n, d) float array, one point per row, d >= 1: a 1-D list
+    is n one-dimensional points; any other shape is an error naming `what`."""
     P = np.asarray(x, dtype=float)
     if P.ndim == 1:
         return P.reshape(-1, 1)
     if P.ndim != 2:
         raise ValueError(f"{what} must list points, one per row; got shape {P.shape}")
+    if P.shape[1] == 0:
+        raise ValueError(f"{what} must have at least one coordinate; got shape {P.shape}")
     return P
 
 
@@ -378,7 +389,8 @@ class MatrixKernel:
     checks the points (of dimension `input_dim`, None for any) and runs
     `_batch` on each pair in the order given; a Gram runs each of `terms`
     instead (by default one dense term, `_batch` itself). A compiled kernel
-    is transpose symmetric by construction; a callable is trusted to be.
+    is transpose symmetric by construction; a callable is trusted to be
+    (`discrete_energy` and `minimize_energy` sum both orders, so stay exact).
     """
 
     output_dim: int
@@ -444,7 +456,8 @@ def kernel_from_callable(
 
     Like a compiled kernel, it runs once per pair in the order given (n^2
     calls for a Gram over n points); it is trusted to be transpose symmetric,
-    and `symmetry_check` measures the residual.
+    and `symmetry_check` measures the residual. `discrete_energy` and
+    `minimize_energy` stay exact without that trust: they sum both orders.
     """
 
     def batch(X, Y):

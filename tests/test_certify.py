@@ -178,12 +178,14 @@ def test_non_finite_points_rejected(bad):
         assemble_gram(build_kernel(Gaussian(1.0)), pts)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, 1.7e308])
 def test_non_finite_matrix_rejected(bad):
     # a finite 1e308 or 1.7e308 beside a diagonal of 1e308 makes lambda_max
     # (2e308 or 2.7e308) overflow: the Cholesky proof's rho is inf for the
     # first, and the pre-test sends the second, which is indefinite, to an
-    # eigensolve; neither may set a threshold of -inf
+    # eigensolve; neither may set a threshold of -inf, and the error is the
+    # only thing said: no numpy overflow warning comes before it
     M = 1e308 * np.eye(3)
     M[1, 2] = M[2, 1] = bad
     message = ("largest eigenvalue overflows a float" if np.isfinite(bad)

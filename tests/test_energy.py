@@ -14,7 +14,6 @@ from mkernel.domains import Box, make_box_domain, make_circle_domain
 from mkernel.kernels import (
     Gaussian,
     Lift,
-    MatrixKernel,
     Riesz,
     build_kernel,
     kernel_from_callable,
@@ -165,23 +164,52 @@ def test_local_gradient_matches_full_energy_differences(case):
     assert np.max(np.abs(ref)) > 1e3 * bound
 
 
-def test_gradient_makes_two_kernel_calls_for_any_n(monkeypatch):
+def _materialised_gradient(kernel, P, h):
+    """The gradient with every shifted pair written out as two (m, d) point
+    lists and evaluated by two `eval_pairs` calls, one per argument order."""
+    n, d = P.shape
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    shifted = P[None, :, None, :] + np.array([h, -h])[:, None, None, None] * np.eye(d)
+    shape = (2, n, d, n - 1, d)
+    X = np.broadcast_to(shifted[:, :, :, None, :], shape).reshape(-1, d)
+    Y = np.broadcast_to(P[others][None, :, None, :, :], shape).reshape(-1, d)
+    vals = kernel.eval_pairs(X, Y)[:, 0, 0] + kernel.eval_pairs(Y, X)[:, 0, 0]
+    vals = vals.reshape(2, n, d, n - 1)
+    return (vals[0] - vals[1]).sum(axis=-1) / (2 * h * n**2)
+
+
+@pytest.mark.parametrize("case", ["riesz-circle", "skewed-box"])
+@pytest.mark.parametrize("n", [2, 7, 24])
+def test_gradient_equals_materialised_pairs_bit_for_bit(case, n):
+    rng = np.random.default_rng(n)
+    if case == "riesz-circle":
+        kernel, dom = _riesz(), make_circle_domain(1.0)
+    else:
+        kernel, dom = _skewed_kernel(), make_box_domain([0.0], [1.0])
+    P = dom.project(dom.sample(rng, n))
+    h = 1e-6 * dom.diameter
+    g = _energy_gradient(kernel, P, h)
+    assert g.tobytes() == _materialised_gradient(kernel, P, h).tobytes()
+
+
+def test_gradient_makes_two_kernel_calls_for_any_n():
     calls = []
-    original = MatrixKernel.eval_pairs
+    kernel = _riesz()
+    original = kernel._batch
 
-    def spy(self, X, Y):
-        calls.append(len(X))
-        return original(self, X, Y)
+    def spy(X, Y):
+        calls.append(math.prod(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])))
+        return original(X, Y)
 
-    monkeypatch.setattr(MatrixKernel, "eval_pairs", spy)
+    kernel._batch = spy
     dom = make_circle_domain(1.0)
     per_n = {}
     for n in (3, 12):
         calls.clear()
         P = dom.sample(np.random.default_rng(n), n)
-        _energy_gradient(_riesz(), P, 1e-6)
+        _energy_gradient(kernel, P, 1e-6)
         per_n[n] = list(calls)
-    # one call per argument order, each carrying all 2 N d (N - 1) pairs
+    # one broadcast call per argument order, each covering all 2 N d (N - 1) pairs
     assert per_n[3] == [2 * 3 * 2 * 2] * 2
     assert per_n[12] == [2 * 12 * 2 * 11] * 2
 

@@ -17,6 +17,7 @@ from mkernel.kernels import (
     Riesz,
     Scale,
     Sum,
+    _sq_dist,
     as_points,
     bound_estimate,
     build_kernel,
@@ -369,6 +370,35 @@ def test_as_points_reads_rows_and_rejects_other_shapes():
         as_points(0.5, "the centers")
     with pytest.raises(ValueError, match=r"^x must list points.*got shape \(1, 1, 1\)$"):
         as_points([[[0.5]]], "x")
+    with pytest.raises(ValueError, match=r"^the centers must have at least one coordinate; "
+                                         r"got shape \(2, 0\)$"):
+        as_points(np.zeros((2, 0)), "the centers")
     k = build_kernel(Gaussian(1.0))
     with pytest.raises(ValueError, match="points must list points"):
         k.eval_pairs(0.5, 0.5)
+    for k in (k, build_kernel(NegDistance())):
+        with pytest.raises(ValueError, match="^points must have at least one coordinate"):
+            k.eval_pairs(np.zeros((3, 0)), np.zeros((3, 0)))
+
+
+def _sq_dist_cases(d):
+    """Paired points and the broadcast Gram shapes (n, 1, d) against (1, n, d)."""
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(200, d)) * 10.0 ** rng.integers(-3, 4, size=(200, d))
+    Y = rng.normal(size=(200, d))
+    return [(X, Y), (X[:40, None, :], X[None, :40, :]), (X[:30, None, :], Y[None, :25, :])]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_sq_dist_is_numpys_sum_and_norm_bit_for_bit(d):
+    for X, Y in _sq_dist_cases(d):
+        s = _sq_dist(X, Y)
+        assert s.tobytes() == ((X - Y) ** 2).sum(-1).tobytes()
+        assert np.sqrt(s).tobytes() == np.linalg.norm(X - Y, axis=-1).tobytes()
+
+
+def test_sq_dist_is_transpose_symmetric_past_numpys_pairwise_sum():
+    X, _ = _sq_dist_cases(9)[0]
+    S = _sq_dist(X[:, None, :], X[None, :, :])
+    assert S.tobytes() == S.T.copy().tobytes()
+    assert_allclose(S, ((X[:, None, :] - X[None, :, :]) ** 2).sum(-1), rtol=1e-14)
