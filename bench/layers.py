@@ -125,7 +125,7 @@ def layers(mk, np, repeats: int) -> dict:
     for name, (_, k) in zoo.items():
         add(f"search.{name}", f"{SEARCH_TRIALS} trials",
             lambda k=k: mk.random_search_witness(k, line.domain, trials=SEARCH_TRIALS))
-    # refuted at trials 36, 164, 75, 38, 30, 62, 3, none, 20, 133 of seeds 0-9: a
+    # refuted at trials 20, 151, 74, 38, 14, 84, 112, 103, 40, 158 of seeds 0-9: a
     # Python callable pays per pair evaluated, also for trials past the refuting one
     late = mk.kernel_from_callable(
         mk.build_kernel(mk.Sum((mk.Scale(0.5, mk.Gaussian(0.1)), mk.NegDistance()))), 1,

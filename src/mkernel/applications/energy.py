@@ -18,11 +18,11 @@ from ..kernels import MatrixKernel, as_points
 
 
 @lru_cache
-def _off_diagonal(n: int) -> tuple:
-    """The ordered pairs i != j of n points, row by row, as read-only index arrays."""
-    iu, ju = np.nonzero(~np.eye(n, dtype=bool))
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
+def _others(n: int) -> np.ndarray:
+    """The read-only (n, n - 1) index whose row i lists the j != i of n points, in order."""
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    others.flags.writeable = False
+    return others
 
 
 def discrete_energy(kernel: MatrixKernel, points) -> float:
@@ -33,9 +33,8 @@ def discrete_energy(kernel: MatrixKernel, points) -> float:
     n = P.shape[0]
     if n < 2:
         raise ValueError("a configuration needs at least 2 points")
-    iu, ju = _off_diagonal(n)
-    vals = kernel.eval_pairs(P[iu], P[ju])[:, 0, 0]
-    return float(vals.sum() / n**2)
+    P = kernel._check_points(P)
+    return float(kernel._batch(P[:, None, :], P[_others(n)])[..., 0, 0].sum() / n**2)
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ def _energy_gradient(kernel: MatrixKernel, P: np.ndarray, h: float) -> np.ndarra
     n, d = P.shape
     # X[s, i, k, 0] = x_i + (h, -h)[s] e_k; Y[0, i, 0, j'] = the j'-th x_j with j != i
     X = P[None, :, None, None, :] + np.multiply.outer([h, -h], np.eye(d)[None, :, None])
-    Y = P[_off_diagonal(n)[1].reshape(n, n - 1)][None, :, None, :, :]
+    Y = P[_others(n)][None, :, None, :, :]
     vals = kernel._batch(X, Y)[..., 0, 0] + kernel._batch(Y, X)[..., 0, 0]
     return (vals[0] - vals[1]).sum(axis=-1) / (2 * h * n**2)
 

@@ -22,11 +22,11 @@ matrix here is a `GramBlockMatrix`, the one block-Gram type that the
 integral and spectral sides also use for the Gram over measure nodes.
 
 The eigenvalue rule is written once, in `_decide_stack`, for a stack of Grams
-of the same terms: `certify_psd`'s as a stack of one, or a chunk of the
-random witness search's point sets, grouped by size, with each term
-evaluated once on the stacked points. The search draws two chunks, its first
-_FIRST_CHUNK trials and then the rest, and stops evaluating a chunk's trials
-past the first that ends it. It applies that rule alone, with no 2 x 2 scan,
+of the same terms: `certify_psd`'s as a stack of one, or the random witness
+search's point sets of one size, with each term evaluated once on the
+stacked points. The search draws the points of all its trials in one call,
+decides them as one chunk, and stops evaluating its trials past the first
+that ends it. It applies that rule alone, with no 2 x 2 scan,
 since it reports the least margin it saw, and builds the witness of the
 trial that ends it from its stack's factors: it reports what one
 eigenvalue-rule decision per trial would.
@@ -49,12 +49,6 @@ _UNIT_ROUNDOFF = _EPS / 2
 
 # Order of the tiles that the exact-symmetry test compares (see `_is_symmetric`).
 _TILE = 128
-
-# Trials in the witness search's first chunk; the second holds all the others,
-# so a kernel refuted early is decided on few Grams and one that is not on few
-# stacks.
-_FIRST_CHUNK = 4
-
 
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN or infinite input here, before an eigensolver meets it."""
@@ -477,12 +471,13 @@ def random_search_witness(
 
     Deterministic for a fixed seed. Stops at the first witness; otherwise
     reports the smallest relative eigenvalue margin seen (nonnegative means
-    every trial certified). The trials run in two chunks, the first
-    _FIRST_CHUNK trials and then all the others: a chunk draws its point
-    sets in trial order and decides them in stacks by `certify_psd`'s rules,
-    up to the first trial that ends the search (see `_decide_chunk`), so the
-    report, or the error of a point set or Gram with a non-finite entry, is
-    the one that a `certify_psd` per trial gives.
+    every trial certified). All trials are drawn at once: their sizes in one
+    call, then their points in one `domain.sample` call, trial t taking the
+    rows that follow those of trials 0, ..., t - 1. They are decided as one
+    chunk, in stacks by `certify_psd`'s rules, up to the first trial that
+    ends the search (see `_decide_chunk`), so the report, or the error of a
+    point set or Gram with a non-finite entry, is the one that a
+    `certify_psd` per trial gives.
     """
     rng = np.random.default_rng(seed)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
@@ -491,53 +486,50 @@ def random_search_witness(
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     _check_tolerance(tolerance)
-    if trials:
-        _check_bounded(kernel)
-    min_margin, done = np.inf, 0
-    first = min(_FIRST_CHUNK, trials)
-    for size in (first, trials - first):
-        chunk = [domain.sample(rng, int(rng.integers(n_lo, n_hi + 1))) for _ in range(size)]
-        for P, margin, d, factors, e in _decide_chunk(kernel, chunk, tolerance):
-            done += 1
-            if margin is not None:
-                min_margin = min(min_margin, margin)
-                if d.ok[e]:
-                    continue
-            # a failed Gram, or the first of its stack with a non-finite point
-            # (_require_finite raises) or entry (_as_gram raises)
-            _require_finite(P, "points")
-            g = _as_gram(GramBlockMatrix.from_factors(
-                P, kernel.output_dim, [(F[e], t) for F, t in zip(factors, kernel.terms)]))
-            return SearchReport(True, done, float(min_margin), tolerance, _witness(d, e, g))
     if trials == 0:
-        min_margin = np.nan
+        return SearchReport(False, 0, np.nan, tolerance, None)
+    _check_bounded(kernel)
+    sizes = rng.integers(n_lo, n_hi + 1, trials)
+    P = kernel._check_points(domain.sample(rng, int(sizes.sum())))
+    min_margin = np.inf
+    for done, (X, margin, d, factors, e) in enumerate(
+            _decide_chunk(kernel, P, sizes, tolerance), 1):
+        if margin is not None:
+            min_margin = min(min_margin, margin)
+            if d.ok[e]:
+                continue
+        # a failed Gram, or the first of its stack with a non-finite point
+        # (_require_finite raises) or entry (_as_gram raises)
+        _require_finite(X, "points")
+        g = _as_gram(GramBlockMatrix.from_factors(
+            X, kernel.output_dim, [(F[e], t) for F, t in zip(factors, kernel.terms)]))
+        return SearchReport(True, done, float(min_margin), tolerance, _witness(d, e, g))
     return SearchReport(False, trials, float(min_margin), tolerance, None)
 
 
-def _decide_chunk(kernel: MatrixKernel, chunk: list, tolerance: float) -> list:
-    """Per point set, in trial order up to the first that ends the search,
-    (points, margin, decided stack, its factors, position in it): the points
-    as an (n, d) array, and the margin lambda_min / max(1, lambda_max) of
-    their Gram, None for the first set of its stack with a non-finite point
-    or Gram entry, past which the stack is not evaluated.
+def _decide_chunk(kernel: MatrixKernel, P: np.ndarray, sizes: np.ndarray,
+                  tolerance: float) -> list:
+    """Per trial, in order up to the first that ends the search, (points,
+    margin, decided stack, its factors, position in it), trial t's points
+    being the sizes[t] rows of P that follow those of the trials before it:
+    the points as an (n, d) array, and the margin lambda_min / max(1,
+    lambda_max) of their Gram, None for the first set of its stack with a
+    non-finite point or Gram entry, past which the stack is not evaluated.
 
     Point sets of one size are stacked, at most _BLOCK_PAIRS pairs per stack
-    (a larger set is a stack of one), and the stacks are taken in the order
-    their sizes first occur. Once a stack's Gram fails or is not finite at a
-    trial t, the later stacks are evaluated only on the trials before t."""
-    by_size, where, end = {}, [None] * len(chunk), len(chunk)
-    for pos, P in enumerate(chunk):
-        by_size.setdefault(len(P), []).append(pos)
-    for n, positions in by_size.items():
+    (a larger set is a stack of one), each gathered from P in one index, and
+    the stacks are taken in the order their sizes first occur. Once a
+    stack's Gram fails or is not finite at a trial t, the later stacks are
+    evaluated only on the trials before t."""
+    starts, where, end = np.cumsum(sizes) - sizes, [None] * len(sizes), len(sizes)
+    for n in dict.fromkeys(sizes.tolist()):
+        positions = np.flatnonzero(sizes == n).tolist()
         step = max(1, _BLOCK_PAIRS // (n * n))
         for s in range(0, len(positions), step):
             part = [pos for pos in positions[s:s + step] if pos < end]
             if not part:
                 break
-            X = np.asarray([chunk[pos] for pos in part], dtype=float)
-            if X.ndim == 2:  # lists of one-dimensional points, as `as_points` reads them
-                X = X[..., None]
-            kernel._check_points(X[0])  # shape and dimension, with `assemble_gram`'s errors
+            X = P[starts[part][:, None] + np.arange(n)]
             b = _first_false(np.isfinite(X).all(axis=(1, 2)))
             factors = [_term_gram(t.fn, X[:b], t.dim) for t in kernel.terms]
             cut = _first_false(np.logical_and.reduce(

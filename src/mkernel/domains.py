@@ -59,6 +59,10 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
             raise ValueError("lower and upper must be vectors of equal length >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, v in (("lower", lo), ("upper", hi), ("upper - lower", hi - lo)):
+                if not np.isfinite(v).all():
+                    raise ValueError(f"box {name} must be finite, got {v.tolist()}")
         if not np.all(lo < hi):
             raise ValueError("degenerate box: require lower[i] < upper[i] in every coordinate")
         object.__setattr__(self, "lower", lo)
@@ -112,8 +116,8 @@ class Circle:
 
     def __post_init__(self):
         r = float(self.radius)
-        if not r > 0:
-            raise ValueError("circle radius must be positive")
+        if not 0 < r < np.inf:
+            raise ValueError(f"circle radius must be positive and finite, got {r}")
         object.__setattr__(self, "radius", r)
 
     @property
@@ -311,7 +315,7 @@ def make_measure(domain: Domain, rule: str, resolution) -> QuadratureMeasure:
     if isinstance(domain, Circle):
         if rule != "uniform-nodes":
             raise ValueError(f"unsupported rule/domain combination: {rule!r} on a circle")
-        res = _resolutions(resolution if np.isscalar(resolution) else resolution[0], 1)[0]
+        res = _resolutions(resolution, 1)[0]
         if res < 1:
             raise ValueError("uniform-nodes rule needs resolution >= 1")
         theta = 2.0 * np.pi * np.arange(res) / res

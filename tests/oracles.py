@@ -1,5 +1,6 @@
 """Slow, simple reference solvers that the tests compare the library against."""
 
+import mpmath
 import numpy as np
 
 from mkernel.applications.estimation import EstimationDataset
@@ -40,16 +41,20 @@ def random_search_oracle(kernel, domain, trials: int = 200, seed: int = 0,
     """The witness search one trial at a time: one decision of one assembled
     Gram per trial, by `certify_psd`'s rules on its eigenvalue-solving path
     (the search's margin needs the exact extreme eigenvalues), stopping at
-    the first witness. The library's search decides its trials in stacks and
-    must report exactly this."""
+    the first witness. The sizes of all trials are drawn in one call, then
+    all their points in one `domain.sample` call; trial t reads its sizes[t]
+    rows starting at sizes[:t].sum(). The library's search decides its
+    trials in stacks and must report exactly this."""
     rng = np.random.default_rng(seed)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("n_range must satisfy 1 <= n_lo <= n_hi")
+    sizes = rng.integers(n_lo, n_hi + 1, trials)
+    drawn = domain.sample(rng, int(sizes.sum()))
     min_margin = np.inf
     for t in range(trials):
-        n = int(rng.integers(n_lo, n_hi + 1))
-        points = domain.sample(rng, n)
+        start = int(sizes[:t].sum())
+        points = drawn[start:start + int(sizes[t])]
         report = _certify(assemble_gram(kernel, points), tolerance, "eigvalsh")[0]
         margin = report.min_eigenvalue / max(1.0, report.max_eigenvalue)
         min_margin = min(min_margin, margin)
@@ -75,3 +80,20 @@ def complex_quadform(gram, Z) -> tuple[float, float]:
         )
     val = complex(np.conj(z) @ (g.data @ z))
     return val.real, abs(val.imag)
+
+
+def circulant_spectrum(row, n: int, dps: int = 50) -> list:
+    """The exact eigenvalues, ascending, of the Gram of a rotation-invariant
+    kernel over n equally spaced points of a circle, at dps digits.
+
+    row(theta) gives K(x_0, x_j) in mpmath at the angle theta = 2 pi j / n
+    between the points. The Gram is circulant, so its spectrum is the DFT of
+    its first row (Gray, "Toeplitz and circulant matrices: a review", 2006);
+    the row is symmetric, c_j = c_{n - j}, so each eigenvalue is the real sum
+    lambda_k = sum_j c_j cos(2 pi j k / n).
+    """
+    with mpmath.workdps(dps):
+        c = [row(2 * mpmath.pi * j / n) for j in range(n)]
+        lam = [mpmath.fsum(c[j] * mpmath.cospi(mpmath.mpf(2 * j * k) / n) for j in range(n))
+               for k in range(n)]
+        return sorted(lam)

@@ -438,6 +438,14 @@ def test_non_object_entry_exits_one(tmp_path, capsys, command, cfg, entry):
     ("certify", {"domain": {"kind": "box", "upper": [1]}}, "config is missing the 'lower' entry"),
     ("certify", {"domain": {"kind": "box", "lower": [0]}}, "config is missing the 'upper' entry"),
     ("certify", {"domain": {"kind": "circle"}}, "config is missing the 'radius' entry"),
+    ("equivalence", {"domain": {"kind": "circle", "radius": 1.0},
+                     "measure": {"rule": "uniform-nodes", "resolution": []}},
+     "need one resolution per dimension (1), got 0"),
+    ("equivalence", {"domain": {"kind": "circle", "radius": 1.0},
+                     "measure": {"rule": "uniform-nodes", "resolution": [16, 99]}},
+     "need one resolution per dimension (1), got 2"),
+    ("equivalence", {"domain": {"kind": "box", "lower": [-1e308], "upper": [1e308]}},
+     "box upper - lower must be finite, got [inf]"),
 ])
 def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, message):
     cfg = {"kernel": {"gaussian": 1.0}, "domain": BOX}

@@ -103,6 +103,34 @@ def test_degenerate_box_rejected():
         make_circle_domain(0.0)
 
 
+@pytest.mark.parametrize("lower,upper,message", [
+    ([0.0], [np.inf], r"box upper must be finite, got \[inf\]"),
+    ([-np.inf, 0.0], [1.0, 1.0], r"box lower must be finite, got \[-inf, 0.0\]"),
+    ([np.nan], [1.0], r"box lower must be finite, got \[nan\]"),
+    ([-1e308], [1e308], r"box upper - lower must be finite, got \[inf\]"),
+    ([0.0, -1.7e308], [1.0, 1.7e308], r"box upper - lower must be finite, got \[1.0, inf\]"),
+])
+def test_non_compact_box_rejected(lower, upper, message):
+    with pytest.raises(ValueError, match=message):
+        Box(lower, upper)
+
+
+def test_non_finite_circle_rejected():
+    with pytest.raises(ValueError, match="circle radius must be positive and finite, got inf"):
+        Circle(np.inf)
+    with pytest.raises(ValueError, match="circle radius must be positive"):
+        Circle(np.nan)
+    assert Circle(1e307).diameter == 2e307
+
+
+@pytest.mark.parametrize("resolution,count", [([], 0), ([16, 99], 2)])
+def test_circle_resolution_is_one_count(resolution, count):
+    with pytest.raises(ValueError, match=rf"need one resolution per dimension \(1\), got {count}"):
+        make_measure(make_circle_domain(1.0), "uniform-nodes", resolution)
+    for one in (16, [16]):
+        assert len(make_measure(make_circle_domain(1.0), "uniform-nodes", one)) == 16
+
+
 def test_distance_and_membership():
     dom = make_box_domain([0.0, 0.0], [1.0, 1.0])
     assert distance(dom, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(np.sqrt(2))

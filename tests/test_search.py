@@ -1,14 +1,14 @@
 """The random witness search, decided in stacks, against its one-trial-at-a-time oracle.
 
-`random_search_witness` draws two chunks of point sets, its first four trials
-and then the rest, and decides the Grams of each size as one stack, by the
-rules `certify_psd` applies to a stack of one; once a stack ends the search at
-some trial, the chunk's later stacks are evaluated only on the trials before
-it. It takes the witness of the trial that ends it from the factors its stack
-holds. Its `SearchReport`, and the harness report built on it, must equal byte
-for byte what `oracles.random_search_oracle` (one `certify_psd` of one
-assembled Gram per trial) gives, and each trial's kernel is evaluated at most
-once.
+`random_search_witness` draws the sizes of all its trials in one call and
+their points in one `domain.sample` call, and decides the Grams of each size
+as one stack, by the rules `certify_psd` applies to a stack of one; once a
+stack ends the search at some trial, the later stacks are evaluated only on
+the trials before it. It takes the witness of the trial that ends it from the
+factors its stack holds. Its `SearchReport`, and the harness report built on
+it, must equal byte for byte what `oracles.random_search_oracle` (one
+`certify_psd` of one assembled Gram per trial) gives, and each trial's kernel
+is evaluated at most once.
 """
 
 import json
@@ -75,8 +75,8 @@ def test_plane_domains_sizes_and_trial_counts_match_the_oracle(domain, n_range, 
 
 
 # a dense Conjugate (its inner kernel is a Sum), an asymmetric callable that
-# takes the symmetrization path, a kernel refuted late (trials 36, 164, 75,
-# 38, 30, 62, 3, none, 20, 133 for seeds 0-9), and a two-term kernel whose
+# takes the symmetrization path, a kernel refuted late (trials 20, 151, 74,
+# 38, 14, 84, 112, 103, 40, 158 for seeds 0-9), and a two-term kernel whose
 # failing trials are solved again with eigenvectors on both terms
 SPECIAL = {
     "dense_conjugate": build_kernel(Conjugate(
@@ -94,7 +94,7 @@ SPECIAL = {
 def test_special_kernels_match_the_oracle(name):
     found = [_assert_matches_oracle(SPECIAL[name], LINE, seed=s).trials for s in range(10)]
     if name == "refuted_late":
-        assert found == [36, 164, 75, 38, 30, 62, 3, 200, 20, 133]
+        assert found == [20, 151, 74, 38, 14, 84, 112, 103, 40, 158]
 
 
 def test_large_point_sets_are_left_to_certify_psd():
@@ -167,9 +167,8 @@ def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
     monkeypatch.setattr(certify, "_least_pair", least_pair)
     report = random_search_witness(ZOO["gaussian"], LINE, trials=200, seed=0)
     assert not report.found and report.trials == 200
-    # at most one stack per point-set size (8 of them) in each of the two
-    # chunks, not one per trial
-    assert len(solves) <= 16 and not exact_calls
+    # at most one stack per point-set size (8 of them), not one per trial
+    assert len(solves) <= 8 and not exact_calls
     # the search reports margins, so it decides by eigenvalues: it never
     # factors, and runs no 2 x 2 pre-test
     assert not factorisations and not pre_tests
@@ -203,15 +202,35 @@ def _counted_refuted_late():
 
 
 def test_the_search_evaluates_each_trial_once():
+    # at these seeds and trial counts the oracle's search ends at its last
+    # trial, so every trial is evaluated: each Gram once, and no more
     kernel, calls = _counted_refuted_late()
-    for seed in (0, 6):
-        found = random_search_witness(kernel, LINE, seed=seed).trials
+    for seed, trials in ((1, 37), (6, 3)):
         calls.clear()
-        report = random_search_witness(kernel, LINE, trials=found, seed=seed)
-        assert report.found and report.trials == found
-        rng = np.random.default_rng(seed)
-        sizes = [len(LINE.sample(rng, int(rng.integers(1, 9)))) for _ in range(found)]
-        assert len(calls) == sum(n * n for n in sizes)
+        report = random_search_witness(kernel, LINE, trials=trials, seed=seed)
+        assert report.found and report.trials == trials
+        sizes = np.random.default_rng(seed).integers(1, 9, trials)
+        assert len(calls) == int((sizes**2).sum())
+        assert _json(report) == _json(random_search_oracle(kernel, LINE, trials=trials, seed=seed))
+
+
+def test_the_search_samples_its_points_in_one_call():
+    class Spy:
+        def __init__(self):
+            self.calls = []
+
+        def sample(self, rng, n):
+            self.calls.append(n)
+            return LINE.sample(rng, n)
+
+    for seed, trials, n_range in ((0, 200, (1, 8)), (3, 7, (3, 12)), (5, 1, (2, 2))):
+        spy = Spy()
+        random_search_witness(ZOO["gaussian"], spy, trials=trials, seed=seed, n_range=n_range)
+        sizes = np.random.default_rng(seed).integers(n_range[0], n_range[1] + 1, trials)
+        assert spy.calls == [int(sizes.sum())]
+    spy = Spy()
+    random_search_witness(ZOO["gaussian"], spy, trials=0)
+    assert spy.calls == []
 
 
 def test_a_late_refuted_callable_is_evaluated_only_up_to_the_cut():
@@ -224,7 +243,7 @@ def test_a_late_refuted_callable_is_evaluated_only_up_to_the_cut():
         got = _json(random_search_witness(kernel, LINE, trials=200, seed=seed))
         counts.append(len(calls))
         assert got == _json(random_search_oracle(kernel, LINE, trials=200, seed=seed))
-    assert counts == [1397, 5121, 3382, 2959, 3521, 2615, 66, 4799, 2834, 4304]
+    assert counts == [5232, 5055, 3975, 1817, 4446, 3408, 3636, 4040, 1582, 5100]
 
 
 def test_a_non_finite_gram_fails_where_the_oracle_fails():
