@@ -24,11 +24,12 @@ integral and spectral sides also use for the Gram over measure nodes.
 The eigenvalue rule is written once, in `_decide_stack`, for a stack of Grams
 of the same terms: `certify_psd`'s as a stack of one, or the random witness
 search's point sets of one size, with each term evaluated once on the
-stacked points. The search draws the points of all its trials in one call,
-decides them as one chunk, and stops evaluating its trials past the first
-that ends it. It applies that rule alone, with no 2 x 2 scan,
-since it reports the least margin it saw, and builds the witness of the
-trial that ends it from its stack's factors: it reports what one
+stacked points. Only the first Gram of a stack that fails is solved again
+with eigenvectors. The search draws the points of all its trials in one
+call, keeps each decided trial's margin in one array, and stops evaluating
+its trials past the first that ends it. It applies that rule alone, with no
+2 x 2 scan, since it reports the least margin it saw, and builds the witness
+of the trial that ends it from its stack's factors: it reports what one
 eigenvalue-rule decision per trial would.
 """
 
@@ -328,21 +329,21 @@ def _decide_stack(Ms: list, terms: list, tolerance: float, vectors: bool) -> _De
     """`certify_psd`'s rule on the eigenvalues of a stack of b Grams of the
     same terms, given as term k's symmetric finite factors Ms[k] (b, m, m).
     Each term is solved in one call over the stack, with eigenvectors if
-    `vectors`; if not, the Grams that fail are solved again with
-    eigenvectors, every term in one call, and re-decided once on that solve.
+    `vectors`; if not, the first Gram that fails is solved again with
+    eigenvectors, term by term, and the stack re-decided, until no Gram fails
+    or the first that fails has eigenvectors; a search reads no later one.
     Returns, per term, the ascending eigenvalues lams (b, m) of each last
     solve and vecs, {Gram: eigenvectors} of the solves that kept them; per
     Gram, the least product lo, ranked as (value, term, i, j), and its column
     arg (4 per term), the greatest product hi and the verdict ok. A greatest
-    product that overflows sets no threshold, so it is an error. A stack
-    solved whole is not copied."""
+    product that overflows sets no threshold, so it is an error."""
     lams, vecs = [], []
     for M in Ms:
         lam, V = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), ())
         lams.append(lam)
         vecs.append(dict(enumerate(V)))
     ends, rows = [t.evals[[0, -1]] for t in terms], np.arange(len(Ms[0]))
-    for _ in range(2):  # the second pass has eigenvectors and returns
+    while True:
         P = np.concatenate([np.multiply.outer(lam[:, [0, -1]], m).reshape(-1, 4)
                             for lam, m in zip(lams, ends)], axis=1)
         arg = P.argmin(1)
@@ -350,13 +351,11 @@ def _decide_stack(Ms: list, terms: list, tolerance: float, vectors: bool) -> _De
         if not np.isfinite(hi).all():
             raise ValueError("the Gram's largest eigenvalue overflows a float")
         ok = _decide((lo, hi), tolerance)
-        fail = (~ok).nonzero()[0]
-        if vectors or not fail.size:
+        e = _first_false(ok)
+        if e == len(ok) or e in vecs[0]:
             return _Decided(lams, vecs, lo, hi, arg, ok)
-        vectors = True
         for M, lam, V in zip(Ms, lams, vecs):
-            lam[fail], W = np.linalg.eigh(M if fail.size == len(M) else M[fail])
-            V.update(zip(fail.tolist(), W))
+            lam[e], V[e] = np.linalg.eigh(M[e])
 
 
 def _shifted_cholesky(Ms, terms, tolerance: float):
@@ -473,11 +472,19 @@ def random_search_witness(
     reports the smallest relative eigenvalue margin seen (nonnegative means
     every trial certified). All trials are drawn at once: their sizes in one
     call, then their points in one `domain.sample` call, trial t taking the
-    rows that follow those of trials 0, ..., t - 1. They are decided as one
-    chunk, in stacks by `certify_psd`'s rules, up to the first trial that
-    ends the search (see `_decide_chunk`), so the report, or the error of a
-    point set or Gram with a non-finite entry, is the one that a
-    `certify_psd` per trial gives.
+    rows that follow those of trials 0, ..., t - 1. They are decided in
+    stacks by `certify_psd`'s eigenvalue rule (see `_decide_stack`), so the
+    report, or the error of a point set or Gram with a non-finite entry, is
+    the one that a `certify_psd` per trial gives.
+
+    Point sets of one size are stacked, at most _BLOCK_PAIRS pairs per stack
+    (a larger set is a stack of one), each gathered in one index, and the
+    stacks are taken in the order their sizes first occur. A stack is
+    evaluated up to its first set with a non-finite point or Gram entry.
+    Once a stack's Gram fails or is not finite at a trial, the later stacks
+    are evaluated only on the trials before it. Each decided trial's margin
+    lambda_min / max(1, lambda_max) is kept by position; only the trial that
+    ends the search keeps its points, stack and factors, for its witness.
     """
     rng = np.random.default_rng(seed)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
@@ -491,58 +498,39 @@ def random_search_witness(
     _check_bounded(kernel)
     sizes = rng.integers(n_lo, n_hi + 1, trials)
     P = kernel._check_points(domain.sample(rng, int(sizes.sum())))
-    min_margin = np.inf
-    for done, (X, margin, d, factors, e) in enumerate(
-            _decide_chunk(kernel, P, sizes, tolerance), 1):
-        if margin is not None:
-            min_margin = min(min_margin, margin)
-            if d.ok[e]:
-                continue
-        # a failed Gram, or the first of its stack with a non-finite point
-        # (_require_finite raises) or entry (_as_gram raises)
-        _require_finite(X, "points")
-        g = _as_gram(GramBlockMatrix.from_factors(
-            X, kernel.output_dim, [(F[e], t) for F, t in zip(factors, kernel.terms)]))
-        return SearchReport(True, done, float(min_margin), tolerance, _witness(d, e, g))
-    return SearchReport(False, trials, float(min_margin), tolerance, None)
-
-
-def _decide_chunk(kernel: MatrixKernel, P: np.ndarray, sizes: np.ndarray,
-                  tolerance: float) -> list:
-    """Per trial, in order up to the first that ends the search, (points,
-    margin, decided stack, its factors, position in it), trial t's points
-    being the sizes[t] rows of P that follow those of the trials before it:
-    the points as an (n, d) array, and the margin lambda_min / max(1,
-    lambda_max) of their Gram, None for the first set of its stack with a
-    non-finite point or Gram entry, past which the stack is not evaluated.
-
-    Point sets of one size are stacked, at most _BLOCK_PAIRS pairs per stack
-    (a larger set is a stack of one), each gathered from P in one index, and
-    the stacks are taken in the order their sizes first occur. Once a
-    stack's Gram fails or is not finite at a trial t, the later stacks are
-    evaluated only on the trials before t."""
-    starts, where, end = np.cumsum(sizes) - sizes, [None] * len(sizes), len(sizes)
+    starts, margins, end, last = np.cumsum(sizes) - sizes, np.full(trials, np.inf), trials - 1, None
     for n in dict.fromkeys(sizes.tolist()):
-        positions = np.flatnonzero(sizes == n).tolist()
+        positions = np.flatnonzero(sizes == n)
         step = max(1, _BLOCK_PAIRS // (n * n))
         for s in range(0, len(positions), step):
-            part = [pos for pos in positions[s:s + step] if pos < end]
-            if not part:
+            part = positions[s:s + step]
+            part = part[part <= end]
+            if not part.size:
                 break
             X = P[starts[part][:, None] + np.arange(n)]
             b = _first_false(np.isfinite(X).all(axis=(1, 2)))
             factors = [_term_gram(t.fn, X[:b], t.dim) for t in kernel.terms]
             cut = _first_false(np.logical_and.reduce(
                 [np.isfinite(F).all(axis=(1, 2)) for F in factors]))
-            Ms = [_symmetrized(F[:cut])[0] for F in factors]
-            d = _decide_stack(Ms, kernel.terms, tolerance, False)
+            d = _decide_stack([_symmetrized(F[:cut])[0] for F in factors],
+                              kernel.terms, tolerance, False)
+            margins[part[:cut]] = d.lo / np.fmax(1.0, d.hi)
             stop = _first_false(d.ok)
-            margins = (d.lo / np.fmax(1.0, d.hi)).tolist() + [None]
-            for e in range(min(stop + 1, len(part))):
-                where[part[e]] = (X[e], margins[e], d, factors, e)
             if stop < len(part):
-                end = part[stop]
-    return where[:end + 1]
+                end, last = part[stop], (X[stop], d, factors, stop)
+    # the least margin first seen, as a trial-by-trial min keeps it: of 0.0
+    # and -0.0, a reduction over the margins may return either
+    seen = margins[:end + 1]
+    min_margin = float(seen[seen.argmin()])
+    if last is None:
+        return SearchReport(False, trials, min_margin, tolerance, None)
+    # a failed Gram, or the first of its stack with a non-finite point
+    # (_require_finite raises) or entry (_as_gram raises)
+    X, d, factors, e = last
+    _require_finite(X, "points")
+    g = _as_gram(GramBlockMatrix.from_factors(
+        X, kernel.output_dim, [(F[e], t) for F, t in zip(factors, kernel.terms)]))
+    return SearchReport(True, int(end) + 1, min_margin, tolerance, _witness(d, e, g))
 
 
 def _first_false(mask: np.ndarray) -> int:

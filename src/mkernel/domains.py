@@ -63,6 +63,9 @@ class Box:
             for name, v in (("lower", lo), ("upper", hi), ("upper - lower", hi - lo)):
                 if not np.isfinite(v).all():
                     raise ValueError(f"box {name} must be finite, got {v.tolist()}")
+            if not np.isfinite(np.sum((hi - lo) ** 2)):  # the largest squared distance
+                raise ValueError(f"box upper - lower {(hi - lo).tolist()} is too wide: "
+                                 "the sum of its squares overflows a float")
         if not np.all(lo < hi):
             raise ValueError("degenerate box: require lower[i] < upper[i] in every coordinate")
         object.__setattr__(self, "lower", lo)
@@ -118,6 +121,8 @@ class Circle:
         r = float(self.radius)
         if not 0 < r < np.inf:
             raise ValueError(f"circle radius must be positive and finite, got {r}")
+        if not (2.0 * r) * (2.0 * r) < np.inf:  # the largest squared distance
+            raise ValueError(f"circle radius {r} is too large: (2 radius)^2 overflows a float")
         object.__setattr__(self, "radius", r)
 
     @property
@@ -247,9 +252,6 @@ class QuadratureMeasure:
     @property
     def empty(self) -> bool:
         return len(self) == 0
-
-    def to_json(self) -> dict:
-        return {"nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
 
 
 def _resolutions(resolution, dim: int) -> list[int]:

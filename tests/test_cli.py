@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,17 @@ def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, messa
     assert captured.out == ""
     assert captured.err.startswith(f"mkernel {command}: error: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_a_box_whose_squared_width_overflows_exits_one_without_a_warning(tmp_path, capsys):
+    cfg = {"kernel": {"gaussian": 1.0}, "domain": {"kind": "box", "lower": [0], "upper": [1e200]}}
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["certify", "--config", _write(tmp_path, "w.json", cfg)]) == 1
+    assert seen == []
+    err = capsys.readouterr().err
+    assert err.startswith("mkernel certify: error: box upper - lower [1e+200] is too wide")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,entries", [([], {"rank": -1}), (["--rank", "-1"], {})])

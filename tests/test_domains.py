@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,7 +122,33 @@ def test_non_finite_circle_rejected():
         Circle(np.inf)
     with pytest.raises(ValueError, match="circle radius must be positive"):
         Circle(np.nan)
-    assert Circle(1e307).diameter == 2e307
+    assert Circle(6.7e153).diameter == 1.34e154
+
+
+# every squared distance between two points of a domain is a finite float:
+# sum((upper - lower)^2) for a box, (2 radius)^2 for a circle
+@pytest.mark.parametrize("lower,upper", [([0.0], [1.4e154]), ([0.0], [1e200]),
+                                         ([0.0, 0.0], [1e154, 1e154])])
+def test_a_box_whose_squared_diameter_overflows_is_rejected(lower, upper):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"box upper - lower \[.*\] is too wide"):
+            Box(lower, upper)
+
+
+def test_a_box_at_the_edge_of_overflow_constructs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Box([0.0], [1.3e154]).diameter == 1.3e154
+        assert np.isfinite(Box([0.0, 0.0], [9e153, 9e153]).diameter)
+
+
+@pytest.mark.parametrize("radius", [1e154, 1e200, 1e307])
+def test_a_circle_whose_squared_diameter_overflows_is_rejected(radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"circle radius {radius} is too large")):
+            Circle(radius)
 
 
 @pytest.mark.parametrize("resolution,count", [([], 0), ([16, 99], 2)])

@@ -4,8 +4,9 @@
 their points in one `domain.sample` call, and decides the Grams of each size
 as one stack, by the rules `certify_psd` applies to a stack of one; once a
 stack ends the search at some trial, the later stacks are evaluated only on
-the trials before it. It takes the witness of the trial that ends it from the
-factors its stack holds. Its `SearchReport`, and the harness report built on
+the trials before it. Only the first Gram of a stack that fails is solved
+again with eigenvectors. It takes the witness of the trial that ends it from
+the factors its stack holds. Its `SearchReport`, and the harness report built on
 it, must equal byte for byte what `oracles.random_search_oracle` (one
 `certify_psd` of one assembled Gram per trial) gives, and each trial's kernel
 is evaluated at most once.
@@ -77,7 +78,7 @@ def test_plane_domains_sizes_and_trial_counts_match_the_oracle(domain, n_range, 
 # a dense Conjugate (its inner kernel is a Sum), an asymmetric callable that
 # takes the symmetrization path, a kernel refuted late (trials 20, 151, 74,
 # 38, 14, 84, 112, 103, 40, 158 for seeds 0-9), and a two-term kernel whose
-# failing trials are solved again with eigenvectors on both terms
+# first failing trial of a stack is solved again with eigenvectors on both terms
 SPECIAL = {
     "dense_conjugate": build_kernel(Conjugate(
         Sum((Lift(Gaussian(1.0), ((2.0, 1.0), (1.0, 2.0))),
@@ -118,9 +119,9 @@ def test_a_trial_the_stack_fails_is_solved_again_with_eigenvectors(monkeypatch):
 
     def eigvalsh(a, *args, **kwargs):
         lam = real_eigvalsh(a, *args, **kwargs)
-        if len(lam) > 1 and not pushed:  # the first stack of several: its first Gram fails
-            lam[0, 0] = -1.0
-            pushed.append(a[0].copy())
+        if len(lam) > 1 and not pushed:  # the first stack of several: its first Grams fail
+            lam[:k, 0] = -1.0
+            pushed.extend(np.array(a[:k]))
         return lam
 
     def eigh(a, *args, **kwargs):
@@ -134,10 +135,45 @@ def test_a_trial_the_stack_fails_is_solved_again_with_eigenvectors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(certify, "certify_psd", certify_psd)
-    assert _json(random_search_witness(kernel, LINE, seed=4)) == expected
-    # one eigh, of that Gram's factor as the stack holds it, and no second decision
-    assert pushed and len(resolved) == 1 and not exact_calls
-    assert np.array_equal(resolved[0].reshape(pushed[0].shape), pushed[0])
+    # one Gram pushed: one eigh, of that Gram's factor as the stack holds it,
+    # and no second decision; two: the first passes on its eigh, so the
+    # second, now the first that fails, is solved on the loop's second turn
+    for k in (1, 2):
+        pushed.clear()
+        resolved.clear()
+        assert _json(random_search_witness(kernel, LINE, seed=4)) == expected
+        assert len(pushed) == k and len(resolved) == k and not exact_calls
+        for got, want in zip(resolved, pushed):
+            assert np.array_equal(got.reshape(want.shape), want)
+
+
+def test_a_refuted_search_solves_only_the_gram_that_ends_it(monkeypatch):
+    # neg_distance fails almost every Gram of two or more points, yet only the
+    # first that fails, the one whose witness is reported, gets eigenvectors
+    kernel, real_eigh, shapes = ZOO["neg_distance"], np.linalg.eigh, []
+    expected = [_json(random_search_oracle(kernel, LINE, seed=s)) for s in range(10)]
+
+    def eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for seed in range(10):
+        shapes.clear()
+        report = random_search_witness(kernel, LINE, trials=200, seed=seed)
+        assert _json(report) == expected[seed]
+        n = len(report.witness.points)
+        assert report.found and n > 1 and shapes == [(n, n)]
+
+
+def test_signed_zero_margins_report_the_first_seen():
+    # a zero kernel whose sign bit follows the first point: every margin is
+    # 0.0 or -0.0, and the least is the first seen, as a trial-by-trial min
+    # keeps it; a reduction over the margins may take either
+    kernel = kernel_from_callable(lambda x, y: np.copysign(0.0, x[0] - 0.5), 1, "signed_zero")
+    margins = [_assert_matches_oracle(kernel, LINE, seed=s).min_margin for s in range(10)]
+    assert all(m == 0.0 for m in margins)
+    assert {np.copysign(1.0, m) for m in margins} == {1.0, -1.0}
 
 
 def test_a_pd_search_solves_few_stacks_and_no_single_gram(monkeypatch):
