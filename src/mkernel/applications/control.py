@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..certify import DEFAULT_TOLERANCE, PDReport, _certify, _require_finite
-from ..kernels import MatrixKernel, gram_matrix
+from ..kernels import MatrixKernel, _check_bounded, gram_matrix
 
 _GAUSS5_X, _GAUSS5_W = np.polynomial.legendre.leggauss(5)
 # measured |r| / bound: 0.9-2.7 on PD Gaussian Hessians, >= 4e3 on exact null spaces
@@ -88,6 +88,7 @@ def assemble_control_qp(kernel: MatrixKernel, breakpoints, linear_term) -> Contr
     The linear term may be a precomputed vector, a constant vector, or a
     callable t -> R^N integrated over each cell by 5-point quadrature.
     """
+    _check_bounded(kernel)
     bp = np.asarray(breakpoints, dtype=float).reshape(-1)
     mids = 0.5 * (bp[:-1] + bp[1:])
     widths = np.diff(bp)

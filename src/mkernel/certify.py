@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _BLOCK_PAIRS, GramBlockMatrix, MatrixKernel, Term, _term_gram, gram_matrix
+from .kernels import (_BLOCK_PAIRS, GramBlockMatrix, MatrixKernel, Term, _check_bounded,
+                      _term_gram, gram_matrix)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -62,14 +63,6 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 def _check_tolerance(tolerance: float) -> None:
     if not 0.0 <= tolerance < np.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-
-
-def _check_bounded(kernel: MatrixKernel) -> None:
-    if kernel.unbounded_diagonal:
-        raise ValueError(
-            f"kernel {kernel.name!r} is unbounded on the diagonal; "
-            "its Gram matrix contains infinite entries"
-        )
 
 
 def assemble_gram(kernel: MatrixKernel, points) -> GramBlockMatrix:
@@ -509,7 +502,7 @@ def random_search_witness(
                 break
             X = P[starts[part][:, None] + np.arange(n)]
             b = _first_false(np.isfinite(X).all(axis=(1, 2)))
-            factors = [_term_gram(t.fn, X[:b], t.dim) for t in kernel.terms]
+            factors = [_term_gram(t.fn, X[:b], t.dim, X[:b]) for t in kernel.terms]
             cut = _first_false(np.logical_and.reduce(
                 [np.isfinite(F).all(axis=(1, 2)) for F in factors]))
             d = _decide_stack([_symmetrized(F[:cut])[0] for F in factors],

@@ -25,7 +25,7 @@ from .applications.control import assemble_control_qp, solve_control_qp
 from .applications.energy import minimize_energy
 from .applications.estimation import load_dataset_csv, ridge_estimate
 from .certify import assemble_gram, certify_psd
-from .domains import domain_from_json, load_points_csv, make_measure
+from .domains import domain_from_json, load_points_csv, make_measure, require_inside
 from .integral import discretization_gap, equivalence_harness
 from .kernels import as_points, build_kernel, config_entry, json_array, json_number, spec_from_json
 from .spectral import check_rank, nystrom_decompose, trace_functional
@@ -41,19 +41,11 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require_in_domain(points: np.ndarray, domain) -> None:
-    """Reject the first point (row) outside the domain."""
-    outside = np.flatnonzero(~domain.contains(points))
-    if outside.size:
-        raise ValueError(f"point {outside[0]} {points[outside[0]].tolist()} lies outside "
-                         f"the domain {json.dumps(domain.to_json())}")
-
-
 def cmd_certify(args, cfg) -> tuple[dict, dict, int]:
     if args.points or "points" in cfg:
         points = (load_points_csv(args.points) if args.points
                   else as_points(_array(cfg, "points"), "config entry 'points'"))
-        _require_in_domain(points, args.domain)
+        require_inside(args.domain, points, "point")
     else:
         n_points = _number(cfg, "n_points", 8, True)
         points = args.domain.sample(np.random.default_rng(args.seed), n_points)
@@ -107,7 +99,13 @@ def cmd_energy(args, cfg) -> tuple[dict, dict, int]:
 
 def cmd_control(args, cfg) -> tuple[dict, dict, int]:
     if args.partition:
-        partition = [json_number(float(t), "--partition") for t in args.partition.split(",")]
+        partition = []
+        for t in args.partition.split(","):
+            try:
+                t = float(t)
+            except ValueError:  # left as text, which json_number names with the flag
+                pass
+            partition.append(json_number(t, "--partition"))
     else:
         partition = config_entry(cfg, "partition")
         if not isinstance(partition, list):

@@ -40,6 +40,17 @@ def _as_point_or_rows(x) -> np.ndarray:
     return p if p.ndim == 2 else as_point(p)
 
 
+def require_inside(domain: Domain, points: np.ndarray, what: str) -> None:
+    """Reject the first row of an (n, d) point array that lies outside the
+    domain, naming `what` was checked, the row's index, the point and the domain."""
+    outside = np.flatnonzero(~domain.contains(points))
+    if outside.size:
+        import json  # on the error path only: `import mkernel` does not load json
+        i = int(outside[0])
+        raise ValueError(f"{what} {i} {points[i].tolist()} lies outside the domain "
+                         f"{json.dumps(domain.to_json())}")
+
+
 def in_closed_ball(dist, radius: float):
     """Whether distances from a centre lie in the closed ball of that radius."""
     return dist <= radius + BOUNDARY_TOL * max(1.0, radius)
@@ -63,9 +74,11 @@ class Box:
             for name, v in (("lower", lo), ("upper", hi), ("upper - lower", hi - lo)):
                 if not np.isfinite(v).all():
                     raise ValueError(f"box {name} must be finite, got {v.tolist()}")
-            if not np.isfinite(np.sum((hi - lo) ** 2)):  # the largest squared distance
-                raise ValueError(f"box upper - lower {(hi - lo).tolist()} is too wide: "
-                                 "the sum of its squares overflows a float")
+            for what, v in (("the sum of its squares", np.sum((hi - lo) ** 2)),  # squared distance
+                            ("its product (the volume)", np.prod(hi - lo))):  # a measure's mass
+                if not np.isfinite(v):
+                    raise ValueError(f"box upper - lower {(hi - lo).tolist()} is too wide: "
+                                     f"{what} overflows a float")
         if not np.all(lo < hi):
             raise ValueError("degenerate box: require lower[i] < upper[i] in every coordinate")
         object.__setattr__(self, "lower", lo)
@@ -207,9 +220,8 @@ def distance(domain: Domain, x, y) -> float:
     Raises ValueError if either point lies outside the domain.
     """
     px, py = as_point(x), as_point(y)
-    for p in (px, py):
-        if not domain.contains(p):
-            raise ValueError(f"point {p.tolist()} lies outside the {domain.kind} domain")
+    for name, p in (("x", px), ("y", py)):  # each on its own: they may differ in dimension
+        require_inside(domain, p[None], f"point {name}")
     return float(np.linalg.norm(px - py))
 
 
@@ -235,13 +247,7 @@ class QuadratureMeasure:
             raise ValueError("nodes and weights must have the same length")
         if np.any(weights < 0):
             raise ValueError("quadrature weights must be nonnegative")
-        if nodes.shape[0] > 0 and nodes.shape[1] != self.domain.dimension:
-            raise ValueError(
-                f"nodes have dimension {nodes.shape[1]}, domain has {self.domain.dimension}"
-            )
-        outside = np.flatnonzero(~self.domain.contains(nodes))
-        if outside.size:
-            raise ValueError(f"node {nodes[outside[0]].tolist()} lies outside the domain")
+        require_inside(self.domain, nodes, "node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "total_mass", float(weights.sum()))

@@ -25,19 +25,16 @@ import numpy as np
 
 from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, _check_tolerance,
                       certify_psd, direct_quadform, random_search_witness)
-from .domains import Ball, QuadratureMeasure, in_closed_ball
-from .kernels import (GramBlockMatrix, MatrixKernel, _largest_block_norm, _row_slices,
-                      as_points, gram_blocks, gram_matrix)
+from .domains import Ball, QuadratureMeasure, in_closed_ball, require_inside
+from .kernels import (GramBlockMatrix, MatrixKernel, _check_bounded, _largest_block_norm,
+                      _row_slices, as_points, gram_blocks, gram_matrix)
 
 
 def measure_gram(kernel: MatrixKernel, measure: QuadratureMeasure) -> GramBlockMatrix:
     """Block Gram matrix over the measure nodes, built once per (kernel,
-    measure) so every quadratic form is then one matrix-vector product."""
-    if kernel.unbounded_diagonal:
-        raise ValueError(
-            f"kernel {kernel.name!r} is unbounded on the diagonal; "
-            "integral quadratic forms against it diverge"
-        )
+    measure) so every quadratic form is then one matrix-vector product. Like
+    every Gram, it refuses a kernel unbounded on the diagonal (`_check_bounded`)."""
+    _check_bounded(kernel)
     return gram_matrix(kernel, measure.nodes)
 
 
@@ -134,9 +131,7 @@ def _prepare_bumps(measure: QuadratureMeasure, centers, coefficients,
     X0 = as_points(centers, "bump centers")
     if X0.shape[0] != C.shape[0]:
         raise ValueError("need one coefficient vector per center")
-    outside = np.flatnonzero(~measure.domain.contains(X0))
-    if outside.size:
-        raise ValueError(f"bump center {X0[outside[0]].tolist()} lies outside the domain")
+    require_inside(measure.domain, X0, "bump center")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not delta >= 0:
@@ -257,8 +252,7 @@ def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
     rel = annulus / np.multiply.outer(masses, masses)
     # bound_estimate over the nodes, read from the Gram held here
     n = len(measure)
-    sup_norm = _largest_block_norm(np.ascontiguousarray(gram.blocks[rows])
-                                   for rows in _row_slices(n, n))
+    sup_norm = _largest_block_norm(gram.blocks[rows] for rows in _row_slices(n, n))
     remainder = float(np.einsum("ij,i,j->", rel, cnorms, cnorms) * sup_norm)
 
     continuity = 0.0

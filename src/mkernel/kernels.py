@@ -385,12 +385,12 @@ class MatrixKernel:
     (unnamed; `build_kernel` names it) and what `kernel_from_callable` wraps.
 
     `_batch` maps point arrays X, Y of shapes that broadcast, (..., d), to
-    values (..., N, N). Public evaluation (`eval_pairs`, `eval_pairwise`)
-    checks the points (of dimension `input_dim`, None for any) and runs
-    `_batch` on each pair in the order given; a Gram runs each of `terms`
-    instead (by default one dense term, `_batch` itself). A compiled kernel
-    is transpose symmetric by construction; a callable is trusted to be
-    (`discrete_energy` and `minimize_energy` sum both orders, so stay exact).
+    values (..., N, N). Public evaluation checks the points (of dimension
+    `input_dim`, None for any) and runs each pair in the order given:
+    `eval_pairs` on `_batch`, `eval_pairwise` on `_batch` through `_term_gram`,
+    a Gram each of `terms` through it (by default one dense term, `_batch`).
+    A compiled kernel is transpose symmetric by construction; a callable is
+    trusted to be (`discrete_energy` and `minimize_energy` sum both orders).
     """
 
     output_dim: int
@@ -424,10 +424,7 @@ class MatrixKernel:
         X, Y = self._check_points(X), self._check_points(Y)
         if X.shape[1] != Y.shape[1]:
             raise ValueError("cross evaluation needs points of one dimension on both sides")
-        out = np.empty((X.shape[0], Y.shape[0], self.output_dim, self.output_dim))
-        for start, values in _row_blocks(self._batch, X, Y):
-            out[start:start + len(values)] = values
-        return out
+        return _blocks_view(_term_gram(self._batch, X, self.output_dim, Y), self.output_dim)
 
     def __call__(self, x, y) -> np.ndarray:
         """Single evaluation K(x, y) as an (N, N) array."""
@@ -447,6 +444,13 @@ def build_kernel(spec: KernelSpec, allow_unbounded: bool = False) -> MatrixKerne
         raise ValueError(f"kernel {kernel.name!r} is unbounded on the diagonal; "
                          "build with allow_unbounded=True and exclude the diagonal")
     return kernel
+
+
+def _check_bounded(kernel: MatrixKernel) -> None:
+    """Refuse a kernel unbounded on the diagonal: every Gram holds its K(x, x)."""
+    if kernel.unbounded_diagonal:
+        raise ValueError(f"kernel {kernel.name!r} is unbounded on the diagonal; "
+                         "its Gram matrix contains infinite entries")
 
 
 def kernel_from_callable(
@@ -557,13 +561,6 @@ def _row_slices(m: int, k: int) -> list:
     return [slice(start, start + step) for start in range(0, m, step)]
 
 
-def _row_blocks(fn, X: np.ndarray, Y: np.ndarray):
-    """Yields (start, values), values[a, b] = fn(x_{start + a}, y_b): all pairs,
-    one broadcast product of a block of rows of X against all of Y at a time."""
-    for rows in _row_slices(X.shape[0], Y.shape[0]):
-        yield rows.start, fn(X[rows, None, :], Y[None, :, :])
-
-
 def gram_matrix(kernel: MatrixKernel, points) -> GramBlockMatrix:
     """The block Gram of a kernel over a point list, as its terms' factors.
 
@@ -573,19 +570,20 @@ def gram_matrix(kernel: MatrixKernel, points) -> GramBlockMatrix:
     hold the callable's values.
     """
     P = kernel._check_points(points)
-    factors = [(_term_gram(t.fn, P, t.dim), t) for t in kernel.terms]
+    factors = [(_term_gram(t.fn, P, t.dim, P), t) for t in kernel.terms]
     return GramBlockMatrix.from_factors(P, kernel.output_dim, factors)
 
 
-def _term_gram(fn, X: np.ndarray, dim: int) -> np.ndarray:
-    """The Gram of a term's evaluator `fn` over each point set in X: points
-    (..., n, d) give (..., n dim, n dim). Each block is evaluated and written
-    straight into it, about _BLOCK_PAIRS pairs at a time."""
-    n = X.shape[-2]
-    F = np.empty(X.shape[:-2] + (n * dim, n * dim))
+def _term_gram(fn, X: np.ndarray, dim: int, Y: np.ndarray) -> np.ndarray:
+    """[fn(x_i, y_j)] for a term's evaluator `fn` over each pair of point sets
+    in X and Y: points (..., m, d) and (..., k, d) give (..., m dim, k dim); a
+    Gram passes Y = X. The one loop over pairs of point lists: each block is
+    evaluated and written straight into F, about _BLOCK_PAIRS pairs at a time."""
+    m, k = X.shape[-2], Y.shape[-2]
+    F = np.empty(X.shape[:-2] + (m * dim, k * dim))
     blocks = _blocks_view(F, dim)
-    for rows in _row_slices(n, math.prod(X.shape[:-1])):  # all the points of all sets
-        blocks[..., rows, :, :, :] = fn(X[..., rows, None, :], X[..., None, :, :])
+    for rows in _row_slices(m, math.prod(Y.shape[:-1])):  # all the points of all sets
+        blocks[..., rows, :, :, :] = fn(X[..., rows, None, :], Y[..., None, :, :])
     return F
 
 
@@ -609,15 +607,17 @@ def bound_estimate(kernel: MatrixKernel, points) -> float:
     diagonally unbounded kernels this is infinite; 0 for no points. The
     blocks are evaluated a few rows at a time, never as a whole Gram.
     """
-    P = kernel._check_points(points)
-    return _largest_block_norm(values for _, values in _row_blocks(kernel._batch, P, P))
+    P, N = kernel._check_points(points), kernel.output_dim
+    return _largest_block_norm(_blocks_view(_term_gram(kernel._batch, P[rows], N, P), N)
+                               for rows in _row_slices(len(P), len(P)))
 
 
 def _largest_block_norm(row_blocks) -> float:
-    """Largest Frobenius norm of the N x N blocks of contiguous (rows, k, N,
-    N) arrays, 0 for none: the same bits for the same blocks, however the
-    rows are split."""
-    return max((float(np.linalg.norm(b, axis=(2, 3)).max()) for b in row_blocks), default=0.0)
+    """Largest Frobenius norm of the N x N blocks of (rows, k, N, N) arrays, 0
+    for none. Each is made contiguous first, so the bits are the same for the
+    same blocks, however the rows are split or laid out."""
+    return max((float(np.linalg.norm(np.ascontiguousarray(b), axis=(2, 3)).max())
+                for b in row_blocks), default=0.0)
 
 
 def spec_to_json(spec: KernelSpec) -> dict:

@@ -111,9 +111,10 @@ def nystrom_decompose(kernel: MatrixKernel, measure: QuadratureMeasure,
         mine = (kept >= start) & (kept < start + p.size)
         i, j = np.divmod(kept[mine] - start, t.evals.size)
         # v (x) u, node-major; a 1 x 1 A has u = [1]
-        vecs = V[:, i] if t.evals.size == 1 else (V[:, None, i] * t.evecs[:, j]).reshape(-1, i.size)
+        vecs = (V[:, i] if t.evals.size == 1
+                else (V[:, None, i] * t.evecs[:, j]).reshape(n * t.size, i.size))
         vecs /= np.repeat(sw, t.size)[:, None]
-        phis[mine, :, t.offset:t.offset + t.size] = vecs.T.reshape(-1, n, t.size)
+        phis[mine, :, t.offset:t.offset + t.size] = vecs.T.reshape(i.size, n, t.size)
         start += p.size
     return SpectralDecomposition(
         sigmas=evals[keep].copy(),

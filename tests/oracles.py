@@ -82,18 +82,24 @@ def complex_quadform(gram, Z) -> tuple[float, float]:
     return val.real, abs(val.imag)
 
 
-def circulant_spectrum(row, n: int, dps: int = 50) -> list:
-    """The exact eigenvalues, ascending, of the Gram of a rotation-invariant
-    kernel over n equally spaced points of a circle, at dps digits.
+def circulant_eigenvalues(row, n: int, dps: int = 50) -> list:
+    """The exact eigenvalues lambda_0, ..., lambda_{n-1}, by frequency, of the
+    Gram of a rotation-invariant kernel over n equally spaced points of a
+    circle, at dps digits.
 
     row(theta) gives K(x_0, x_j) in mpmath at the angle theta = 2 pi j / n
     between the points. The Gram is circulant, so its spectrum is the DFT of
     its first row (Gray, "Toeplitz and circulant matrices: a review", 2006);
     the row is symmetric, c_j = c_{n - j}, so each eigenvalue is the real sum
-    lambda_k = sum_j c_j cos(2 pi j k / n).
+    lambda_k = sum_j c_j cos(2 pi j k / n), with eigenvectors cos(k theta) and
+    sin(k theta) over the points' angles theta.
     """
     with mpmath.workdps(dps):
         c = [row(2 * mpmath.pi * j / n) for j in range(n)]
-        lam = [mpmath.fsum(c[j] * mpmath.cospi(mpmath.mpf(2 * j * k) / n) for j in range(n))
-               for k in range(n)]
-        return sorted(lam)
+        return [mpmath.fsum(c[j] * mpmath.cospi(mpmath.mpf(2 * j * k) / n) for j in range(n))
+                for k in range(n)]
+
+
+def circulant_spectrum(row, n: int, dps: int = 50) -> list:
+    """The exact eigenvalues of `circulant_eigenvalues`, ascending."""
+    return sorted(circulant_eigenvalues(row, n, dps))

@@ -100,6 +100,15 @@ def test_certify_rejects_config_point_outside_domain(tmp_path, capsys):
     assert '"upper": [1.0]' in captured.err
 
 
+def test_an_out_of_domain_point_error_is_one_line_naming_the_domain(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "points": [[0.5, 0.5], [0.5, -1.0]],
+                                       "domain": {"kind": "box", "lower": [0, 0], "upper": [1, 1]}})
+    assert main(["certify", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "mkernel certify: error: point 1 [0.5, -1.0] lies outside the domain "
+        '{"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}\n')
+
+
 def test_certify_rejects_csv_point_outside_domain(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"kernel": {"gaussian": 1.0}, "domain": BOX})
     csv_path = tmp_path / "pts.csv"
@@ -457,6 +466,18 @@ def test_wrongly_typed_entry_exits_one(tmp_path, capsys, command, entries, messa
     assert captured.err.count("\n") == 1
 
 
+def test_a_box_whose_volume_overflows_exits_one_without_a_warning(tmp_path, capsys):
+    cfg = {"kernel": {"gaussian": 1.0}, "domain": {"kind": "box", "lower": [0, 0, 0],
+                                                   "upper": [1e103, 1e103, 1e103]}}
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["certify", "--config", _write(tmp_path, "v.json", cfg)]) == 1
+    assert seen == []
+    err = capsys.readouterr().err
+    assert err == ("mkernel certify: error: box upper - lower [1e+103, 1e+103, 1e+103] is too "
+                   "wide: its product (the volume) overflows a float\n")
+
+
 def test_a_box_whose_squared_width_overflows_exits_one_without_a_warning(tmp_path, capsys):
     cfg = {"kernel": {"gaussian": 1.0}, "domain": {"kind": "box", "lower": [0], "upper": [1e200]}}
     with warnings.catch_warnings(record=True) as seen:
@@ -486,6 +507,15 @@ def test_non_finite_partition_flag_exits_one(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("mkernel control: error: --partition must be finite")
+
+
+@pytest.mark.parametrize("flag,text", [("0,abc,1", "'abc'"), ("0,,1", "''")])
+def test_a_partition_flag_entry_that_is_no_number_names_the_flag(tmp_path, capsys, flag, text):
+    cfg = _write(tmp_path, "p.json", {"kernel": {"gaussian": 1.0}, "partition": [0, 1]})
+    assert main(["control", "--config", cfg, "--partition", flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mkernel control: error: --partition must be a number, got {text}\n"
 
 
 def test_malformed_kernel_node_exits_one(tmp_path, capsys):

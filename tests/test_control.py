@@ -11,7 +11,7 @@ from mkernel.applications.control import (
     solve_control_qp,
     solve_qp,
 )
-from mkernel.kernels import Constant, Gaussian, Lift, NegDistance, build_kernel
+from mkernel.kernels import Constant, Gaussian, Lift, NegDistance, Riesz, build_kernel
 
 
 def test_two_cell_constant_hessian():
@@ -20,6 +20,14 @@ def test_two_cell_constant_hessian():
     assert_allclose(qp.midpoints, [0.25, 0.75])
     assert_allclose(qp.widths, [0.5, 0.5])
     assert qp.block_dim == 1
+
+
+def test_a_kernel_unbounded_on_the_diagonal_is_refused_before_the_hessian():
+    k = build_kernel(Riesz(1.0, 0.0), allow_unbounded=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero on the diagonal first
+        with pytest.raises(ValueError, match="unbounded on the diagonal"):
+            assemble_control_qp(k, [0.0, 0.5, 1.0], 1.0)
 
 
 def test_hessian_symmetric_and_scaled():

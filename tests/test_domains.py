@@ -23,6 +23,7 @@ from mkernel.domains import (
     make_measure,
     restrict_measure,
 )
+from mkernel.integral import mercer_test_function
 
 
 def test_trapezoid_weights_res3():
@@ -136,6 +137,15 @@ def test_a_box_whose_squared_diameter_overflows_is_rejected(lower, upper):
             Box(lower, upper)
 
 
+def test_a_box_whose_volume_overflows_is_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Box([0.0] * 3, [1e102] * 3).volume == pytest.approx(1e306)
+        with pytest.raises(ValueError, match=r"box upper - lower \[1e\+103, 1e\+103, 1e\+103\] "
+                                             "is too wide: its product \\(the volume\\) overflows"):
+            Box([0.0] * 3, [1e103] * 3)
+
+
 def test_a_box_at_the_edge_of_overflow_constructs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -170,6 +180,44 @@ def test_distance_and_membership():
     assert distance(circ, p, q) == pytest.approx(2 * np.sin(0.4), abs=1e-12)
     with pytest.raises(ValueError, match="outside"):
         distance(circ, p, [0.5, 0.0])
+
+
+SQUARE = '{"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}'
+UNIT_CIRCLE = '{"kind": "circle", "radius": 1.0}'
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: distance(Box([0.0, 0.0], [1.0, 1.0]), [1.5, 0.5], [0.0, 0.0]),
+     f"point x 0 [1.5, 0.5] lies outside the domain {SQUARE}"),
+    (lambda: distance(Circle(1.0), [1.0, 0.0], [0.5, 0.0]),
+     f"point y 0 [0.5, 0.0] lies outside the domain {UNIT_CIRCLE}"),
+    (lambda: QuadratureMeasure(Box([0.0, 0.0], [1.0, 1.0]), [[0.5, 0.5], [0.5, 1.5]],
+                               [1.0, 1.0], 0.1),
+     f"node 1 [0.5, 1.5] lies outside the domain {SQUARE}"),
+    (lambda: mercer_test_function(make_measure(Box([0.0, 0.0], [1.0, 1.0]), "trapezoid", 9),
+                                  [[0.2, 0.2], [0.8, 0.2], [1.2, 0.7]],
+                                  [[1.0], [-1.0], [1.0]], 0.01, 0.01),
+     f"bump center 2 [1.2, 0.7] lies outside the domain {SQUARE}"),
+], ids=["distance_x", "distance_y", "measure_node", "bump_center"])
+def test_an_out_of_domain_point_is_named_with_its_index_and_the_domain(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("domain,x,y", [
+    (Box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5], [0.5]),
+    (Box([0.0], [1.0]), [0.5, 0.5], [0.5]),
+    (Circle(1.0), [1.0, 0.0, 0.0], [0.0, 1.0]),
+])
+def test_distance_between_points_of_two_dimensions_is_outside(domain, x, y):
+    with pytest.raises(ValueError, match="lies outside"):
+        distance(domain, x, y)
+
+
+def test_measure_nodes_of_another_dimension_lie_outside():
+    with pytest.raises(ValueError, match=r"^node 0 \[0.5, 0.5\] lies outside the domain"):
+        QuadratureMeasure(Box([0.0], [1.0]), [[0.5, 0.5]], [1.0], 0.1)
 
 
 def test_projection():

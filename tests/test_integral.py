@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mkernel.applications.control import assemble_control_qp
+from mkernel.certify import assemble_gram, random_search_witness
 from mkernel.domains import (
     Ball,
     make_box_domain,
@@ -17,6 +19,7 @@ from mkernel.integral import (
     constant_function,
     discretization_gap,
     equivalence_harness,
+    measure_gram,
     mercer_test_function,
     quadform,
     random_test_functions,
@@ -27,9 +30,27 @@ from mkernel.kernels import (
     Gaussian,
     Lift,
     NegDistance,
+    Riesz,
     build_kernel,
     kernel_zoo,
 )
+
+
+GRAM_SITES = {
+    "assemble_gram": lambda k, box: assemble_gram(k, [[0.1], [0.5]]),
+    "measure_gram": lambda k, box: measure_gram(k, make_measure(box, "trapezoid", 5)),
+    "random_search_witness": lambda k, box: random_search_witness(k, box, trials=3),
+    "assemble_control_qp": lambda k, box: assemble_control_qp(k, [0.0, 0.5, 1.0], 1.0),
+}
+
+
+@pytest.mark.parametrize("site", GRAM_SITES)
+def test_every_gram_refuses_a_kernel_unbounded_on_the_diagonal_in_one_message(unit_box, site):
+    k = build_kernel(Riesz(1.0, 0.0), allow_unbounded=True)
+    with pytest.raises(ValueError) as info:
+        GRAM_SITES[site](k, unit_box)
+    assert str(info.value) == ("kernel 'riesz' is unbounded on the diagonal; "
+                               "its Gram matrix contains infinite entries")
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mkernel.domains import QuadratureMeasure, make_box_domain, make_measure
+from mkernel.domains import Ball, QuadratureMeasure, make_box_domain, make_measure, restrict_measure
 from mkernel.integral import (
     constant_function,
     equivalence_harness,
@@ -11,6 +11,7 @@ from mkernel.integral import (
     weighted_gram,
 )
 from mkernel.kernels import (
+    BlockDiag,
     Brownian,
     Constant,
     Gaussian,
@@ -173,6 +174,19 @@ def test_positive_weights_required(box):
     )
     with pytest.raises(ValueError, match="positive"):
         nystrom_decompose(k, zeroed)
+
+
+@pytest.mark.parametrize("spec", [
+    Gaussian(1.0),
+    Lift(Gaussian(1.0), ((2.0, 1.0), (1.0, 2.0))),
+    BlockDiag((Gaussian(1.0), Lift(Constant(1.0), ((1.0, 0.0), (0.0, 1.0))))),
+], ids=["scalar", "lift", "block_diag"])
+def test_an_empty_measure_has_a_rank_zero_decomposition(box, spec):
+    empty = restrict_measure(make_measure(box, "trapezoid", 9), Ball([5.0], 0.1))
+    k = build_kernel(spec)
+    dec = nystrom_decompose(k, empty)
+    assert dec.sigmas.shape == (0,) and dec.phis.shape == (0, 0, k.output_dim)
+    assert dec.to_json()["rank"] == 0 and not dec.not_pd
 
 
 def test_decomposition_json_shape(box):
