@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..certify import DEFAULT_TOLERANCE, PDReport, _certify, _require_finite
+from ..certify import DEFAULT_TOLERANCE, PDReport, _certify, _require_finite, json_value
 from ..kernels import MatrixKernel, _check_bounded, gram_matrix
 
 _GAUSS5_X, _GAUSS5_W = np.polynomial.legendre.leggauss(5)
@@ -36,9 +36,7 @@ class ControlQP:
     block_dim: int
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.size < 2 or np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing, at least two")
+        bp = _checked_breakpoints(self.breakpoints)
         H = np.asarray(self.H, dtype=float)
         if np.max(np.abs(H - H.T)) > 1e-12 * max(1.0, np.max(np.abs(H))):
             raise ValueError("control Hessian must be symmetric")
@@ -51,6 +49,15 @@ class ControlQP:
     @property
     def n_cells(self) -> int:
         return self.widths.size
+
+
+def _checked_breakpoints(breakpoints) -> np.ndarray:
+    """The breakpoints as a float vector, if finite, at least two and strictly increasing."""
+    bp = np.asarray(breakpoints, dtype=float).reshape(-1)
+    _require_finite(bp, "breakpoints")
+    if bp.size < 2 or np.any(np.diff(bp) <= 0):
+        raise ValueError("breakpoints must be strictly increasing, at least two")
+    return bp
 
 
 def _cell_integrals(linear_term, breakpoints: np.ndarray, n_cells: int,
@@ -89,7 +96,7 @@ def assemble_control_qp(kernel: MatrixKernel, breakpoints, linear_term) -> Contr
     callable t -> R^N integrated over each cell by 5-point quadrature.
     """
     _check_bounded(kernel)
-    bp = np.asarray(breakpoints, dtype=float).reshape(-1)
+    bp = _checked_breakpoints(breakpoints)
     mids = 0.5 * (bp[:-1] + bp[1:])
     widths = np.diff(bp)
     M, N = mids.size, kernel.output_dim
@@ -118,10 +125,10 @@ class QPSolution:
     def to_json(self) -> dict:
         return {
             "status": self.status,
-            "value": self.value if np.isfinite(self.value) else None,
-            "v": None if self.v is None else self.v.tolist(),
-            "direction": None if self.direction is None else self.direction.tolist(),
-            "residual": self.residual if np.isfinite(self.residual) else None,
+            "value": json_value(self.value),
+            "v": json_value(self.v),
+            "direction": json_value(self.direction),
+            "residual": json_value(self.residual),
             "eig_min": self.hessian.min_eigenvalue,
             "eig_max": self.hessian.max_eigenvalue,
             "tolerance": self.hessian.tolerance,
@@ -216,7 +223,7 @@ class RefinementReport:
 
     def to_json(self) -> dict:
         return {
-            "values": [v if np.isfinite(v) else None for v in self.values],
+            "values": json_value(self.values),
             "statuses": [s.status for s in self.solutions],
             "non_increasing": self.non_increasing,
         }

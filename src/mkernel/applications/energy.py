@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..certify import Report
 from ..kernels import MatrixKernel, as_points
 
 
@@ -38,14 +39,11 @@ def discrete_energy(kernel: MatrixKernel, points) -> float:
 
 
 @dataclass(frozen=True)
-class Configuration:
+class Configuration(Report):
     """Point configuration with its energy cached."""
 
     points: np.ndarray
     energy: float
-
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist(), "energy": self.energy}
 
 
 def make_configuration(kernel: MatrixKernel, points) -> Configuration:
@@ -77,7 +75,7 @@ def _energy_gradient(kernel: MatrixKernel, P: np.ndarray, h: float) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class EnergyResult:
+class EnergyResult(Report):
     """Outcome of a projected-gradient energy minimization."""
 
     configuration: Configuration
@@ -87,14 +85,9 @@ class EnergyResult:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "points": self.configuration.points.tolist(),
-            "energy": self.configuration.energy,
-            "trace": self.trace.tolist(),
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-            "converged": self.converged,
-        }
+        """Flat: the configuration's fields, then the others."""
+        doc = super().to_json()
+        return {**doc.pop("configuration"), **doc}
 
 
 def minimize_energy(kernel: MatrixKernel, domain, n_points: int,

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..certify import Report
+
 
 @dataclass(frozen=True)
 class EstimationDataset:
@@ -78,7 +80,7 @@ def objective(dataset: EstimationDataset, K, lam: float) -> float:
 
 
 @dataclass(frozen=True)
-class RidgeResult:
+class RidgeResult(Report):
     """Estimated kernel with its objective and normal-equation residual."""
 
     matrix: np.ndarray
@@ -88,13 +90,8 @@ class RidgeResult:
     causal: bool
 
     def to_json(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "objective": self.objective,
-            "residual": self.residual,
-            "lambda": self.lam,
-            "causal": self.causal,
-        }
+        """The fields' JSON, with `lam` under its name `lambda`, a Python keyword."""
+        return {"lambda" if k == "lam" else k: v for k, v in super().to_json().items()}
 
 
 def ridge_estimate(dataset: EstimationDataset, lam: float, causal: bool = False) -> RidgeResult:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,24 +73,39 @@ def assemble_gram(kernel: MatrixKernel, points) -> GramBlockMatrix:
     return gram_matrix(kernel, P)
 
 
+def json_value(v):
+    """A report value's JSON form: an array or a tuple as a list, a nested
+    report or a domain by its own `to_json`, and a NaN or an infinity as
+    null, which RFC 8259 JSON has in place of them; any other value as it is."""
+    if isinstance(v, np.ndarray):
+        return v.tolist() if np.isfinite(v).all() else json_value(v.tolist())
+    if isinstance(v, (list, tuple)):
+        return [json_value(x) for x in v]
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    return v.to_json() if hasattr(v, "to_json") else v
+
+
+class Report:
+    """A report dataclass whose JSON is its fields, in order, each by
+    `json_value`, as a kernel spec's JSON is its fields: a new field is
+    written with no second edit."""
+
+    def to_json(self) -> dict:
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class Witness:
+class Witness(Report):
     """Points and coefficients with a negative kernel quadratic form."""
 
     points: np.ndarray | None
     coefficients: np.ndarray
     value: float
 
-    def to_json(self) -> dict:
-        return {
-            "points": None if self.points is None else self.points.tolist(),
-            "coefficients": self.coefficients.tolist(),
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
-class PDReport:
+class PDReport(Report):
     """Outcome of a PSD certification.
 
     `min_eigenvalue` and `max_eigenvalue` are the exact extreme eigenvalues
@@ -115,16 +130,6 @@ class PDReport:
     @property
     def certified(self) -> bool:
         return self.verdict == "certified_psd"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_eigenvalue": self.max_eigenvalue,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "tolerance": self.tolerance,
-            "warnings": list(self.warnings),
-        }
 
 
 def direct_quadform(blocks: np.ndarray, coefficients: np.ndarray) -> float:
@@ -428,27 +433,20 @@ def _coefficients(g: GramBlockMatrix, t, v: np.ndarray, u: np.ndarray) -> np.nda
 
 
 @dataclass(frozen=True)
-class SearchReport:
-    """Outcome of a randomized hunt for a discrete PD violation."""
+class SearchReport(Report):
+    """Outcome of a randomized hunt for a discrete PD violation: its verdict,
+    "witness_found" or "no_witness_found", the trials decided and the least
+    margin seen, which is NaN after no trial and then written as null."""
 
-    found: bool
+    verdict: str
     trials: int
     min_margin: float
     tolerance: float
     witness: Witness | None = None
 
     @property
-    def verdict(self) -> str:
-        return "witness_found" if self.found else "no_witness_found"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "min_margin": self.min_margin,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "tolerance": self.tolerance,
-        }
+    def found(self) -> bool:
+        return self.verdict == "witness_found"
 
 
 def random_search_witness(
@@ -487,7 +485,7 @@ def random_search_witness(
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     _check_tolerance(tolerance)
     if trials == 0:
-        return SearchReport(False, 0, np.nan, tolerance, None)
+        return SearchReport("no_witness_found", 0, np.nan, tolerance, None)
     _check_bounded(kernel)
     sizes = rng.integers(n_lo, n_hi + 1, trials)
     P = kernel._check_points(domain.sample(rng, int(sizes.sum())))
@@ -516,14 +514,15 @@ def random_search_witness(
     seen = margins[:end + 1]
     min_margin = float(seen[seen.argmin()])
     if last is None:
-        return SearchReport(False, trials, min_margin, tolerance, None)
+        return SearchReport("no_witness_found", trials, min_margin, tolerance, None)
     # a failed Gram, or the first of its stack with a non-finite point
     # (_require_finite raises) or entry (_as_gram raises)
     X, d, factors, e = last
     _require_finite(X, "points")
     g = _as_gram(GramBlockMatrix.from_factors(
         X, kernel.output_dim, [(F[e], t) for F, t in zip(factors, kernel.terms)]))
-    return SearchReport(True, int(end) + 1, min_margin, tolerance, _witness(d, e, g))
+    return SearchReport("witness_found", int(end) + 1, min_margin, tolerance,
+                        _witness(d, e, g))
 
 
 def _first_false(mask: np.ndarray) -> int:

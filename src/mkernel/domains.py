@@ -74,13 +74,16 @@ class Box:
             for name, v in (("lower", lo), ("upper", hi), ("upper - lower", hi - lo)):
                 if not np.isfinite(v).all():
                     raise ValueError(f"box {name} must be finite, got {v.tolist()}")
+            if not np.all(lo < hi):
+                raise ValueError("degenerate box: require lower[i] < upper[i] in every coordinate")
             for what, v in (("the sum of its squares", np.sum((hi - lo) ** 2)),  # squared distance
                             ("its product (the volume)", np.prod(hi - lo))):  # a measure's mass
                 if not np.isfinite(v):
                     raise ValueError(f"box upper - lower {(hi - lo).tolist()} is too wide: "
                                      f"{what} overflows a float")
-        if not np.all(lo < hi):
-            raise ValueError("degenerate box: require lower[i] < upper[i] in every coordinate")
+                if v == 0.0:
+                    raise ValueError(f"box upper - lower {(hi - lo).tolist()} is too narrow: "
+                                     f"{what} underflows to 0")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -134,8 +137,11 @@ class Circle:
         r = float(self.radius)
         if not 0 < r < np.inf:
             raise ValueError(f"circle radius must be positive and finite, got {r}")
-        if not (2.0 * r) * (2.0 * r) < np.inf:  # the largest squared distance
+        d2 = (2.0 * r) * (2.0 * r)  # the largest squared distance
+        if not d2 < np.inf:
             raise ValueError(f"circle radius {r} is too large: (2 radius)^2 overflows a float")
+        if d2 == 0.0:
+            raise ValueError(f"circle radius {r} is too small: (2 radius)^2 underflows to 0")
         object.__setattr__(self, "radius", r)
 
     @property
@@ -245,8 +251,12 @@ class QuadratureMeasure:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if nodes.shape[0] != weights.size:
             raise ValueError("nodes and weights must have the same length")
-        if np.any(weights < 0):
-            raise ValueError("quadrature weights must be nonnegative")
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
+        if bad.size:
+            raise ValueError(f"quadrature weights must be finite and nonnegative, "
+                             f"got weight {bad[0]} = {weights[bad[0]]}")
+        if not 0.0 <= self.mesh < np.inf:
+            raise ValueError(f"measure mesh must be finite and nonnegative, got {self.mesh}")
         require_inside(self.domain, nodes, "node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

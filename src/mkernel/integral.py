@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import (DEFAULT_TOLERANCE, PDReport, SearchReport, Witness, _check_tolerance,
-                      certify_psd, direct_quadform, random_search_witness)
+from .certify import (DEFAULT_TOLERANCE, PDReport, Report, SearchReport, Witness,
+                      _check_tolerance, certify_psd, direct_quadform, json_value,
+                      random_search_witness)
 from .domains import Ball, QuadratureMeasure, in_closed_ball, require_inside
 from .kernels import (GramBlockMatrix, MatrixKernel, _check_bounded, _largest_block_norm,
                       _row_slices, as_points, gram_blocks, gram_matrix)
@@ -180,7 +181,7 @@ def mercer_test_function(measure: QuadratureMeasure, centers, coefficients,
 
 
 @dataclass(frozen=True)
-class GapReport:
+class GapReport(Report):
     """Comparison of the bump quadratic form against its discrete target.
 
     ``gap`` is |quadform - discrete - correction|, the contribution of the
@@ -201,21 +202,6 @@ class GapReport:
     delta: float
     epsilon: float
     sup_norm: float
-
-    def to_json(self) -> dict:
-        return {
-            "quadform": self.quadform,
-            "discrete": self.discrete,
-            "correction": self.correction,
-            "gap": self.gap,
-            "remainder_bound": self.remainder_bound,
-            "continuity_term": self.continuity_term,
-            "inner_masses": self.inner_masses.tolist(),
-            "outer_masses": self.outer_masses.tolist(),
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "sup_norm": self.sup_norm,
-        }
 
 
 def discretization_gap(kernel: MatrixKernel, measure: QuadratureMeasure,
@@ -332,20 +318,17 @@ def random_test_functions(domain, output_dim: int, count: int, seed: int) -> lis
 
 @dataclass(frozen=True)
 class HarnessReport:
-    """Joint discrete/integral PD report with an agreement flag."""
+    """Joint discrete/integral PD report with an agreement flag; a side that
+    did not run (None) is written as {"verdict": "inconclusive"}."""
 
     discrete: SearchReport | None
     integral: PDReport | None
     agree: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "discrete": {"verdict": "inconclusive"} if self.discrete is None
-            else self.discrete.to_json(),
-            "integral": {"verdict": "inconclusive"} if self.integral is None
-            else self.integral.to_json(),
-            "agree": self.agree,
-        }
+        none = {"verdict": "inconclusive"}
+        return {"discrete": json_value(self.discrete) or none,
+                "integral": json_value(self.integral) or none, "agree": self.agree}
 
 
 def equivalence_harness(kernel: MatrixKernel, measure: QuadratureMeasure,

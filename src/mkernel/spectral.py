@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import DEFAULT_TOLERANCE, _decide
+from .certify import DEFAULT_TOLERANCE, _decide, json_value
 from .domains import QuadratureMeasure
 from .integral import TestFunction, weighted_gram
 from .kernels import MatrixKernel
@@ -57,8 +57,8 @@ class SpectralDecomposition:
         check_rank(max_rank)
         r = self.rank if max_rank is None else min(self.rank, int(max_rank))
         return {
-            "sigmas": self.sigmas[:r].tolist(),
-            "phis": self.phis[:r].tolist(),
+            "sigmas": json_value(self.sigmas[:r]),
+            "phis": json_value(self.phis[:r]),
             "dropped": self.dropped,
             "dropped_mass": self.dropped_mass,
             "not_pd_flag": self.not_pd,

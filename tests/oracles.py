@@ -59,10 +59,11 @@ def random_search_oracle(kernel, domain, trials: int = 200, seed: int = 0,
         margin = report.min_eigenvalue / max(1.0, report.max_eigenvalue)
         min_margin = min(min_margin, margin)
         if not report.certified:
-            return SearchReport(True, t + 1, float(min_margin), tolerance, report.witness)
+            return SearchReport("witness_found", t + 1, float(min_margin), tolerance,
+                                report.witness)
     if trials == 0:
         min_margin = np.nan
-    return SearchReport(False, trials, float(min_margin), tolerance, None)
+    return SearchReport("no_witness_found", trials, float(min_margin), tolerance, None)
 
 
 def complex_quadform(gram, Z) -> tuple[float, float]:
